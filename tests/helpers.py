@@ -66,6 +66,15 @@ def term_variables(term: Term) -> list[str]:
     return []
 
 
+def term_variables_of_atom(atom: Atom) -> list[str]:
+    names: list[str] = []
+    for arg in atom.args:
+        for name in term_variables(arg):
+            if name not in names:
+                names.append(name)
+    return names
+
+
 def brute_force_unifiable(a: Term, b: Term, constants: Iterable[str]) -> bool:
     """Search all variable-to-constant assignments for a syntactic match."""
     names: list[str] = []
@@ -125,6 +134,103 @@ def random_ground_program(
     # Uniform over subsets of the atom universe.
     facts = FactBase(frozenset(a for a in universe if rng.random() < 0.5))
     return Program(tuple(rules), tuple(exceptions)), facts, universe
+
+
+_NONGROUND_VARS = ("X", "Y", "Z")
+
+
+def _random_pattern(rng: random.Random, name: str, arity: int, constants: list[str],
+                    variables: tuple[str, ...]) -> Atom:
+    args = tuple(
+        Constant(rng.choice(constants)) if rng.random() < 0.25 else Variable(rng.choice(variables))
+        for _ in range(arity)
+    )
+    return Atom(name, args)
+
+
+def random_nonground_program(
+    rng: random.Random,
+    max_preds: int = 6,
+    max_rules: int = 8,
+    max_exceptions: int = 4,
+) -> tuple[Program, FactBase, list[str], list[Atom]]:
+    """A range-restricted program with variables over 2-3 constants.
+
+    Stratified by construction as in random_ground_program. Returns the
+    program, its facts, the constants and every ground atom of its
+    predicates over them.
+    """
+    constants = [f"c{i}" for i in range(1, rng.randint(2, 3) + 1)]
+    n_preds = rng.randint(2, max_preds)
+    arity = {f"p{i}": rng.randint(0, 2) for i in range(n_preds)}
+    levels = {name: rng.randint(0, 3) for name in arity}
+    universe = [
+        Atom(name, tuple(Constant(c) for c in args))
+        for name in arity
+        for args in product(constants, repeat=arity[name])
+    ]
+    rules = []
+    for k in range(rng.randint(0, max_rules)):
+        name = rng.choice(list(arity))
+        head = _random_pattern(rng, name, arity[name], constants, _NONGROUND_VARS)
+        lower = [p for p in arity if levels[p] <= levels[name]]
+        body = tuple(
+            _random_pattern(rng, p, arity[p], constants, _NONGROUND_VARS)
+            for p in (rng.choice(lower) for _ in range(rng.randint(0, 3)))
+        )
+        # Range restriction: a head variable the body never binds becomes a constant.
+        bound = {v for atom in body for v in term_variables_of_atom(atom)}
+        head = Atom(name, tuple(
+            Constant(rng.choice(constants))
+            if isinstance(arg, Variable) and arg.name not in bound else arg
+            for arg in head.args
+        ))
+        rules.append(Rule(f"r{k + 1}", head, body))
+    exceptions = []
+    for _ in range(rng.randint(0, max_exceptions)):
+        name = rng.choice(list(arity))
+        lower = [p for p in arity if levels[p] < levels[name]]
+        if not lower:
+            continue
+        target = rng.choice(lower)
+        exceptions.append(ExceptionDecl(
+            _random_pattern(rng, name, arity[name], constants, _NONGROUND_VARS[:2]),
+            _random_pattern(rng, target, arity[target], constants, _NONGROUND_VARS),
+        ))
+    facts = FactBase(frozenset(a for a in universe if rng.random() < 0.3))
+    return Program(tuple(rules), tuple(exceptions)), facts, constants, universe
+
+
+def ground_over(program: Program, constants: list[str]) -> Program:
+    """Every ground instance of every rule and exception over the constants.
+
+    Variables of an exception that its head does not mention are
+    existential, so one ground declaration per assignment expresses them.
+    """
+
+    def instances(atoms: tuple[Atom, ...]) -> Iterable[tuple[Atom, ...]]:
+        names: list[str] = []
+        for atom in atoms:
+            for name in term_variables_of_atom(atom):
+                if name not in names:
+                    names.append(name)
+        for values in product(constants, repeat=len(names)):
+            bindings = {n: Constant(v) for n, v in zip(names, values)}
+            yield tuple(
+                Atom(a.predicate, tuple(naive_apply_fixpoint(bindings, t) for t in a.args))
+                for a in atoms
+            )
+
+    rules = []
+    for rule in program.rules:
+        for index, (head, *body) in enumerate(instances((rule.head,) + rule.body)):
+            rules.append(Rule(f"{rule.id}_{index}", head, tuple(body)))
+    exceptions = [
+        ExceptionDecl(head, exc)
+        for decl in program.exceptions
+        for head, exc in instances((decl.head, decl.exception))
+    ]
+    return Program(tuple(rules), tuple(exceptions))
 
 
 def random_prolog_program(

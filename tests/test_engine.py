@@ -20,7 +20,12 @@ from proleg.engine import (
 from proleg.parser import parse_facts, parse_program
 from proleg.trace import Outcome, render_json
 
-from helpers import assert_trace_invariants, random_ground_program
+from helpers import (
+    assert_trace_invariants,
+    ground_over,
+    random_ground_program,
+    random_nonground_program,
+)
 
 NO_FACTS = FactBase()
 
@@ -227,6 +232,21 @@ def test_solve_agrees_with_holds_all_on_random_programs():
                 f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
             )
             assert_trace_invariants(trace)
+
+
+def test_solve_agrees_with_holds_all_on_random_nonground_programs():
+    # Memo tables and loop taint matter most when goals carry variables:
+    # check every ground atom against the bottom-up model of the grounding.
+    rng = random.Random(7)
+    for _ in range(600):
+        program, facts, constants, universe = random_nonground_program(rng)
+        model = holds_all(ground_over(program, constants), facts)
+        for atom in universe:
+            out, _ = solve(program, facts, atom)
+            assert (out is Outcome.SUCCESS) == (atom in model), (
+                f"disagreement on {atom}\nrules: {program.rules}\n"
+                f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
+            )
 
 
 @given(st.integers(min_value=0, max_value=2**32))

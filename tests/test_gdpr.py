@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from proleg.gdpr import (
     TraceFragment,
 )
 from proleg.parser import parse_atom, parse_program
-from proleg.trace import Outcome, iter_nodes
+from proleg.trace import Outcome, iter_nodes, render_text
 
 from helpers import assert_trace_invariants, ground_with
 
@@ -165,6 +166,15 @@ class TestRunCase:
             result = run_case(case)
             assert result.passed, f"{case.id}: expected {case.expected}, got {result.actual}"
             assert_trace_invariants(result.trace)
+
+    def test_bundled_case_traces_are_pinned(self):
+        # render_text shows every TraceNode field, so this pins each node
+        # of the 13 traces; regenerate the file only for an intended change.
+        pinned = Path(__file__).parent / "data" / "bundled_case_traces.txt"
+        rendered = "".join(
+            render_text(run_case(load_case(path)).trace) for path in bundled_case_paths()
+        )
+        assert rendered == pinned.read_text(encoding="utf-8")
 
     def test_withdrawal_sensitivity(self, withdrawal_case):
         outcome, _ = solve(

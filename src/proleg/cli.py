@@ -22,7 +22,7 @@ from typing import Optional
 from .ast import Program, indicator
 from .convert import convert_source
 from .engine import EngineConfig, EngineError, stratify
-from .gdpr import CaseLoadError, load_case, run_case
+from .gdpr import CaseFile, CaseLoadError, load_case, run_case
 from .lint import (
     ERROR,
     WARNING,
@@ -59,15 +59,28 @@ def _load_program(path: str) -> Program:
     return parse_program(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     defaults = EngineConfig()
     max_steps = defaults.max_steps
     env_value = os.environ.get(MAX_STEPS_ENV)
     if env_value:
         try:
-            max_steps = int(env_value)
-        except ValueError:
-            print(f"warning: ignoring non-integer {MAX_STEPS_ENV}={env_value!r}", file=sys.stderr)
+            max_steps = _positive_int(env_value)
+        except argparse.ArgumentTypeError:
+            print(
+                f"warning: ignoring {MAX_STEPS_ENV}={env_value!r}: not a positive integer",
+                file=sys.stderr,
+            )
     if getattr(args, "max_steps", None) is not None:
         max_steps = args.max_steps
     max_depth = getattr(args, "max_depth", None) or defaults.max_depth
@@ -182,14 +195,19 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one_case(path: Path, args: argparse.Namespace, verbose: bool) -> Optional[bool]:
-    """Run a single case; returns passed, or None on load/engine error."""
+def _load_one_case(path: Path) -> Optional[CaseFile]:
+    """Load a case file; returns None after reporting its problems."""
     try:
-        case = load_case(path)
+        return load_case(path)
     except CaseLoadError as exc:
         for message in exc.errors:
             print(f"{path}: {message}", file=sys.stderr)
         return None
+
+
+def _run_one_case(case: CaseFile, path: Path, args: argparse.Namespace,
+                  verbose: bool) -> Optional[bool]:
+    """Run a loaded case; returns passed, or None on an engine error."""
     try:
         result = run_case(case, _engine_config(args))
     except EngineError as exc:
@@ -213,32 +231,25 @@ def _cmd_case_run(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         cases = []
         for path in paths:
-            try:
-                cases.append((load_case(path), path))
-            except CaseLoadError as exc:
-                for message in exc.errors:
-                    print(f"{path}: {message}", file=sys.stderr)
+            case = _load_one_case(path)
+            if case is None:
                 return EXIT_ERROR
+            cases.append((case, path))
         cases.sort(key=lambda pair: pair[0].id)
         passed = 0
         for case, path in cases:
-            try:
-                result = run_case(case, _engine_config(args))
-            except EngineError as exc:
-                print(f"{path}: engine error: {exc}", file=sys.stderr)
+            outcome = _run_one_case(case, path, args, verbose=False)
+            if outcome is None:
                 return EXIT_ERROR
-            status = "PASS" if result.passed else "FAIL"
-            print(
-                f"{case.id}: {status} (expected {case.expected.glyph}, "
-                f"actual {result.actual.glyph})"
-            )
-            passed += 1 if result.passed else 0
+            passed += 1 if outcome else 0
         print(f"{passed}/{len(cases)} cases passed")
         return EXIT_OK if passed == len(cases) else EXIT_FAIL
     if not args.case:
         print("case run: give a case file or --all DIR", file=sys.stderr)
         return EXIT_ERROR
-    outcome = _run_one_case(Path(args.case), args, verbose=True)
+    path = Path(args.case)
+    case = _load_one_case(path)
+    outcome = None if case is None else _run_one_case(case, path, args, verbose=True)
     if outcome is None:
         return EXIT_ERROR
     return EXIT_OK if outcome else EXIT_FAIL
@@ -258,8 +269,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace", help="write the trace as JSON to this path")
     run_p.add_argument("--dot", help="write the trace as DOT to this path")
     run_p.add_argument("--text", action="store_true", help="print the trace tree")
-    run_p.add_argument("--max-depth", type=int, help="goal nesting limit")
-    run_p.add_argument("--max-steps", type=int, help="resolution step budget")
+    run_p.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
+    run_p.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
     run_p.set_defaults(func=_cmd_run)
 
     check_p = sub.add_parser("check", help="parse a ruleset and report stratification")
@@ -291,8 +302,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     case_run.add_argument("--trace", help="write the trace as JSON to this path")
     case_run.add_argument("--dot", help="write the trace as DOT to this path")
     case_run.add_argument("--text", action="store_true", help="print the trace tree")
-    case_run.add_argument("--max-depth", type=int)
-    case_run.add_argument("--max-steps", type=int)
+    case_run.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
+    case_run.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
     case_run.set_defaults(func=_cmd_case_run)
 
     return parser

@@ -31,7 +31,6 @@ from typing import Iterator, Optional
 
 from .ast import (
     Atom,
-    ExceptionDecl,
     FactBase,
     PredicateKey,
     Program,
@@ -244,8 +243,15 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     return [frozenset(level) for level in partition]
 
 
+_Edges = tuple[tuple[EdgeKind, TraceNode], ...]
+
+
 class _Resolver:
-    """Backward-chaining search state for one solve call."""
+    """Backward-chaining search state for one solve call.
+
+    The search builds the trace as it goes: every solution comes with the
+    node of the proof that found it, so a trace is the search's own proof.
+    """
 
     def __init__(self, program: Program, facts: FactBase, config: EngineConfig):
         self.config = config
@@ -259,240 +265,167 @@ class _Resolver:
             self.facts[fact.key].append(fact)
         self.steps = 0
         self.rename_serial = 0
-        # Ground-goal memo tables. A success is valid in any context (the
-        # proof found cannot run through a pruned ancestor). A plain
-        # failure is recorded only when no loop prune fired against an
-        # ancestor older than the goal, since such a prune could have cut
-        # a proof that exists in other contexts; prune_log tracks the
-        # stack positions the loop check matched.
-        self.success_cache: set[Atom] = set()
-        self.failure_cache: set[Atom] = set()
+        # Ground-goal memo tables, from goal to node. A success is valid
+        # in any context (the proof found cannot run through a pruned
+        # ancestor). A plain failure is recorded only when no loop prune
+        # fired against an ancestor older than the goal, since such a
+        # prune could have cut a proof that exists in other contexts;
+        # prune_log tracks the stack positions the loop check matched.
+        self.success_cache: dict[Atom, TraceNode] = {}
+        self.failure_cache: dict[Atom, TraceNode] = {}
         self.prune_log: list[int] = []
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.config.max_steps:
-            raise StepsExceeded()
-
-    def _fresh_rule(self, rule: Rule) -> tuple[Atom, tuple[Atom, ...]]:
+    def _fresh(self, *atoms: Atom) -> tuple[Atom, ...]:
+        """The atoms with their variables renamed apart from every other use."""
         self.rename_serial += 1
-        serial = self.rename_serial
-        names: list[str] = list(variables_of(rule.head))
-        for atom in rule.body:
+        prefix = f"_R{self.rename_serial}_"
+        mapping: dict[str, Variable] = {}
+        for atom in atoms:
             for name in variables_of(atom):
-                if name not in names:
-                    names.append(name)
-        mapping = {name: Variable(f"_R{serial}_{name}") for name in names}
-        head = rename_atom(rule.head, mapping)
-        body = tuple(rename_atom(a, mapping) for a in rule.body)
-        return head, body
+                if name not in mapping:
+                    mapping[name] = Variable(prefix + name)
+        return tuple(rename_atom(atom, mapping) for atom in atoms)
 
-    def _fresh_exception(self, decl: ExceptionDecl) -> tuple[Atom, Atom]:
-        self.rename_serial += 1
-        serial = self.rename_serial
-        names = list(variables_of(decl.head))
-        for name in variables_of(decl.exception):
-            if name not in names:
-                names.append(name)
-        mapping = {name: Variable(f"_R{serial}_{name}") for name in names}
-        return rename_atom(decl.head, mapping), rename_atom(decl.exception, mapping)
-
-    def _enter(self, goal: Atom, subst: Substitution, depth: int
-               ) -> tuple[Atom, Atom]:
-        """Shared entry bookkeeping: returns (resolved, canonical)."""
-        self._tick()
-        resolved = apply_atom(subst, goal)
-        canon = canonical_atom(resolved)
-        if depth > self.config.max_depth:
-            raise DepthExceeded(canon)
-        return resolved, canon
-
-    # ------------------------------------------------------------------
-    # Pure solution enumeration (no trace construction).
-    #
     # A goal that is ground under the current substitution can add no
     # binding its caller could see, so one solution settles it; defeat
     # is likewise settled by the first derivation, because every
     # derivation resolves to the same conclusion instance.
 
-    def solutions(self, goal: Atom, subst: Substitution, depth: int, ancestors: tuple
-                  ) -> Iterator[Substitution]:
-        resolved, canon = self._enter(goal, subst, depth)
+    def prove(self, goal: Atom, subst: Substitution, depth: int, ancestors: tuple
+              ) -> Iterator[tuple[Optional[Substitution], TraceNode]]:
+        """Each solution of the goal in search order, with its proof node.
+
+        A goal without solutions yields (None, failure node) once. The
+        failure node holds, for every rule whose head matched, the
+        first-solution path through the body up to its first failing
+        condition, plus the exception checks when that path completed.
+        """
+        self.steps += 1
+        if self.steps > self.config.max_steps:
+            raise StepsExceeded()
+        resolved = apply_atom(subst, goal)
+        canon = canonical_atom(resolved)
+        if depth > self.config.max_depth:
+            raise DepthExceeded(canon)
         ground = is_ground(resolved)
         if ground:
             if canon in self.success_cache:
-                yield subst
+                yield subst, self.success_cache[canon]
                 return
             if canon in self.failure_cache:
+                yield None, self.failure_cache[canon]
                 return
         if self.config.loop_check and canon in ancestors:
             self.prune_log.append(ancestors.index(canon))
+            yield None, TraceNode(canon, Outcome.FAILURE, note="loop detected")
             return
         position = len(ancestors)
         mark = len(self.prune_log)
         ancestors = ancestors + (canon,)
-        yielded = False
+        found = False
         for fact in self.facts.get(goal.key, ()):
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
+            node = TraceNode(
+                canonical_atom(apply_atom(bound, goal)), Outcome.SUCCESS, via=FACT_MARKER
+            )
             if ground:
-                self.success_cache.add(canon)
-                yield subst
+                self.success_cache[canon] = node
+                yield subst, node
                 return
-            yielded = True
-            yield bound
-        for rule in self.rules.get(goal.key, ()):
-            head, body = self._fresh_rule(rule)
-            bound = unify_atoms(goal, head, subst)
-            if bound is None:
-                continue
-            for solution in self._body_solutions(body, bound, depth, ancestors):
-                instance = apply_atom(solution, goal)
-                defeated = self._defeating_exception(instance, depth, ancestors) is not None
-                if ground:
-                    if defeated:
-                        # Every other derivation resolves to this same
-                        # defeated instance; settled either way.
-                        self.failure_cache.add(canon)
-                        return
-                    self.success_cache.add(canon)
-                    yield subst
-                    return
-                if not defeated:
-                    yielded = True
-                    yield solution
-        if ground and not yielded:
-            tainted = any(index < position for index in self.prune_log[mark:])
-            if not tainted:
-                self.failure_cache.add(canon)
-
-    def _body_solutions(self, body: tuple[Atom, ...], subst: Substitution, depth: int,
-                        ancestors: tuple) -> Iterator[Substitution]:
-        if not body:
-            yield subst
-            return
-        for first in self.solutions(body[0], subst, depth + 1, ancestors):
-            yield from self._body_solutions(body[1:], first, depth, ancestors)
-
-    def _defeating_exception(self, instance: Atom, depth: int, ancestors: tuple
-                             ) -> Optional[int]:
-        """Index of the first declared exception that defeats the instance."""
-        for index, decl in enumerate(self.exceptions):
-            head, exc = self._fresh_exception(decl)
-            bound = unify_atoms(instance, head)
-            if bound is None:
-                continue
-            if next(self.solutions(exc, bound, depth + 1, ancestors), None) is not None:
-                return index
-        return None
-
-    # ------------------------------------------------------------------
-    # Trace construction. Mirrors the enumeration exactly; for failures
-    # it records every applicable rule's partial subtree up to the first
-    # failing condition, plus the exception checks when a rule body
-    # succeeded but the conclusion was defeated.
-
-    def trace_goal(self, goal: Atom, subst: Substitution, depth: int, ancestors: tuple
-                   ) -> TraceNode:
-        resolved, canon = self._enter(goal, subst, depth)
-        ground = is_ground(resolved)
-        if self.config.loop_check and canon in ancestors:
-            if ground and canon in self.success_cache:
-                # Proven earlier in the search; re-deriving here would loop.
-                return TraceNode(canon, Outcome.SUCCESS, note="already established")
-            self.prune_log.append(ancestors.index(canon))
-            return TraceNode(canon, Outcome.FAILURE, note="loop detected")
-        ancestors = ancestors + (canon,)
-        for fact in self.facts.get(goal.key, ()):
-            bound = unify_atoms(goal, fact, subst)
-            if bound is not None:
-                return TraceNode(
-                    canonical_atom(apply_atom(bound, goal)), Outcome.SUCCESS, via=FACT_MARKER
-                )
+            found = True
+            yield bound, node
         attempts: list[tuple[EdgeKind, TraceNode]] = []
-        defeated = False
         defeated_via: Optional[str] = None
+        settled = False
         for rule in self.rules.get(goal.key, ()):
-            head, body = self._fresh_rule(rule)
+            head, *body = self._fresh(rule.head, *rule.body)
             bound = unify_atoms(goal, head, subst)
             if bound is None:
                 continue
-            witness: Optional[Substitution] = None
-            if ground:
-                # The first derivation settles a ground goal: any other
-                # one resolves to the same instance and the same defeat.
-                solution = next(self._body_solutions(body, bound, depth, ancestors), None)
-                if solution is not None and (
-                    self._defeating_exception(apply_atom(solution, goal), depth, ancestors)
-                    is None
-                ):
-                    witness = solution
-            else:
-                for solution in self._body_solutions(body, bound, depth, ancestors):
-                    instance = apply_atom(solution, goal)
-                    if self._defeating_exception(instance, depth, ancestors) is None:
-                        witness = solution
-                        break
-            if witness is not None:
-                children = [
-                    (EdgeKind.CONDITION, self.trace_goal(atom, witness, depth + 1, ancestors))
-                    for atom in body
-                ]
-                instance = apply_atom(witness, goal)
-                children.extend(self._exception_checks(instance, depth, ancestors))
-                return TraceNode(
-                    canonical_atom(instance),
-                    Outcome.SUCCESS,
-                    via=rule.id,
-                    children=tuple(children),
-                )
-            # No undefeated solution: show the first-solution path.
-            partial: list[tuple[EdgeKind, TraceNode]] = []
-            current = bound
-            completed = True
-            for atom in body:
-                child = self.trace_goal(atom, current, depth + 1, ancestors)
-                partial.append((EdgeKind.CONDITION, child))
-                if child.outcome is Outcome.FAILURE:
-                    completed = False
-                    break
-                advanced = next(self.solutions(atom, current, depth + 1, ancestors), None)
-                assert advanced is not None, "trace and enumeration disagree"
-                current = advanced
-            if completed:
-                instance = apply_atom(current, goal)
-                checks = self._exception_checks(instance, depth, ancestors)
-                partial.extend(checks)
-                if any(node.outcome is Outcome.SUCCESS for _, node in checks):
-                    defeated = True
-                    if defeated_via is None:
+            # A failure shows the rule's first body item: the failed
+            # first-solution path, or the first solution with its checks.
+            shown: Optional[_Edges] = None
+            for solution, conditions in self._conditions(body, bound, depth, ancestors):
+                if solution is None:
+                    shown = conditions
+                    continue
+                instance = apply_atom(solution, goal)
+                checks, defeated = self._exception_checks(instance, depth, ancestors)
+                if shown is None:
+                    shown = conditions + checks
+                    if defeated and defeated_via is None:
                         defeated_via = rule.id
-            attempts.extend(partial)
-        note = None if attempts else "no rule matched"
-        return TraceNode(
+                if not defeated:
+                    node = TraceNode(
+                        canonical_atom(instance),
+                        Outcome.SUCCESS,
+                        via=rule.id,
+                        children=conditions + checks,
+                    )
+                    if ground:
+                        self.success_cache[canon] = node
+                        yield subst, node
+                        return
+                    found = True
+                    yield solution, node
+                elif ground:
+                    # Every other derivation resolves to this same
+                    # defeated instance; later rules are only shown.
+                    settled = True
+                    break
+            attempts.extend(shown or ())
+        if found:
+            return
+        node = TraceNode(
             canon,
             Outcome.FAILURE,
             via=defeated_via,
-            defeated=defeated,
+            defeated=defeated_via is not None,
             children=tuple(attempts),
-            note=note,
+            note=None if attempts else "no rule matched",
         )
+        if ground and (settled or all(index >= position for index in self.prune_log[mark:])):
+            self.failure_cache[canon] = node
+        yield None, node
+
+    def _conditions(self, body: list[Atom], subst: Substitution, depth: int,
+                    ancestors: tuple) -> Iterator[tuple[Optional[Substitution], _Edges]]:
+        """Each solution of the conjunction with its condition edges.
+
+        When the first-solution path fails, (None, that path up to its
+        failing condition) comes first, then any solutions backtracking finds.
+        """
+        if not body:
+            yield subst, ()
+            return
+        first_path = True
+        for solution, node in self.prove(body[0], subst, depth + 1, ancestors):
+            edge = ((EdgeKind.CONDITION, node),)
+            if solution is None:
+                yield None, edge
+                return
+            for rest, edges in self._conditions(body[1:], solution, depth, ancestors):
+                if rest is not None or first_path:
+                    yield rest, edge + edges
+            first_path = False
 
     def _exception_checks(self, instance: Atom, depth: int, ancestors: tuple
-                          ) -> list[tuple[EdgeKind, TraceNode]]:
-        """Exception subtrees in declaration order, stopping after a defeat."""
+                          ) -> tuple[_Edges, bool]:
+        """Exception edges of a conclusion instance in declaration order, up
+        to the first exception that holds, and whether one held."""
         checks: list[tuple[EdgeKind, TraceNode]] = []
         for decl in self.exceptions:
-            head, exc = self._fresh_exception(decl)
+            head, exception = self._fresh(decl.head, decl.exception)
             bound = unify_atoms(instance, head)
             if bound is None:
                 continue
-            node = self.trace_goal(exc, bound, depth + 1, ancestors)
+            solution, node = next(self.prove(exception, bound, depth + 1, ancestors))
             checks.append((EdgeKind.EXCEPTION, node))
-            if node.outcome is Outcome.SUCCESS:
-                break
-        return checks
+            if solution is not None:
+                return tuple(checks), True
+        return tuple(checks), False
 
 
 def _ensure_recursion_headroom(max_depth: int) -> None:
@@ -505,6 +438,15 @@ def solve(program: Program, facts: FactBase, goal: Atom,
           config: Optional[EngineConfig] = None) -> tuple[Outcome, TraceNode]:
     """Evaluate one goal, returning its outcome and the full trace.
 
+    The trace is the proof the search found. A success node shows the
+    fact or rule that established the goal, with that rule's conditions
+    and the exception checks that failed. A failure node shows, for every
+    rule whose head matched, the first-solution path through the body up
+    to its first failing condition, plus the exception checks when that
+    path completed. The only notes a node carries are "loop detected" and
+    "no rule matched". ``config.max_steps`` bounds the goal entries of
+    the one search.
+
     Deterministic: identical inputs produce identical traces. Raises
     Unstratified, DepthExceeded, or StepsExceeded; a goal that merely
     cannot be proven is a normal FAILURE outcome, not an error.
@@ -513,21 +455,18 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     stratify(program)
     _ensure_recursion_headroom(cfg.max_depth)
     resolver = _Resolver(program, facts, cfg)
-    node = resolver.trace_goal(goal, EMPTY_SUBSTITUTION, 1, ())
+    _, node = next(resolver.prove(goal, EMPTY_SUBSTITUTION, 1, ()))
     return node.outcome, node
 
 
-def holds_all(program: Program, facts: FactBase,
-              config: Optional[EngineConfig] = None) -> frozenset[Atom]:
+def holds_all(program: Program, facts: FactBase) -> frozenset[Atom]:
     """Every ground atom that holds, computed bottom-up.
 
     Only defined for ground programs. Strata are processed lowest
     first; within a stratum, an atom is added once some rule's body all
     holds and no declared exception for it has been established. The
-    config parameter is accepted for signature symmetry with ``solve``;
-    the fixpoint needs no limits because it is monotone per stratum.
+    fixpoint needs no resource limits because it is monotone per stratum.
     """
-    del config
     for rule in program.rules:
         if variables_of(rule.head) or any(variables_of(a) for a in rule.body):
             raise ValueError("holds_all requires a ground program")

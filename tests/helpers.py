@@ -534,5 +534,24 @@ def assert_trace_invariants(root: TraceNode) -> None:
                 )
 
 
+def assert_no_circular_proof(root: TraceNode) -> None:
+    """No success node is justified by a success node for its own goal.
+
+    Holds for ground programs, where every goal a trace shows is ground:
+    the conditions under a success are its proof, so meeting the same
+    goal proven again among them would be a circular justification.
+    """
+    for node, _edge in iter_nodes(root):
+        if node.outcome is not Outcome.SUCCESS:
+            continue
+        stack = [c for k, c in node.children if k is EdgeKind.CONDITION]
+        while stack:
+            child = stack.pop()
+            assert not (child.outcome is Outcome.SUCCESS and child.goal == node.goal), (
+                f"{node.goal} is justified by itself"
+            )
+            stack.extend(c for k, c in child.children if k is EdgeKind.CONDITION)
+
+
 def first(iterable, default: Optional[object] = None):
     return next(iter(iterable), default)

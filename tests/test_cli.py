@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from proleg.cli import main
 from proleg.gdpr import cases_dir, curated_ruleset_path, data_dir, llm_ruleset_path
 from proleg.trace import trace_from_json
@@ -13,6 +15,7 @@ from helpers import validate_dot
 CURATED = str(curated_ruleset_path())
 WITHDRAWAL_FACTS = str(data_dir() / "withdrawal.facts")
 QUERY = "lawful_processing(case1)"
+CASE_FILE = str(cases_dir() / "withdrawal.case.json")
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +101,29 @@ class TestRun:
         )
         assert code == 1
         assert out.splitlines()[0] == "x"
+
+    def test_non_positive_env_step_budget_is_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROLEG_MAX_STEPS", "-1")
+        code, out, err = run_cli(capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY)
+        assert code == 1
+        assert out.splitlines()[0] == "x"
+        assert "ignoring PROLEG_MAX_STEPS='-1'" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY), ("case", "run", CASE_FILE)],
+    ids=["run", "case-run"],
+)
+@pytest.mark.parametrize(
+    "limit", [("--max-depth", "-3"), ("--max-steps", "0"), ("--max-depth", "0")],
+    ids=["depth-negative", "steps-zero", "depth-zero"],
+)
+def test_non_positive_limit_is_a_usage_error(capsys, command, limit):
+    code, out, err = run_cli(capsys, *command, *limit)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err and "must be a positive integer" in err
 
 
 class TestCheck:

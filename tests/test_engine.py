@@ -18,9 +18,10 @@ from proleg.engine import (
     stratify,
 )
 from proleg.parser import parse_facts, parse_program
-from proleg.trace import Outcome, render_json
+from proleg.trace import Outcome, render_json, render_text
 
 from helpers import (
+    assert_no_circular_proof,
     assert_trace_invariants,
     ground_over,
     random_ground_program,
@@ -180,6 +181,14 @@ class TestTermination:
         with pytest.raises(StepsExceeded):
             solve(program, NO_FACTS, Atom("p"), config)
 
+    def test_trace_shows_the_proof_the_search_found(self):
+        # The search proves q through r3 once the loop in r2 is pruned; the
+        # trace must show that proof instead of justifying q by itself.
+        out, trace = outcome_of("p <= q. q <= q. q <=.", "p")
+        assert out is Outcome.SUCCESS
+        assert render_text(trace) == "p [o] (r1)\n  -> q [o] (r3)\n"
+        assert all(node.note != "already established" for node, _ in _walk(trace))
+
     def test_mutual_recursion_fails_finitely(self):
         out, _ = outcome_of("p <= q. q <= p.", "p")
         assert out is Outcome.FAILURE
@@ -232,6 +241,7 @@ def test_solve_agrees_with_holds_all_on_random_programs():
                 f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
             )
             assert_trace_invariants(trace)
+            assert_no_circular_proof(trace)
 
 
 def test_solve_agrees_with_holds_all_on_random_nonground_programs():
@@ -242,11 +252,12 @@ def test_solve_agrees_with_holds_all_on_random_nonground_programs():
         program, facts, constants, universe = random_nonground_program(rng)
         model = holds_all(ground_over(program, constants), facts)
         for atom in universe:
-            out, _ = solve(program, facts, atom)
+            out, trace = solve(program, facts, atom)
             assert (out is Outcome.SUCCESS) == (atom in model), (
                 f"disagreement on {atom}\nrules: {program.rules}\n"
                 f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
             )
+            assert_trace_invariants(trace)
 
 
 @given(st.integers(min_value=0, max_value=2**32))

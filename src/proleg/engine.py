@@ -48,8 +48,10 @@ from .ast import (
 )
 from .trace import EdgeKind, FACT_MARKER, Outcome, TraceNode
 
-# Python stack frames consumed per goal-nesting level, with slack.
-_FRAMES_PER_LEVEL = 8
+# Python stack frames per goal-nesting level: the goal's own frame plus
+# one per body atom the body walk nests through (measured on chains), one
+# spare, and never fewer than 8; plus slack for the caller's frames.
+_MIN_FRAMES_PER_LEVEL = 8
 _FRAME_SLACK = 512
 
 
@@ -91,8 +93,16 @@ class DepthExceeded(EngineError):
 
 
 class StepsExceeded(EngineError):
-    def __init__(self) -> None:
-        super().__init__("resolution step budget exhausted")
+    """The search used its whole step budget; ``goal`` is the goal it was
+    entering at ``depth`` when ``steps`` entries had been made."""
+
+    def __init__(self, goal: Atom, depth: int, steps: int):
+        self.goal = goal
+        self.depth = depth
+        self.steps = steps
+        super().__init__(
+            f"resolution step budget exhausted after {steps} steps at {goal} (depth {depth})"
+        )
 
 
 def _dependency_graph(
@@ -300,11 +310,11 @@ class _Resolver:
         first-solution path through the body up to its first failing
         condition, plus the exception checks when that path completed.
         """
-        self.steps += 1
-        if self.steps > self.config.max_steps:
-            raise StepsExceeded()
         resolved = apply_atom(subst, goal)
         canon = canonical_atom(resolved)
+        if self.steps == self.config.max_steps:
+            raise StepsExceeded(canon, depth, self.steps)
+        self.steps += 1
         if depth > self.config.max_depth:
             raise DepthExceeded(canon)
         ground = is_ground(resolved)
@@ -428,8 +438,10 @@ class _Resolver:
         return tuple(checks), False
 
 
-def _ensure_recursion_headroom(max_depth: int) -> None:
-    needed = min(max_depth * _FRAMES_PER_LEVEL + _FRAME_SLACK, 100_000_000)
+def _ensure_recursion_headroom(program: Program, max_depth: int) -> None:
+    longest_body = max((len(rule.body) for rule in program.rules), default=0)
+    per_level = max(_MIN_FRAMES_PER_LEVEL, longest_body + 2)
+    needed = min(max_depth * per_level + _FRAME_SLACK, 100_000_000)
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 
@@ -453,7 +465,7 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     """
     cfg = config or DEFAULT_CONFIG
     stratify(program)
-    _ensure_recursion_headroom(cfg.max_depth)
+    _ensure_recursion_headroom(program, cfg.max_depth)
     resolver = _Resolver(program, facts, cfg)
     _, node = next(resolver.prove(goal, EMPTY_SUBSTITUTION, 1, ()))
     return node.outcome, node

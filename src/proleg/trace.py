@@ -18,6 +18,9 @@ from typing import Iterator, Optional
 from .ast import Atom
 from .parser import parse_atom
 
+# The C string encoder json.dumps uses with ensure_ascii=True.
+_encode = json.encoder.encode_basestring_ascii
+
 TRACE_VERSION = 1
 
 #: Marker used in ``TraceNode.via`` when a goal matched a case fact.
@@ -67,21 +70,21 @@ class TraceNode:
 
 def iter_nodes(root: TraceNode) -> Iterator[tuple[TraceNode, Optional[EdgeKind]]]:
     """Preorder walk yielding (node, incoming edge kind); the root has None."""
-
-    def walk(node: TraceNode, edge: Optional[EdgeKind]) -> Iterator[tuple[TraceNode, Optional[EdgeKind]]]:
+    stack: list[tuple[TraceNode, Optional[EdgeKind]]] = [(root, None)]
+    while stack:
+        node, edge = stack.pop()
         yield node, edge
-        for kind, child in node.children:
-            yield from walk(child, kind)
-
-    return walk(root, None)
+        for kind, child in reversed(node.children):
+            stack.append((child, kind))
 
 
 def render_text(root: TraceNode) -> str:
     """Indented tree; condition children are prefixed ``->``, exception
     children ``~>`` (echoing solid versus dotted edges)."""
     lines: list[str] = []
-
-    def emit(node: TraceNode, edge: Optional[EdgeKind], depth: int) -> None:
+    stack: list[tuple[TraceNode, Optional[EdgeKind], int]] = [(root, None, 0)]
+    while stack:
+        node, edge, depth = stack.pop()
         prefix = ""
         if edge is EdgeKind.CONDITION:
             prefix = "-> "
@@ -95,12 +98,10 @@ def render_text(root: TraceNode) -> str:
         if node.defeated:
             parts.append("defeated")
         annot = f" ({'; '.join(parts)})" if parts else ""
-        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome.glyph}]{annot}")
-        for kind, child in node.children:
-            emit(child, kind, depth + 1)
-
-    emit(root, None, 0)
-    return "".join(line + "\n" for line in lines)
+        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome.glyph}]{annot}\n")
+        for kind, child in reversed(node.children):
+            stack.append((child, kind, depth + 1))
+    return "".join(lines)
 
 
 def _dot_escape(text: str) -> str:
@@ -114,47 +115,90 @@ def render_dot(root: TraceNode) -> str:
     One box per node labelled with the goal and its outcome glyph;
     condition edges are solid, exception edges dotted; node colour
     separates success from failure (see SUCCESS_NODE_COLOR and
-    FAILURE_NODE_COLOR).
+    FAILURE_NODE_COLOR). Nodes are numbered in preorder, and the edge
+    into a node follows the lines of its subtree.
     """
-    lines = ["digraph trace {", "  node [shape=box];"]
-    counter = [0]
-
-    def emit(node: TraceNode) -> str:
-        node_id = f"n{counter[0]}"
-        counter[0] += 1
+    lines = ["digraph trace {\n", "  node [shape=box];\n"]
+    # Stack items: a node with its parent's id and incoming edge kind, or
+    # an edge line to emit once the subtree above it is done.
+    stack: list = [(root, None, None)]
+    counter = 0
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            lines.append(item)
+            continue
+        node, parent_id, kind = item
+        node_id = f"n{counter}"
+        counter += 1
         color = SUCCESS_NODE_COLOR if node.outcome is Outcome.SUCCESS else FAILURE_NODE_COLOR
         label = f"{_dot_escape(str(node.goal))}\\n{node.outcome.glyph}"
-        lines.append(f'  {node_id} [label="{label}", color="{color}"];')
-        for kind, child in node.children:
-            child_id = emit(child)
+        lines.append(f'  {node_id} [label="{label}", color="{color}"];\n')
+        if parent_id is not None:
             style = "solid" if kind is EdgeKind.CONDITION else "dotted"
-            lines.append(f"  {node_id} -> {child_id} [style={style}];")
-        return node_id
-
-    emit(root)
-    lines.append("}")
-    return "".join(line + "\n" for line in lines)
-
-
-def _node_to_obj(node: TraceNode) -> dict:
-    return {
-        "goal": str(node.goal),
-        "outcome": node.outcome.glyph,
-        "via": node.via,
-        "defeated": node.defeated,
-        "note": node.note,
-        "children": [
-            {"edge": kind.value, "node": _node_to_obj(child)} for kind, child in node.children
-        ],
-    }
+            stack.append(f"  {parent_id} -> {node_id} [style={style}];\n")
+        for kind, child in reversed(node.children):
+            stack.append((child, node_id, kind))
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def render_json(root: TraceNode) -> str:
     """Canonical JSON with stable key order; the root object carries a
-    ``trace_version`` field ahead of the node fields."""
-    obj: dict = {"trace_version": TRACE_VERSION}
-    obj.update(_node_to_obj(root))
-    return json.dumps(obj, indent=2)
+    ``trace_version`` field ahead of the node fields.
+
+    The text is exactly ``json.dumps(obj, indent=2)`` of the object whose
+    node fields are ``goal``, ``outcome``, ``via``, ``defeated``, ``note``
+    and ``children`` (a list of ``{"edge", "node"}``). It is written in
+    one walk with an explicit stack, so its cost is linear in its length
+    and deep traces need no recursion.
+    """
+    # indents[k] starts a line at nesting level k. A node whose "{" sits
+    # at level k has its fields at k + 1, its children list items at
+    # k + 2, and each child's "edge" and "node" fields at k + 3.
+    indents = ["\n"]
+    pieces = ['{\n  "trace_version": ', str(TRACE_VERSION), ",\n  "]
+    # Stack items: a node with the level of its "{" (already written,
+    # with the indent of its first field), or text written after a subtree.
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        node, level = item
+        while len(indents) < level + 5:
+            indents.append(indents[-1] + "  ")
+        field = indents[level + 1]
+        pieces.append(
+            f'"goal": {_encode(str(node.goal))},{field}'
+            f'"outcome": {_encode(node.outcome.glyph)},{field}'
+            f'"via": {_scalar(node.via)},{field}'
+            f'"defeated": {"true" if node.defeated else "false"},{field}'
+            f'"note": {_scalar(node.note)},{field}'
+            '"children": '
+        )
+        if not node.children:
+            pieces.append(f"[]{indents[level]}}}")
+            continue
+        pieces.append("[")
+        item_indent = indents[level + 2]
+        wrapper_field = indents[level + 3]
+        stack.append(f"{field}]{indents[level]}}}")
+        for index in range(len(node.children) - 1, -1, -1):
+            kind, child = node.children[index]
+            stack.append(f"{item_indent}}}")
+            stack.append((child, level + 3))
+            stack.append(
+                f"{',' if index else ''}{item_indent}{{{wrapper_field}"
+                f'"edge": {_encode(kind.value)},{wrapper_field}'
+                f'"node": {{{indents[level + 4]}'
+            )
+    return "".join(pieces)
+
+
+def _scalar(value: Optional[str]) -> str:
+    return "null" if value is None else _encode(value)
 
 
 def _node_from_obj(obj: dict) -> TraceNode:

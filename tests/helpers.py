@@ -8,8 +8,12 @@ never verify themselves.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 from typing import Iterable, Optional
 
 from proleg.ast import (
@@ -27,7 +31,7 @@ from proleg.ast import (
     Variable,
 )
 from proleg.convert import PrologClause
-from proleg.trace import EdgeKind, Outcome, TraceNode, iter_nodes
+from proleg.trace import TRACE_VERSION, EdgeKind, Outcome, TraceNode, iter_nodes
 
 # ----------------------------------------------------------------------
 # Substitution oracles.
@@ -551,6 +555,74 @@ def assert_no_circular_proof(root: TraceNode) -> None:
                 f"{node.goal} is justified by itself"
             )
             stack.extend(c for k, c in child.children if k is EdgeKind.CONDITION)
+
+
+# ----------------------------------------------------------------------
+# Trace JSON reference and random trace trees.
+
+
+def reference_trace_obj(root: TraceNode) -> dict:
+    """The object render_json serialises, built by plain recursion;
+    ``json.dumps(reference_trace_obj(t), indent=2)`` is the reference
+    rendering."""
+
+    def node_obj(node: TraceNode) -> dict:
+        return {
+            "goal": str(node.goal),
+            "outcome": node.outcome.glyph,
+            "via": node.via,
+            "defeated": node.defeated,
+            "note": node.note,
+            "children": [
+                {"edge": kind.value, "node": node_obj(child)} for kind, child in node.children
+            ],
+        }
+
+    obj: dict = {"trace_version": TRACE_VERSION}
+    obj.update(node_obj(root))
+    return obj
+
+
+def _random_label(rng: random.Random) -> Optional[str]:
+    roll = rng.random()
+    if roll < 0.4:
+        return None
+    if roll < 0.7:
+        return rng.choice(["fact", "r1", "r12", "loop detected", "no rule matched"])
+    return "".join(rng.choice(_TEXT_CHARS + ["\x01", "\u2028", "\x7f", "\U0001f600"])
+                   for _ in range(rng.randint(0, 8)))
+
+
+def random_trace(rng: random.Random, depth: int = 4) -> TraceNode:
+    """A trace tree of arbitrary shape: goals may hold Text terms with
+    quotes, backslashes, newlines and non-ASCII characters, ``via`` and
+    ``note`` may be None or any string, nodes may be leaves or have
+    several children. It need not satisfy the engine's invariants."""
+    children = ()
+    if depth > 0 and rng.random() < 0.7:
+        children = tuple(
+            (rng.choice(list(EdgeKind)), random_trace(rng, depth - 1))
+            for _ in range(rng.randint(1, 3))
+        )
+    return TraceNode(
+        _random_atom(rng),
+        rng.choice(list(Outcome)),
+        via=_random_label(rng),
+        defeated=rng.random() < 0.3,
+        children=children,
+        note=_random_label(rng),
+    )
+
+
+def run_fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python ARGS`` in a new interpreter that imports proleg from
+    this checkout's ``src``, so no earlier call in the test process (such
+    as solve raising the recursion limit) can affect it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def first(iterable, default: Optional[object] = None):

@@ -10,7 +10,7 @@ from proleg.cli import main
 from proleg.gdpr import cases_dir, curated_ruleset_path, data_dir, llm_ruleset_path
 from proleg.trace import trace_from_json
 
-from helpers import validate_dot
+from helpers import run_fresh_python, validate_dot
 
 CURATED = str(curated_ruleset_path())
 WITHDRAWAL_FACTS = str(data_dir() / "withdrawal.facts")
@@ -108,6 +108,19 @@ class TestRun:
         assert code == 1
         assert out.splitlines()[0] == "x"
         assert "ignoring PROLEG_MAX_STEPS='-1'" in err
+
+
+def test_deep_chain_with_long_bodies_runs_in_a_fresh_process(tmp_path):
+    # 400 goal levels of 13 body atoms each: the body walk nests one
+    # frame per atom, so the recursion headroom must count body length.
+    atoms = ", ".join(f"a{j}" for j in range(12))
+    rules = tmp_path / "chain.proleg"
+    rules.write_text("".join(f"p{i} <= {atoms}, p{i + 1}.\n" for i in range(400)),
+                     encoding="utf-8")
+    facts = tmp_path / "chain.facts"
+    facts.write_text("".join(f"a{j}.\n" for j in range(12)) + "p400.\n", encoding="utf-8")
+    done = run_fresh_python("-m", "proleg.cli", "run", str(rules), str(facts), "--query", "p0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "o\n", "")
 
 
 @pytest.mark.parametrize(

@@ -178,8 +178,12 @@ class TestTermination:
     def test_step_budget(self):
         program = parse_program("p <= q, q, q. q <= a, b, c. a <=. b <=. c <=.")
         config = EngineConfig(max_steps=5)
-        with pytest.raises(StepsExceeded):
+        with pytest.raises(StepsExceeded) as info:
             solve(program, NO_FACTS, Atom("p"), config)
+        # Entries p, q, a, b, c use the budget; the second q is refused.
+        assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("q"), 2, 5)
+        assert "step budget" in str(info.value)
+        assert "q" in str(info.value) and "depth 2" in str(info.value)
 
     def test_trace_shows_the_proof_the_search_found(self):
         # The search proves q through r3 once the loop in r2 is pruned; the

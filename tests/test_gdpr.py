@@ -22,7 +22,7 @@ from proleg.gdpr import (
     TraceFragment,
 )
 from proleg.parser import parse_atom, parse_program
-from proleg.trace import Outcome, iter_nodes, render_text
+from proleg.trace import Outcome, iter_nodes, render_dot, render_json, render_text
 
 from helpers import assert_trace_invariants, ground_with
 
@@ -173,6 +173,20 @@ class TestRunCase:
         pinned = Path(__file__).parent / "data" / "bundled_case_traces.txt"
         rendered = "".join(
             render_text(run_case(load_case(path)).trace) for path in bundled_case_paths()
+        )
+        assert rendered == pinned.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("render, name", [
+        (render_json, "bundled_case_traces_json.txt"),
+        (render_dot, "bundled_case_traces_dot.txt"),
+    ], ids=["json", "dot"])
+    def test_bundled_case_renderings_are_pinned(self, render, name):
+        # Byte-for-byte pins of the two other renderers over the same
+        # traces, one newline after each case's rendering.
+        pinned = Path(__file__).parent / "data" / name
+        rendered = "".join(
+            render(run_case(load_case(path)).trace) + "\n"
+            for path in bundled_case_paths()
         )
         assert rendered == pinned.read_text(encoding="utf-8")
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import random
+import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proleg.ast import Atom, Constant
 from proleg.engine import solve
@@ -21,7 +23,14 @@ from proleg.trace import (
     trace_from_json,
 )
 
-from helpers import assert_trace_invariants, random_ground_program, validate_dot
+from helpers import (
+    assert_trace_invariants,
+    random_ground_program,
+    random_trace,
+    reference_trace_obj,
+    run_fresh_python,
+    validate_dot,
+)
 
 
 def fact_node(text: str = "f(a)") -> TraceNode:
@@ -168,3 +177,50 @@ def test_iter_nodes_reports_incoming_edges():
     assert edges["basis_consent(case1)"] is None
     assert edges["consent_given(case1)"] is EdgeKind.CONDITION
     assert edges["consent_withdrawn(case1)"] is EdgeKind.EXCEPTION
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_render_json_is_json_dumps_of_the_node_object(seed):
+    trace = random_trace(random.Random(seed))
+    assert render_json(trace) == json.dumps(reference_trace_obj(trace), indent=2)
+
+
+_DEEP_CHAIN_SCRIPT = textwrap.dedent("""
+    import sys
+    from proleg.ast import Atom
+    from proleg.trace import (EdgeKind, Outcome, TraceNode, iter_nodes,
+                              render_dot, render_json, render_text)
+
+    assert sys.getrecursionlimit() == 1000
+    node = TraceNode(Atom("p3000"), Outcome.SUCCESS, via="fact")
+    for i in range(2999, -1, -1):
+        node = TraceNode(Atom(f"p{i}"), Outcome.SUCCESS, via=f"r{i + 1}",
+                         children=((EdgeKind.CONDITION, node),))
+        if i == 2000:
+            lower = node
+    text = render_text(node)
+    dot = render_dot(node)
+    print(len(text.splitlines()), dot.count(" -> "), sum(1 for _ in iter_nodes(node)))
+    js = render_json(lower)
+    print(len(js), js.count('"goal": '), js.count('"children": []'))
+    print(js[:60].replace("\\n", "|"))
+    print(js[-40:].replace("\\n", "|"))
+    print(sys.getrecursionlimit())
+""")
+
+
+def test_walkers_handle_deep_traces_at_the_default_recursion_limit():
+    # A fresh interpreter, so no earlier solve has raised the limit.
+    # Indented JSON grows with the square of the depth (324 MB for the
+    # whole chain), so render_json gets its lower 1000 levels: 3000 nested
+    # containers, deeper than json.loads parses at this limit. Its length
+    # is that of json.dumps(reference_trace_obj(lower), indent=2).
+    done = run_fresh_python("-c", _DEEP_CHAIN_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "3001 3000 3001"
+    assert lines[1] == "36175133 1001 1"
+    assert lines[2] == '{|  "trace_version": 1,|  "goal": "p2000",|  "outcome": "o",'
+    assert lines[3] == '         }|        ]|      }|    }|  ]|}'
+    assert lines[4] == "1000"

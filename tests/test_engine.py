@@ -17,6 +17,7 @@ from proleg.engine import (
     solve,
     stratify,
 )
+from proleg.gdpr import bundled_case_paths, load_case
 from proleg.parser import parse_facts, parse_program
 from proleg.trace import Outcome, render_json, render_text
 
@@ -112,8 +113,35 @@ class TestSolve:
 
     def test_unstratified_rejected_up_front(self):
         program = parse_program("p <=. exception(p, q). q <=. exception(q, p).")
-        with pytest.raises(Unstratified):
-            solve(program, NO_FACTS, Atom("p"))
+        # Every call on the same object raises, not only the first.
+        for _ in range(2):
+            with pytest.raises(Unstratified):
+                solve(program, NO_FACTS, Atom("p"))
+
+    def test_exception_checks_follow_declaration_order(self):
+        # Declarations for p/1, q/0 and p/0 are interleaved; each instance
+        # shows the checks whose head unifies with it, in declaration order.
+        program = parse_program(
+            "top <= q, p, p(a). p(X) <= base(X). q <=. p <=.\n"
+            "exception(p(X), e1(X)). exception(q, e2). exception(p(a), e3).\n"
+            "exception(p, e4). exception(q, e5). exception(p(b), e6).\n"
+            "exception(p(X), e7(X))."
+        )
+        out, trace = solve(program, parse_facts("base(a). base(b). e7(a)."), Atom("top"))
+        assert out is Outcome.FAILURE
+        assert render_text(trace) == (
+            "top [x]\n"
+            "  -> q [o] (r3)\n"
+            "    ~> e2 [x] (no rule matched)\n"
+            "    ~> e5 [x] (no rule matched)\n"
+            "  -> p [o] (r4)\n"
+            "    ~> e4 [x] (no rule matched)\n"
+            "  -> p(a) [x] (r2; defeated)\n"
+            "    -> base(a) [o] (fact)\n"
+            "    ~> e1(a) [x] (no rule matched)\n"
+            "    ~> e3 [x] (no rule matched)\n"
+            "    ~> e7(a) [o] (fact)\n"
+        )
 
     def test_exception_variables_are_existential(self):
         # Variables in the exception beyond the conclusion's are checked
@@ -186,12 +214,29 @@ class TestTermination:
         assert "q" in str(info.value) and "depth 2" in str(info.value)
 
     def test_trace_shows_the_proof_the_search_found(self):
-        # The search proves q through r3 once the loop in r2 is pruned; the
-        # trace must show that proof instead of justifying q by itself.
-        out, trace = outcome_of("p <= q. q <= q. q <=.", "p")
-        assert out is Outcome.SUCCESS
-        assert render_text(trace) == "p [o] (r1)\n  -> q [o] (r3)\n"
-        assert all(node.note != "already established" for node, _ in _walk(trace))
+        for source, goal, expected in [
+            # The search proves q through r3 once the loop in r2 is pruned; the
+            # trace must show that proof instead of justifying q by itself.
+            ("p <= q. q <= q. q <=.", "p", "p [o] (r1)\n  -> q [o] (r3)\n"),
+            # Inside the check of exception e, f fails only because its
+            # ancestor m is loop-pruned; that failure must not be cached,
+            # since top then proves f in a context where m is not open.
+            ("top <= a, f. a <=. exception(a, e). e <= m, n. m <= f. m <= x. f <= m. x <=.",
+             "top",
+             "top [o] (r1)\n"
+             "  -> a [o] (r2)\n"
+             "    ~> e [x]\n"
+             "      -> m [o] (r5)\n"
+             "        -> x [o] (r7)\n"
+             "      -> n [x] (no rule matched)\n"
+             "  -> f [o] (r6)\n"
+             "    -> m [o] (r5)\n"
+             "      -> x [o] (r7)\n"),
+        ]:
+            out, trace = outcome_of(source, goal)
+            assert out is Outcome.SUCCESS
+            assert render_text(trace) == expected
+            assert all(node.note != "already established" for node, _ in _walk(trace))
 
     def test_mutual_recursion_fails_finitely(self):
         out, _ = outcome_of("p <= q. q <= p.", "p")
@@ -262,6 +307,26 @@ def test_solve_agrees_with_holds_all_on_random_nonground_programs():
                 f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
             )
             assert_trace_invariants(trace)
+
+
+def test_repeated_solves_on_one_program_match_fresh_copies():
+    # Program-side state is built on the first solve and kept on the
+    # Program object; later solves must see exactly what a fresh copy sees.
+    cases = [load_case(path) for path in bundled_case_paths()]
+    curated = cases[0].program
+    assert all(case.program == curated for case in cases)
+    corpus = [(curated, [(case.facts, case.query) for case in cases])]
+    rng = random.Random(31337)
+    for _ in range(80):
+        program, facts, universe = random_ground_program(rng)
+        corpus.append((program, [(facts, atom) for atom in universe]))
+    for program, queries in corpus:
+        for _ in range(2):
+            for facts, goal in queries:
+                fresh = Program(program.rules, program.exceptions)
+                assert render_json(solve(program, facts, goal)[1]) == render_json(
+                    solve(fresh, facts, goal)[1]
+                )
 
 
 @given(st.integers(min_value=0, max_value=2**32))

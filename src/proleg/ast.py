@@ -11,7 +11,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
+
+if TYPE_CHECKING:
+    from .engine import ProgramIndex
 
 _IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _VARIABLE_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
@@ -203,6 +207,15 @@ class Program:
     def defined_predicates(self) -> frozenset[PredicateKey]:
         """Predicate keys that appear as the head of at least one rule."""
         return frozenset(rule.head.key for rule in self.rules)
+
+    @cached_property
+    def solve_index(self) -> "ProgramIndex":
+        """The program-side state ``solve`` searches with: built on first
+        use and kept, since a Program never changes. Raises Unstratified,
+        and keeps nothing, when the program does not stratify."""
+        from .engine import ProgramIndex
+
+        return ProgramIndex(self)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from .ast import (
     FactBase,
     PredicateKey,
     Program,
-    Rule,
     Substitution,
     EMPTY_SUBSTITUTION,
     apply_atom,
@@ -87,9 +86,16 @@ class Unstratified(EngineError):
 
 
 class DepthExceeded(EngineError):
-    def __init__(self, goal: Atom):
+    """The search nested goals deeper than ``max_depth``; ``goal`` is the
+    goal it entered at ``depth``, the ``steps``-th entry of the search."""
+
+    def __init__(self, goal: Atom, depth: int, steps: int):
         self.goal = goal
-        super().__init__(f"goal nesting exceeded the depth limit at {goal}")
+        self.depth = depth
+        self.steps = steps
+        super().__init__(
+            f"goal nesting exceeded the depth limit at {goal} (depth {depth}, after {steps} steps)"
+        )
 
 
 class StepsExceeded(EngineError):
@@ -254,6 +260,39 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
 
 
 _Edges = tuple[tuple[EdgeKind, TraceNode], ...]
+_Ancestors = dict[Atom, int]
+
+# A clause's atoms, head first, and the variable names they hold.
+_Clause = tuple[tuple[Atom, ...], tuple[str, ...]]
+
+
+def _clause(*atoms: Atom) -> _Clause:
+    names = dict.fromkeys(name for atom in atoms for name in variables_of(atom))
+    return atoms, tuple(names)
+
+
+class ProgramIndex:
+    """The program-side state of ``solve``, built once per Program object.
+
+    Building it checks that the program stratifies (raising Unstratified
+    otherwise), groups the rules and the exception declarations by head
+    key in program order, with each clause's variable names, and sizes the
+    recursion headroom a goal level needs. ``Program`` keeps the index it
+    builds on first use, so every later solve on that object reuses it.
+    """
+
+    def __init__(self, program: Program):
+        stratify(program)
+        rules: dict[PredicateKey, list[tuple[str, _Clause]]] = defaultdict(list)
+        for rule in program.rules:
+            rules[rule.head.key].append((rule.id, _clause(rule.head, *rule.body)))
+        exceptions: dict[PredicateKey, list[_Clause]] = defaultdict(list)
+        for decl in program.exceptions:
+            exceptions[decl.head.key].append(_clause(decl.head, decl.exception))
+        self.rules = dict(rules)
+        self.exceptions = dict(exceptions)
+        longest_body = max((len(rule.body) for rule in program.rules), default=0)
+        self.frames_per_level = max(_MIN_FRAMES_PER_LEVEL, longest_body + 2)
 
 
 class _Resolver:
@@ -263,12 +302,10 @@ class _Resolver:
     node of the proof that found it, so a trace is the search's own proof.
     """
 
-    def __init__(self, program: Program, facts: FactBase, config: EngineConfig):
+    def __init__(self, index: ProgramIndex, facts: FactBase, config: EngineConfig):
         self.config = config
-        self.rules: dict[PredicateKey, list[Rule]] = defaultdict(list)
-        for rule in program.rules:
-            self.rules[rule.head.key].append(rule)
-        self.exceptions = list(program.exceptions)
+        self.rules = index.rules
+        self.exceptions = index.exceptions
         # Sorted for run-to-run determinism; fact sets have no inherent order.
         self.facts: dict[PredicateKey, list[Atom]] = defaultdict(list)
         for fact in sorted(facts.facts, key=str):
@@ -285,15 +322,12 @@ class _Resolver:
         self.failure_cache: dict[Atom, TraceNode] = {}
         self.prune_log: list[int] = []
 
-    def _fresh(self, *atoms: Atom) -> tuple[Atom, ...]:
-        """The atoms with their variables renamed apart from every other use."""
+    def _fresh(self, clause: _Clause) -> tuple[Atom, ...]:
+        """The clause's atoms with their variables renamed apart from every other use."""
+        atoms, names = clause
         self.rename_serial += 1
         prefix = f"_R{self.rename_serial}_"
-        mapping: dict[str, Variable] = {}
-        for atom in atoms:
-            for name in variables_of(atom):
-                if name not in mapping:
-                    mapping[name] = Variable(prefix + name)
+        mapping = {name: Variable(prefix + name) for name in names}
         return tuple(rename_atom(atom, mapping) for atom in atoms)
 
     # A goal that is ground under the current substitution can add no
@@ -301,7 +335,7 @@ class _Resolver:
     # is likewise settled by the first derivation, because every
     # derivation resolves to the same conclusion instance.
 
-    def prove(self, goal: Atom, subst: Substitution, depth: int, ancestors: tuple
+    def prove(self, goal: Atom, subst: Substitution, depth: int, ancestors: _Ancestors
               ) -> Iterator[tuple[Optional[Substitution], TraceNode]]:
         """Each solution of the goal in search order, with its proof node.
 
@@ -309,6 +343,8 @@ class _Resolver:
         failure node holds, for every rule whose head matched, the
         first-solution path through the body up to its first failing
         condition, plus the exception checks when that path completed.
+        ``ancestors`` maps each open goal of this branch to its stack
+        position; each level passes its callees a copy extended by itself.
         """
         resolved = apply_atom(subst, goal)
         canon = canonical_atom(resolved)
@@ -316,7 +352,7 @@ class _Resolver:
             raise StepsExceeded(canon, depth, self.steps)
         self.steps += 1
         if depth > self.config.max_depth:
-            raise DepthExceeded(canon)
+            raise DepthExceeded(canon, depth, self.steps)
         ground = is_ground(resolved)
         if ground:
             if canon in self.success_cache:
@@ -326,12 +362,12 @@ class _Resolver:
                 yield None, self.failure_cache[canon]
                 return
         if self.config.loop_check and canon in ancestors:
-            self.prune_log.append(ancestors.index(canon))
+            self.prune_log.append(ancestors[canon])
             yield None, TraceNode(canon, Outcome.FAILURE, note="loop detected")
             return
         position = len(ancestors)
         mark = len(self.prune_log)
-        ancestors = ancestors + (canon,)
+        ancestors = {**ancestors, canon: position}
         found = False
         for fact in self.facts.get(goal.key, ()):
             bound = unify_atoms(goal, fact, subst)
@@ -349,8 +385,8 @@ class _Resolver:
         attempts: list[tuple[EdgeKind, TraceNode]] = []
         defeated_via: Optional[str] = None
         settled = False
-        for rule in self.rules.get(goal.key, ()):
-            head, *body = self._fresh(rule.head, *rule.body)
+        for rule_id, clause in self.rules.get(goal.key, ()):
+            head, *body = self._fresh(clause)
             bound = unify_atoms(goal, head, subst)
             if bound is None:
                 continue
@@ -366,12 +402,12 @@ class _Resolver:
                 if shown is None:
                     shown = conditions + checks
                     if defeated and defeated_via is None:
-                        defeated_via = rule.id
+                        defeated_via = rule_id
                 if not defeated:
                     node = TraceNode(
                         canonical_atom(instance),
                         Outcome.SUCCESS,
-                        via=rule.id,
+                        via=rule_id,
                         children=conditions + checks,
                     )
                     if ground:
@@ -401,7 +437,7 @@ class _Resolver:
         yield None, node
 
     def _conditions(self, body: list[Atom], subst: Substitution, depth: int,
-                    ancestors: tuple) -> Iterator[tuple[Optional[Substitution], _Edges]]:
+                    ancestors: _Ancestors) -> Iterator[tuple[Optional[Substitution], _Edges]]:
         """Each solution of the conjunction with its condition edges.
 
         When the first-solution path fails, (None, that path up to its
@@ -421,13 +457,13 @@ class _Resolver:
                     yield rest, edge + edges
             first_path = False
 
-    def _exception_checks(self, instance: Atom, depth: int, ancestors: tuple
+    def _exception_checks(self, instance: Atom, depth: int, ancestors: _Ancestors
                           ) -> tuple[_Edges, bool]:
         """Exception edges of a conclusion instance in declaration order, up
         to the first exception that holds, and whether one held."""
         checks: list[tuple[EdgeKind, TraceNode]] = []
-        for decl in self.exceptions:
-            head, exception = self._fresh(decl.head, decl.exception)
+        for clause in self.exceptions.get(instance.key, ()):
+            head, exception = self._fresh(clause)
             bound = unify_atoms(instance, head)
             if bound is None:
                 continue
@@ -438,10 +474,8 @@ class _Resolver:
         return tuple(checks), False
 
 
-def _ensure_recursion_headroom(program: Program, max_depth: int) -> None:
-    longest_body = max((len(rule.body) for rule in program.rules), default=0)
-    per_level = max(_MIN_FRAMES_PER_LEVEL, longest_body + 2)
-    needed = min(max_depth * per_level + _FRAME_SLACK, 100_000_000)
+def _ensure_recursion_headroom(frames_per_level: int, max_depth: int) -> None:
+    needed = min(max_depth * frames_per_level + _FRAME_SLACK, 100_000_000)
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
 
@@ -459,15 +493,19 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     "no rule matched". ``config.max_steps`` bounds the goal entries of
     the one search.
 
+    The program is stratified and indexed once per Program object, on
+    its first solve (``Program.solve_index``), and later solves reuse
+    that; an unstratified program raises on every call.
+
     Deterministic: identical inputs produce identical traces. Raises
     Unstratified, DepthExceeded, or StepsExceeded; a goal that merely
     cannot be proven is a normal FAILURE outcome, not an error.
     """
     cfg = config or DEFAULT_CONFIG
-    stratify(program)
-    _ensure_recursion_headroom(program, cfg.max_depth)
-    resolver = _Resolver(program, facts, cfg)
-    _, node = next(resolver.prove(goal, EMPTY_SUBSTITUTION, 1, ()))
+    index = program.solve_index
+    _ensure_recursion_headroom(index.frames_per_level, cfg.max_depth)
+    resolver = _Resolver(index, facts, cfg)
+    _, node = next(resolver.prove(goal, EMPTY_SUBSTITUTION, 1, {}))
     return node.outcome, node
 
 
@@ -490,6 +528,9 @@ def holds_all(program: Program, facts: FactBase) -> frozenset[Atom]:
     for index, stratum in enumerate(strata):
         for key in stratum:
             level[key] = index
+    exceptions_of: dict[Atom, list[Atom]] = defaultdict(list)
+    for decl in program.exceptions:
+        exceptions_of[decl.head].append(decl.exception)
     true: set[Atom] = set(facts.facts)
     for index in range(len(strata)):
         rules_here = [r for r in program.rules if level[r.head.key] == index]
@@ -501,11 +542,7 @@ def holds_all(program: Program, facts: FactBase) -> frozenset[Atom]:
                     continue
                 if not all(atom in true for atom in rule.body):
                     continue
-                blocked = any(
-                    decl.head == rule.head and decl.exception in true
-                    for decl in program.exceptions
-                )
-                if not blocked:
+                if not any(exception in true for exception in exceptions_of.get(rule.head, ())):
                     true.add(rule.head)
                     changed = True
     return frozenset(true)

@@ -240,8 +240,10 @@ def test_criterion_8_termination():
     assert elapsed < 1.0
 
     config = EngineConfig(max_depth=64, loop_check=False)
-    with pytest.raises(DepthExceeded):
+    with pytest.raises(DepthExceeded) as info:
         solve(program, FactBase(), Atom("p"), config)
+    assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p"), 65, 65)
+    assert "at p (depth 65, after 65 steps)" in str(info.value)
     _report(8, "termination under the loop check and depth bound")
 
 

@@ -102,6 +102,19 @@ class TestRun:
         assert code == 1
         assert out.splitlines()[0] == "x"
 
+    def test_depth_limit_is_an_engine_error(self, capsys, tmp_path):
+        rules = tmp_path / "chain.proleg"
+        rules.write_text("p0 <= p1. p1 <= p2. p2 <= p3. p3 <=.\n", encoding="utf-8")
+        facts = tmp_path / "none.facts"
+        facts.write_text("", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "run", str(rules), str(facts), "--query", "p0", "--max-depth", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "engine error: goal nesting exceeded the depth limit at p2 (depth 3, after 3 steps)\n"
+        )
+
     def test_non_positive_env_step_budget_is_ignored(self, capsys, monkeypatch):
         monkeypatch.setenv("PROLEG_MAX_STEPS", "-1")
         code, out, err = run_cli(capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY)

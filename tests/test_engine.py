@@ -200,8 +200,13 @@ class TestTermination:
     def test_depth_limit_without_loop_check(self):
         program = parse_program("p <= p.")
         config = EngineConfig(max_depth=64, loop_check=False)
-        with pytest.raises(DepthExceeded):
+        with pytest.raises(DepthExceeded) as info:
             solve(program, NO_FACTS, Atom("p"), config)
+        # Goals p at depths 1..65 are entered; the 65th entry is refused.
+        assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p"), 65, 65)
+        assert str(info.value) == (
+            "goal nesting exceeded the depth limit at p (depth 65, after 65 steps)"
+        )
 
     def test_step_budget(self):
         program = parse_program("p <= q, q, q. q <= a, b, c. a <=. b <=. c <=.")

@@ -18,12 +18,14 @@ from proleg.ast import (
     Variable,
 )
 from proleg.parser import (
+    ParseError,
     ParseFailure,
     parse_atom,
     parse_facts,
     parse_program,
     range_restriction_warnings,
     serialize,
+    tokenize,
 )
 
 from helpers import random_source_program
@@ -33,6 +35,62 @@ def errors_of(source: str, parse=parse_program):
     with pytest.raises(ParseFailure) as info:
         parse(source)
     return info.value.errors
+
+
+# One source holding every token kind, escape, line ending and lexical
+# error the tokenizer knows.
+TOKEN_SOURCE = (
+    '#source "Art. 6(1)\\t\\"a\\"\\\\"\r\n'
+    "#id r_1 % the next rule\n"
+    "p(X, -12, 1-2, _y) <= q, \\+ r; !.\r\n"
+    "h :- b. ?- g.\n"
+    '"two\\\nlines" #foo # $\n'
+    '"open\n'
+)
+
+
+def test_token_stream_is_pinned():
+    tokens, errors = tokenize(TOKEN_SOURCE)
+    assert [(t.kind, t.value, t.line, t.column) for t in tokens] == [
+        ("annotation", "source", 1, 1),
+        ("string", 'Art. 6(1)\t"a"\\', 1, 9),
+        ("annotation", "id", 2, 1),
+        ("ident", "r_1", 2, 5),
+        ("ident", "p", 3, 1),
+        ("punct", "(", 3, 2),
+        ("variable", "X", 3, 3),
+        ("punct", ",", 3, 4),
+        ("integer", -12, 3, 6),
+        ("punct", ",", 3, 9),
+        ("integer", 1, 3, 11),
+        ("integer", -2, 3, 12),
+        ("punct", ",", 3, 14),
+        ("variable", "_y", 3, 16),
+        ("punct", ")", 3, 18),
+        ("punct", "<=", 3, 20),
+        ("ident", "q", 3, 23),
+        ("punct", ",", 3, 24),
+        ("punct", "\\+", 3, 26),
+        ("ident", "r", 3, 29),
+        ("punct", ";", 3, 30),
+        ("punct", "!", 3, 32),
+        ("punct", ".", 3, 33),
+        ("ident", "h", 4, 1),
+        ("punct", ":-", 4, 3),
+        ("ident", "b", 4, 6),
+        ("punct", ".", 4, 7),
+        ("punct", "?-", 4, 9),
+        ("ident", "g", 4, 12),
+        ("punct", ".", 4, 13),
+        ("string", "two\nlines", 5, 1),
+        ("badchar", "$", 6, 15),
+        ("eof", None, 8, 1),
+    ]
+    assert errors == [
+        ParseError(6, 8, "unknown annotation '#foo'", 'lines" #foo # $'),
+        ParseError(6, 13, "unknown annotation '#'", 'lines" #foo # $'),
+        ParseError(7, 1, "unterminated string", '"open'),
+    ]
 
 
 class TestParseProgram:

@@ -225,8 +225,10 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     for index, component in enumerate(components):
         for node in component:
             component_of[node] = index
-    for head, dep, negative in edges:
-        if negative and component_of[head] == component_of[dep]:
+    # The first exception declaration, in program order, that closes a cycle.
+    for decl in program.exceptions:
+        head, dep = decl.head.key, decl.exception.key
+        if component_of[head] == component_of[dep]:
             raise Unstratified(_cycle_through(head, dep, components[component_of[head]], succ))
     # Assign strata over the condensation, dependencies first.
     comp_edges: dict[int, set[tuple[int, bool]]] = defaultdict(set)

@@ -614,13 +614,15 @@ def random_trace(rng: random.Random, depth: int = 4) -> TraceNode:
     )
 
 
-def run_fresh_python(*args: str) -> subprocess.CompletedProcess:
+def run_fresh_python(*args: str, env: Optional[dict[str, str]] = None
+                     ) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a new interpreter that imports proleg from
     this checkout's ``src``, so no earlier call in the test process (such
-    as solve raising the recursion limit) can affect it."""
+    as solve raising the recursion limit) can affect it. ``env`` adds to
+    or overrides the inherited environment, e.g. ``PYTHONHASHSEED``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 

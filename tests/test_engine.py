@@ -27,6 +27,7 @@ from helpers import (
     ground_over,
     random_ground_program,
     random_nonground_program,
+    run_fresh_python,
 )
 
 NO_FACTS = FactBase()
@@ -65,6 +66,36 @@ class TestStratify:
         with pytest.raises(Unstratified) as info:
             stratify(program)
         assert set(info.value.cycle) == {("p", 0), ("q", 0), ("r", 0)}
+
+    def test_reported_cycle_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Three independent cycles: the one reported is the first exception
+        # declaration, in program order, that closes a cycle. Under the
+        # hash seeds used here an unordered search reported different ones.
+        rules = tmp_path / "cycles.proleg"
+        rules.write_text(
+            "a <= b. exception(b, a). c <= d. exception(d, c). e <= f. exception(f, e).\n",
+            encoding="utf-8",
+        )
+        script = (
+            "import sys\n"
+            "from proleg import Unstratified, parse_program, stratify\n"
+            "from proleg.cli import main\n"
+            "try:\n"
+            "    stratify(parse_program(open(sys.argv[1], encoding='utf-8').read()))\n"
+            "except Unstratified as exc:\n"
+            "    print(exc)\n"
+            "main(['lint', sys.argv[1]])\n"
+        )
+        outputs = []
+        for seed in ("1", "3"):
+            done = run_fresh_python("-c", script, str(rules), env={"PYTHONHASHSEED": seed})
+            assert done.returncode == 0 and done.stderr == "", done.stderr
+            outputs.append(done.stdout)
+        cycle = "exception dependencies form a cycle: b/0 -> a/0 -> b/0"
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        assert lines[0] == cycle
+        assert lines[-1] == f"error: UNSTRATIFIED_EXCEPTION_CYCLE at exception 1 (line 1): {cycle}"
 
 
 class TestSolve:

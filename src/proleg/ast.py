@@ -17,8 +17,19 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
 if TYPE_CHECKING:
     from .engine import ProgramIndex
 
-_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_VARIABLE_RE = re.compile(r"[A-Z_][A-Za-z0-9_]*\Z")
+# The one definition of a name, shared by the constructors below, the
+# tokenizer and the lint config: constants, functors, predicates and rule
+# ids match IDENT_PATTERN; variables match VARIABLE_PATTERN. ASCII only.
+IDENT_PATTERN = r"[a-z][A-Za-z0-9_]*"
+VARIABLE_PATTERN = r"[A-Z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(IDENT_PATTERN)
+_VARIABLE_RE = re.compile(VARIABLE_PATTERN)
+
+
+def _check_name(pattern: re.Pattern, name: str, what: str) -> None:
+    if not pattern.fullmatch(name):
+        raise ValueError(f"invalid {what}: {name!r}")
+
 
 _TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -35,8 +46,7 @@ class Constant:
     name: str
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid constant name: {self.name!r}")
+        _check_name(_IDENT_RE, self.name, "constant name")
 
     def __str__(self) -> str:
         return self.name
@@ -49,8 +59,7 @@ class Variable:
     name: str
 
     def __post_init__(self) -> None:
-        if not _VARIABLE_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+        _check_name(_VARIABLE_RE, self.name, "variable name")
 
     def __str__(self) -> str:
         return self.name
@@ -84,8 +93,7 @@ class Compound:
     args: tuple["Term", ...]
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.functor):
-            raise ValueError(f"invalid functor name: {self.functor!r}")
+        _check_name(_IDENT_RE, self.functor, "functor name")
         object.__setattr__(self, "args", tuple(self.args))
         if len(self.args) < 1:
             raise ValueError("compound terms need at least one argument")
@@ -109,8 +117,7 @@ class Atom:
     args: tuple[Term, ...] = ()
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.predicate):
-            raise ValueError(f"invalid predicate name: {self.predicate!r}")
+        _check_name(_IDENT_RE, self.predicate, "predicate name")
         object.__setattr__(self, "args", tuple(self.args))
 
     @property
@@ -162,8 +169,7 @@ class Rule:
     line: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.id):
-            raise ValueError(f"invalid rule id: {self.id!r}")
+        _check_name(_IDENT_RE, self.id, "rule id")
         object.__setattr__(self, "body", tuple(self.body))
 
     @property

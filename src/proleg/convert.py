@@ -1,10 +1,11 @@
 """Conversion from a restricted Prolog dialect into PROLEG.
 
-The accepted dialect covers clauses ``h :- b1, ..., bn.`` and facts
-``h.``; body literals may be negated with ``\\+`` (negation as
-failure). Directives (``:- ...``) and queries (``?- ...``) are skipped
-with a warning, since only the rule base converts. Disjunction, cut,
-and nested negation are outside the subset and rejected.
+``parser.parse_prolog_subset`` reads the dialect: clauses
+``h :- b1, ..., bn.`` and facts ``h.``, whose body literals may be
+negated with ``\\+`` (negation as failure). Directives (``:- ...``)
+and queries (``?- ...``) are skipped with a warning, since only the
+rule base converts. Disjunction, cut, and nested negation are outside
+the subset and rejected.
 
 Negated literals become exception declarations: ``h :- B, \\+ g``
 turns into a rule for ``h`` plus an exception defeating ``h`` when
@@ -21,27 +22,7 @@ from dataclasses import dataclass
 
 from .ast import Atom, ExceptionDecl, Program, Rule, variables_of
 from .engine import stratify
-from .parser import (
-    ANNOT,
-    EOF,
-    ParseFailure,
-    _Abort,
-    _parse_atom,
-    _TokenStream,
-)
-
-
-@dataclass(frozen=True)
-class PrologClause:
-    """One source clause, with negated body literals split out."""
-
-    head: Atom
-    positive_body: tuple[Atom, ...] = ()
-    negated_body: tuple[Atom, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positive_body", tuple(self.positive_body))
-        object.__setattr__(self, "negated_body", tuple(self.negated_body))
+from .parser import PrologClause, parse_prolog_subset
 
 
 @dataclass(frozen=True)
@@ -52,74 +33,6 @@ class ConvertReport:
     generated_exceptions: int
     synthesized_predicates: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-
-def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
-    """Parse dialect source into clauses plus skip warnings.
-
-    Raises ParseFailure on constructs outside the subset, naming each
-    offending construct with its position.
-    """
-    ts = _TokenStream(source)
-    clauses: list[PrologClause] = []
-    warnings: list[str] = []
-    while ts.peek().kind != EOF:
-        tok = ts.peek()
-        try:
-            if tok.kind == ANNOT:
-                raise ts.fail(tok, "annotations belong to PROLEG, not the Prolog subset")
-            if ts.at_punct(":-"):
-                ts.advance()
-                ts.recover_statement()
-                warnings.append(f"skipped directive at line {tok.line}")
-                continue
-            if ts.at_punct("?-"):
-                ts.advance()
-                ts.recover_statement()
-                warnings.append(f"skipped query at line {tok.line}")
-                continue
-            head = _parse_atom(ts)
-            positive: list[Atom] = []
-            negated: list[Atom] = []
-            if ts.at_punct(":-"):
-                ts.advance()
-                _parse_literal(ts, positive, negated)
-                while True:
-                    if ts.at_punct(","):
-                        ts.advance()
-                        _parse_literal(ts, positive, negated)
-                        continue
-                    if ts.at_punct(";"):
-                        raise ts.fail(ts.peek(), "disjunction ';' is outside the supported subset")
-                    break
-            ts.expect_punct(".", "after clause")
-            clauses.append(PrologClause(head, tuple(positive), tuple(negated)))
-        except _Abort:
-            ts.recover_statement()
-    if ts.errors:
-        raise ParseFailure(ts.errors)
-    return clauses, warnings
-
-
-def _parse_literal(ts: _TokenStream, positive: list[Atom], negated: list[Atom]) -> None:
-    tok = ts.peek()
-    if ts.at_punct("!"):
-        raise ts.fail(tok, "cut '!' is outside the supported subset")
-    if ts.at_punct(";"):
-        raise ts.fail(tok, "disjunction ';' is outside the supported subset")
-    if ts.at_punct("\\+"):
-        ts.advance()
-        inner = ts.peek()
-        if ts.at_punct("\\+"):
-            raise ts.fail(inner, "nested negation is outside the supported subset")
-        if ts.at_punct("("):
-            ts.advance()
-            if ts.at_punct("\\+"):
-                raise ts.fail(ts.peek(), "nested negation is outside the supported subset")
-            raise ts.fail(inner, "parenthesized negation bodies are outside the supported subset")
-        negated.append(_parse_atom(ts))
-        return
-    positive.append(_parse_atom(ts))
 
 
 def _vocabulary(clauses: list[PrologClause]) -> set[tuple[str, int]]:

@@ -183,8 +183,8 @@ def load_case(path: Union[str, Path]) -> CaseFile:
     query: Optional[Atom] = None
     try:
         query = parse_atom(query_text)
-    except ParseFailure:
-        errors.append(f"query does not parse as an atom: {query_text!r}")
+    except ParseFailure as exc:
+        errors.append(f"query does not parse as an atom: {query_text!r} ({exc})")
     if query is not None and program is not None:
         if query.key not in program.defined_predicates():
             errors.append(f"query predicate '{query.indicator}' is not defined in the ruleset")
@@ -196,8 +196,8 @@ def load_case(path: Union[str, Path]) -> CaseFile:
         for text in facts_field:
             try:
                 atom = parse_atom(str(text))
-            except ParseFailure:
-                errors.append(f"fact does not parse as an atom: {text!r}")
+            except ParseFailure as exc:
+                errors.append(f"fact does not parse as an atom: {text!r} ({exc})")
                 continue
             if not is_ground(atom):
                 errors.append(f"facts must be ground: {text!r}")
@@ -222,8 +222,8 @@ def load_case(path: Union[str, Path]) -> CaseFile:
             continue
         try:
             goal = parse_atom(str(raw.get("goal")))
-        except ParseFailure:
-            errors.append(f"fragment goal does not parse: {raw.get('goal')!r}")
+        except ParseFailure as exc:
+            errors.append(f"fragment goal does not parse: {raw.get('goal')!r} ({exc})")
             continue
         outcome_text = raw.get("outcome")
         edge = raw.get("edge")

@@ -1,4 +1,5 @@
-"""Surface syntax for PROLEG rule bases and case fact files.
+"""Surface syntax for PROLEG rule bases, case fact files, and the
+restricted Prolog dialect the converter reads.
 
 The grammar, in brief::
 
@@ -12,6 +13,12 @@ The grammar, in brief::
     term       := IDENT ('(' term (',' term)* ')')? | VARIABLE | INTEGER
                 | QUOTED_STRING
 
+IDENT and VARIABLE are the data model's name patterns
+(``ast.IDENT_PATTERN``, ``ast.VARIABLE_PATTERN``), INTEGER is an
+optional ``-`` and ASCII digits, and a quoted string may hold any
+character. Any other character outside a string is a ``badchar`` token,
+which every grammar rejects.
+
 ``%`` starts a line comment. An annotation line applies to the next
 statement. Rules are given ids ``r1, r2, ...`` in textual order unless
 an ``#id`` annotation overrides the default. Syntax errors are
@@ -21,16 +28,19 @@ to the next ``.`` and carries on.
 Fact files use the same atom grammar, one ground atom per statement.
 
 The tokenizer also knows the operators of the restricted Prolog dialect
-(``:-``, ``?-``, ``\\+``, ``;``, ``!``) so the converter can share it;
-the PROLEG grammar simply rejects those tokens.
+(``:-``, ``?-``, ``\\+``, ``;``, ``!``), which ``parse_prolog_subset``
+reads; the PROLEG grammar simply rejects those tokens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import re
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 from .ast import (
+    IDENT_PATTERN,
+    VARIABLE_PATTERN,
     Atom,
     Compound,
     Constant,
@@ -57,9 +67,28 @@ PUNCT = "punct"
 BADCHAR = "badchar"
 EOF = "eof"
 
-# Longest match first; the Prolog-dialect operators are lexed here too.
-_SYMBOLS = ("<=", ":-", "?-", "\\+", "(", ")", ",", ".", ";", "!")
-
+_STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
+# One alternative per token kind, named after it, tried in this order;
+# BADCHAR takes any single character nothing else matches. An
+# unterminated string runs to the end of its line (a backslash escapes
+# even a line break).
+_TOKEN_RE = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("skip", r"[ \t\r\n]+|%[^\n]*"),
+            (STRING, _STRING_BODY + '"'),
+            ("unterminated", _STRING_BODY + r"\\?"),
+            (ANNOT, r"#[A-Za-z0-9_]*"),
+            (INT, r"-?[0-9]+"),
+            (IDENT, IDENT_PATTERN),
+            (VAR, VARIABLE_PATTERN),
+            (PUNCT, r"<=|:-|\?-|\\\+|[(),.;!]"),
+            (BADCHAR, r"[\s\S]"),
+        )
+    )
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
 _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
@@ -92,112 +121,49 @@ class Token:
     column: int
 
 
+def _with_snippets(text: str, errors: list[ParseError]) -> list[ParseError]:
+    """The errors, each with its stripped source line as the snippet.
+    Lines end at '\\n' only, the one break that positions count."""
+    lines = text.split("\n")
+    return [replace(e, snippet=lines[e.line - 1].strip()) for e in errors]
+
+
+def _unescape(match: re.Match) -> str:
+    return _STRING_UNESCAPES.get(match[1], match[1])
+
+
 def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
     """Split source text into tokens, collecting lexical errors."""
     tokens: list[Token] = []
     errors: list[ParseError] = []
-    lines = text.splitlines()
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def snippet_at(ln: int) -> str:
-        return lines[ln - 1].strip() if 0 < ln <= len(lines) else ""
-
-    def advance(count: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            advance()
-            value = []
-            closed = False
-            while i < n and text[i] != "\n":
-                c = text[i]
-                if c == '"':
-                    advance()
-                    closed = True
-                    break
-                if c == "\\" and i + 1 < n:
-                    advance()
-                    value.append(_STRING_UNESCAPES.get(text[i], text[i]))
-                    advance()
-                else:
-                    value.append(c)
-                    advance()
-            if not closed:
-                errors.append(
-                    ParseError(start_line, start_col, "unterminated string", snippet_at(start_line))
-                )
-            else:
-                tokens.append(Token(STRING, "".join(value), start_line, start_col))
-            continue
-        if ch == "#":
-            start_line, start_col = line, col
-            advance()
-            name = []
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                name.append(text[i])
-                advance()
-            word = "".join(name)
-            if word in ("source", "id"):
-                tokens.append(Token(ANNOT, word, start_line, start_col))
-            else:
-                errors.append(
-                    ParseError(
-                        start_line, start_col, f"unknown annotation '#{word}'", snippet_at(start_line)
-                    )
-                )
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start_line, start_col = line, col
-            digits = [ch]
-            advance()
-            while i < n and text[i].isdigit():
-                digits.append(text[i])
-                advance()
-            tokens.append(Token(INT, int("".join(digits)), start_line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start_line, start_col = line, col
-            word = [ch]
-            advance()
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                word.append(text[i])
-                advance()
-            name = "".join(word)
-            kind = VAR if name[0].isupper() or name[0] == "_" else IDENT
-            tokens.append(Token(kind, name, start_line, start_col))
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(PUNCT, sym, line, col))
-                advance(len(sym))
-                break
-        else:
-            # Not an error yet: a statement the parser skips (say, a Prolog
-            # directive) may legitimately contain characters we cannot lex.
-            tokens.append(Token(BADCHAR, ch, line, col))
-            advance()
-    tokens.append(Token(EOF, None, line, col))
-    return tokens, errors
+    line_start = 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        value = match.group()
+        column = match.start() - line_start + 1
+        if kind in (IDENT, PUNCT, VAR, BADCHAR):
+            # BADCHAR is not an error yet: a statement the parser skips (say,
+            # a Prolog directive) may legitimately contain it.
+            tokens.append(Token(kind, value, line, column))
+        elif kind == INT:
+            try:
+                tokens.append(Token(INT, int(value), line, column))
+            except ValueError:  # more digits than int() converts
+                errors.append(ParseError(line, column, "integer literal too long"))
+        elif kind == STRING:
+            tokens.append(Token(STRING, _ESCAPE_RE.sub(_unescape, value[1:-1]), line, column))
+        elif kind == ANNOT and value in ("#source", "#id"):
+            tokens.append(Token(ANNOT, value[1:], line, column))
+        elif kind == ANNOT:
+            errors.append(ParseError(line, column, f"unknown annotation '{value}'"))
+        elif kind == "unterminated":
+            errors.append(ParseError(line, column, "unterminated string"))
+        if "\n" in value:
+            line += value.count("\n")
+            line_start = match.start() + value.rindex("\n") + 1
+    tokens.append(Token(EOF, None, line, len(text) - line_start + 1))
+    return tokens, _with_snippets(text, errors) if errors else errors
 
 
 class _Abort(Exception):
@@ -206,8 +172,8 @@ class _Abort(Exception):
 
 class _TokenStream:
     def __init__(self, text: str):
+        self.text = text
         self.tokens, self.errors = tokenize(text)
-        self._lines = text.splitlines()
         self.pos = 0
 
     def peek(self, offset: int = 0) -> Token:
@@ -224,17 +190,15 @@ class _TokenStream:
         tok = self.peek(offset)
         return tok.kind == PUNCT and tok.value == symbol
 
-    def snippet(self, line: int) -> str:
-        return self._lines[line - 1].strip() if 0 < line <= len(self._lines) else ""
-
-    def error(self, tok: Token, message: str) -> ParseError:
-        err = ParseError(tok.line, tok.column, message, self.snippet(tok.line))
-        self.errors.append(err)
-        return err
+    def error(self, tok: Token, message: str) -> None:
+        self.errors.append(ParseError(tok.line, tok.column, message))
 
     def fail(self, tok: Token, message: str) -> "_Abort":
         self.error(tok, message)
         return _Abort()
+
+    def failure(self) -> ParseFailure:
+        return ParseFailure(_with_snippets(self.text, self.errors))
 
     def expect_punct(self, symbol: str, context: str) -> Token:
         tok = self.peek()
@@ -303,115 +267,109 @@ def _term_as_atom(term: Term, ts: _TokenStream, tok: Token) -> Atom:
     raise ts.fail(tok, "exception arguments must be atoms")
 
 
+def _parse_statements(source: str, statement: Callable[[_TokenStream, Token], None]) -> None:
+    """Call ``statement`` at the start of each statement up to the end of
+    input, skipping past the next '.' after one that fails; then raise
+    ParseFailure if any error was collected."""
+    ts = _TokenStream(source)
+    while ts.peek().kind != EOF:
+        try:
+            statement(ts, ts.peek())
+        except _Abort:
+            ts.recover_statement()
+    if ts.errors:
+        raise ts.failure()
+
+
 def parse_program(source: str) -> Program:
     """Parse PROLEG source text into a Program.
 
     Raises ParseFailure with every collected error when the text does
     not parse; rule and exception order follows the text.
     """
-    ts = _TokenStream(source)
     rules: list[Rule] = []
     exceptions: list[ExceptionDecl] = []
-    pending_source: Optional[SourceRef] = None
-    pending_id: Optional[str] = None
-    pending_tok: Optional[Token] = None
     used_ids: set[str] = set()
     rule_count = 0
 
-    while ts.peek().kind != EOF:
-        tok = ts.peek()
-        try:
-            if tok.kind == ANNOT:
+    def statement(ts: _TokenStream, tok: Token) -> None:
+        nonlocal rule_count
+        citation: Optional[SourceRef] = None
+        rule_id: Optional[str] = None
+        while tok.kind == ANNOT:
+            annotation = ts.advance()
+            value = ts.peek()
+            if annotation.value == "source":
+                if value.kind != STRING:
+                    raise ts.fail(value, "expected a quoted citation after '#source'")
                 ts.advance()
-                pending_tok = tok
-                if tok.value == "source":
-                    value = ts.peek()
-                    if value.kind != STRING:
-                        raise ts.fail(value, "expected a quoted citation after '#source'")
+                if not value.value:
+                    raise ts.fail(value, "'#source' citation must be non-empty")
+                citation = SourceRef(value.value)
+            else:
+                if value.kind != IDENT:
+                    raise ts.fail(value, "expected an identifier after '#id'")
+                ts.advance()
+                rule_id = value.value
+            tok = ts.peek()
+            if tok.kind == EOF:
+                ts.error(annotation, "annotation is not followed by a statement")
+                return
+        if tok.kind == IDENT and tok.value == "exception" and ts.at_punct("(", 1):
+            atom = _parse_atom(ts)
+            if len(atom.args) != 2:
+                raise ts.fail(tok, "exception declarations take exactly two arguments")
+            ts.expect_punct(".", "after exception declaration")
+            if rule_id is not None:
+                ts.error(tok, "'#id' applies to rules, not exception declarations")
+            head = _term_as_atom(atom.args[0], ts, tok)
+            exc = _term_as_atom(atom.args[1], ts, tok)
+            exceptions.append(ExceptionDecl(head, exc, source=citation, line=tok.line))
+            return
+        if tok.kind == IDENT:
+            if tok.value == "exception":
+                raise ts.fail(tok, "'exception' is reserved for exception declarations")
+            head = _parse_atom(ts)
+            ts.expect_punct("<=", "after rule head")
+            body: list[Atom] = []
+            if not ts.at_punct("."):
+                body.append(_parse_atom(ts))
+                while ts.at_punct(","):
                     ts.advance()
-                    if not value.value:
-                        raise ts.fail(value, "'#source' citation must be non-empty")
-                    pending_source = SourceRef(value.value)
-                else:
-                    value = ts.peek()
-                    if value.kind != IDENT:
-                        raise ts.fail(value, "expected an identifier after '#id'")
-                    ts.advance()
-                    pending_id = value.value
-                continue
-            if tok.kind == IDENT and tok.value == "exception" and ts.at_punct("(", 1):
-                atom = _parse_atom(ts)
-                if len(atom.args) != 2:
-                    raise ts.fail(tok, "exception declarations take exactly two arguments")
-                ts.expect_punct(".", "after exception declaration")
-                if pending_id is not None:
-                    ts.error(tok, "'#id' applies to rules, not exception declarations")
-                    pending_id = None
-                head = _term_as_atom(atom.args[0], ts, tok)
-                exc = _term_as_atom(atom.args[1], ts, tok)
-                exceptions.append(ExceptionDecl(head, exc, source=pending_source, line=tok.line))
-                pending_source = None
-                pending_tok = None
-                continue
-            if tok.kind == IDENT:
-                if tok.value == "exception":
-                    raise ts.fail(tok, "'exception' is reserved for exception declarations")
-                head = _parse_atom(ts)
-                ts.expect_punct("<=", "after rule head")
-                body: list[Atom] = []
-                if not ts.at_punct("."):
                     body.append(_parse_atom(ts))
-                    while ts.at_punct(","):
-                        ts.advance()
-                        body.append(_parse_atom(ts))
-                ts.expect_punct(".", "after rule body")
-                rule_count += 1
-                rule_id = pending_id if pending_id is not None else f"r{rule_count}"
-                if rule_id in used_ids:
-                    ts.error(tok, f"duplicate rule id '{rule_id}'")
-                else:
-                    used_ids.add(rule_id)
-                    rules.append(
-                        Rule(rule_id, head, tuple(body), source=pending_source, line=tok.line)
-                    )
-                pending_source = None
-                pending_id = None
-                pending_tok = None
-                continue
-            if tok.kind == BADCHAR:
-                raise ts.fail(tok, f"unexpected character {tok.value!r}")
-            raise ts.fail(tok, "expected a rule or exception declaration")
-        except _Abort:
-            ts.recover_statement()
-            pending_source = None
-            pending_id = None
-            pending_tok = None
-    if pending_tok is not None:
-        ts.error(pending_tok, "annotation is not followed by a statement")
-    if ts.errors:
-        raise ParseFailure(ts.errors)
+            ts.expect_punct(".", "after rule body")
+            rule_count += 1
+            if rule_id is None:
+                rule_id = f"r{rule_count}"
+            if rule_id in used_ids:
+                ts.error(tok, f"duplicate rule id '{rule_id}'")
+            else:
+                used_ids.add(rule_id)
+                rules.append(Rule(rule_id, head, tuple(body), source=citation, line=tok.line))
+            return
+        if tok.kind == BADCHAR:
+            raise ts.fail(tok, f"unexpected character {tok.value!r}")
+        raise ts.fail(tok, "expected a rule or exception declaration")
+
+    _parse_statements(source, statement)
     return Program(tuple(rules), tuple(exceptions))
 
 
 def parse_facts(source: str) -> FactBase:
     """Parse a sequence of ground atoms, each terminated by '.'."""
-    ts = _TokenStream(source)
     facts: set[Atom] = set()
-    while ts.peek().kind != EOF:
-        tok = ts.peek()
-        try:
-            if tok.kind == ANNOT:
-                raise ts.fail(tok, "annotations are not allowed in fact files")
-            atom = _parse_atom(ts)
-            ts.expect_punct(".", "after fact")
-            if not is_ground(atom):
-                ts.error(tok, "facts must be ground")
-            else:
-                facts.add(atom)
-        except _Abort:
-            ts.recover_statement()
-    if ts.errors:
-        raise ParseFailure(ts.errors)
+
+    def fact(ts: _TokenStream, tok: Token) -> None:
+        if tok.kind == ANNOT:
+            raise ts.fail(tok, "annotations are not allowed in fact files")
+        atom = _parse_atom(ts)
+        ts.expect_punct(".", "after fact")
+        if not is_ground(atom):
+            ts.error(tok, "facts must be ground")
+        else:
+            facts.add(atom)
+
+    _parse_statements(source, fact)
     return FactBase(frozenset(facts))
 
 
@@ -421,13 +379,83 @@ def parse_atom(source: str) -> Atom:
     try:
         atom = _parse_atom(ts)
     except _Abort:
-        raise ParseFailure(ts.errors) from None
+        raise ts.failure() from None
     trailing = ts.peek()
     if trailing.kind != EOF:
         ts.error(trailing, "unexpected input after atom")
     if ts.errors:
-        raise ParseFailure(ts.errors)
+        raise ts.failure()
     return atom
+
+
+@dataclass(frozen=True)
+class PrologClause:
+    """One source clause, with negated body literals split out."""
+
+    head: Atom
+    positive_body: tuple[Atom, ...] = ()
+    negated_body: tuple[Atom, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "positive_body", tuple(self.positive_body))
+        object.__setattr__(self, "negated_body", tuple(self.negated_body))
+
+
+def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
+    """Parse dialect source into clauses plus skip warnings.
+
+    Raises ParseFailure on constructs outside the subset, naming each
+    offending construct with its position.
+    """
+    clauses: list[PrologClause] = []
+    warnings: list[str] = []
+
+    def clause(ts: _TokenStream, tok: Token) -> None:
+        if tok.kind == ANNOT:
+            raise ts.fail(tok, "annotations belong to PROLEG, not the Prolog subset")
+        for symbol, what in ((":-", "directive"), ("?-", "query")):
+            if ts.at_punct(symbol):
+                ts.advance()
+                ts.recover_statement()
+                warnings.append(f"skipped {what} at line {tok.line}")
+                return
+        head = _parse_atom(ts)
+        positive: list[Atom] = []
+        negated: list[Atom] = []
+        if ts.at_punct(":-"):
+            ts.advance()
+            _parse_literal(ts, positive, negated)
+            while ts.at_punct(","):
+                ts.advance()
+                _parse_literal(ts, positive, negated)
+            if ts.at_punct(";"):
+                raise ts.fail(ts.peek(), "disjunction ';' is outside the supported subset")
+        ts.expect_punct(".", "after clause")
+        clauses.append(PrologClause(head, tuple(positive), tuple(negated)))
+
+    _parse_statements(source, clause)
+    return clauses, warnings
+
+
+def _parse_literal(ts: _TokenStream, positive: list[Atom], negated: list[Atom]) -> None:
+    tok = ts.peek()
+    if ts.at_punct("!"):
+        raise ts.fail(tok, "cut '!' is outside the supported subset")
+    if ts.at_punct(";"):
+        raise ts.fail(tok, "disjunction ';' is outside the supported subset")
+    if ts.at_punct("\\+"):
+        ts.advance()
+        inner = ts.peek()
+        if ts.at_punct("\\+"):
+            raise ts.fail(inner, "nested negation is outside the supported subset")
+        if ts.at_punct("("):
+            ts.advance()
+            if ts.at_punct("\\+"):
+                raise ts.fail(ts.peek(), "nested negation is outside the supported subset")
+            raise ts.fail(inner, "parenthesized negation bodies are outside the supported subset")
+        negated.append(_parse_atom(ts))
+        return
+    positive.append(_parse_atom(ts))
 
 
 def serialize(program: Program) -> str:

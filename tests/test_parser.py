@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proleg.ast import (
     Atom,
@@ -23,6 +24,7 @@ from proleg.parser import (
     parse_atom,
     parse_facts,
     parse_program,
+    parse_prolog_subset,
     range_restriction_warnings,
     serialize,
     tokenize,
@@ -91,6 +93,40 @@ def test_token_stream_is_pinned():
         ParseError(6, 13, "unknown annotation '#'", 'lines" #foo # $'),
         ParseError(7, 1, "unterminated string", '"open'),
     ]
+
+
+# Characters that build statements, mixed with arbitrary Unicode.
+_SOURCE_CHARS = st.one_of(st.sampled_from(list('pqX_(),.<=:-?\\+;!#"%17 \n')), st.characters())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(_SOURCE_CHARS))
+@example("café(x) <= .")
+@example("lawful_processing(ß)")
+@example("p(²).")
+@example("p(" + "1" * 5000 + ").")
+def test_any_text_parses_or_raises_parse_failure(text):
+    for parse in (parse_program, parse_facts, parse_atom, parse_prolog_subset):
+        try:
+            parse(text)
+        except ParseFailure as failure:
+            assert failure.errors
+            assert all(e.line >= 1 and e.column >= 1 for e in failure.errors)
+
+
+def test_non_ascii_digits_and_letters_are_not_names_or_integers():
+    # Names are ASCII and integers are ASCII digits; quoted strings hold anything.
+    assert [str(e) for e in errors_of("p(٣).", parse=parse_facts)] == [
+        "1:3: unexpected character '٣'"
+    ]
+    assert [str(e) for e in errors_of("café(x) <=.")] == ["1:4: expected '<=' after rule head"]
+    assert parse_atom('p("café ٣")') == Atom("p", (Text("café ٣"),))
+
+
+def test_snippet_is_the_line_the_position_counts():
+    # A lone carriage return does not end a line for positions, nor for snippets.
+    errors = errors_of("p <= q.\rr <= $.\n")
+    assert [(e.line, e.column, e.snippet) for e in errors] == [(1, 14, "p <= q.\rr <= $.")]
 
 
 class TestParseProgram:

@@ -21,12 +21,14 @@ Linting is pure; findings come back ordered by source position.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
 from .ast import (
+    IDENT_PATTERN,
     Atom,
     PredicateKey,
     Program,
@@ -52,11 +54,14 @@ class LintCheck(Enum):
     UNSTRATIFIED_EXCEPTION_CYCLE = "UNSTRATIFIED_EXCEPTION_CYCLE"
 
 
-def _parse_indicator(text: str) -> PredicateKey:
-    name, _, arity = text.partition("/")
-    if not arity or not arity.isdigit():
-        raise ValueError(f"expected 'name/arity', got {text!r}")
-    return (name, int(arity))
+_INDICATOR_RE = re.compile(f"({IDENT_PATTERN})/([0-9]+)")
+
+
+def _parse_indicator(item: object) -> PredicateKey:
+    match = _INDICATOR_RE.fullmatch(item) if isinstance(item, str) else None
+    if match is None:
+        raise ValueError(f"expected 'name/arity', got {item!r}")
+    return (match[1], int(match[2]))
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,23 @@ class LintConfig:
     generic_siblings: bool = False
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "LintConfig":
+    def from_obj(cls, obj: object) -> "LintConfig":
+        """Build a config from parsed JSON; raises ValueError unless it is
+        an object whose lists hold ``name/arity`` strings and whose
+        ``generic_siblings`` is a boolean."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {obj!r}")
+
         def keys(name: str, default: tuple[PredicateKey, ...]) -> tuple[PredicateKey, ...]:
             if name not in obj:
                 return default
+            if not isinstance(obj[name], list):
+                raise ValueError(f"'{name}' must be a list, got {obj[name]!r}")
             return tuple(_parse_indicator(item) for item in obj[name])
 
+        generic_siblings = obj.get("generic_siblings", False)
+        if not isinstance(generic_siblings, bool):
+            raise ValueError(f"'generic_siblings' must be true or false, got {generic_siblings!r}")
         base = cls()
         return cls(
             presupposed_predicates=keys("presupposed_predicates", base.presupposed_predicates),
@@ -93,7 +109,7 @@ class LintConfig:
                 "universal_condition_predicates", base.universal_condition_predicates
             ),
             declared_fact_schema=keys("declared_fact_schema", base.declared_fact_schema),
-            generic_siblings=bool(obj.get("generic_siblings", False)),
+            generic_siblings=generic_siblings,
         )
 
     @classmethod
@@ -250,15 +266,6 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
 
     findings.sort(key=lambda f: f.line if f.line is not None else 10**9)
     return findings
-
-
-def worst_severity(findings: list[LintFinding]) -> Optional[str]:
-    """The most severe level present, or None for a clean result."""
-    worst = None
-    for finding in findings:
-        if worst is None or _SEVERITY_RANK[finding.severity] > _SEVERITY_RANK[worst]:
-            worst = finding.severity
-    return worst
 
 
 def severity_at_least(severity: str, threshold: str) -> bool:

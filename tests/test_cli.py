@@ -152,6 +152,50 @@ def test_non_positive_limit_is_a_usage_error(capsys, command, limit):
     assert "usage:" in err and "must be a positive integer" in err
 
 
+class TestNonAsciiName:
+    """A name character outside ASCII is a positioned parse error: exit 2,
+    no traceback. Each runs in a fresh process to see what a user sees."""
+
+    def run(self, *argv):
+        done = run_fresh_python("-m", "proleg.cli", *argv)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout) == (2, "")
+        return done.stderr
+
+    def test_rules_file(self, tmp_path):
+        rules = tmp_path / "bad.proleg"
+        rules.write_text("café(x) <= .\n", encoding="utf-8")
+        err = self.run("check", str(rules))
+        assert err.startswith(f"{rules}:1:4: expected '<=' after rule head\n")
+
+    def test_facts_file(self, tmp_path):
+        facts = tmp_path / "bad.facts"
+        facts.write_text("consent_given(café).\n", encoding="utf-8")
+        err = self.run("run", CURATED, str(facts), "--query", QUERY)
+        assert err.startswith(f"{facts}:1:18: expected ')' to close argument list\n")
+
+    def test_query(self):
+        err = self.run("run", CURATED, WITHDRAWAL_FACTS, "--query", "lawful_processing(ß)")
+        assert err.startswith("<query>:1:19: unexpected character 'ß'\n")
+
+    def test_case_file_facts(self, tmp_path):
+        case = {
+            "id": "accented",
+            "description": "a fact naming a non-ASCII constant",
+            "ruleset": CURATED,
+            "facts": ["consent_given(café)"],
+            "query": QUERY,
+            "expected": "o",
+        }
+        path = tmp_path / "accented.case.json"
+        path.write_text(json.dumps(case, ensure_ascii=False), encoding="utf-8")
+        err = self.run("case", "run", str(path))
+        assert err == (
+            f"{path}: fact does not parse as an atom: 'consent_given(café)' "
+            "(1:18: expected ')' to close argument list)\n"
+        )
+
+
 class TestCheck:
     def test_curated_counts(self, capsys):
         code, out, _ = run_cli(capsys, "check", CURATED)
@@ -219,6 +263,24 @@ class TestLint:
         bad.write_text("p <= q\n", encoding="utf-8")
         code, _, _ = run_cli(capsys, "lint", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [],
+            {"declared_fact_schema": [1]},
+            {"generic_siblings": "no"},
+            {"presupposed_predicates": ["Foo/1"]},
+            {"declared_fact_schema": ["/2"]},
+        ],
+        ids=["list", "non-string-item", "string-boolean", "uppercase-name", "empty-name"],
+    )
+    def test_bad_config_exits_2(self, capsys, tmp_path, config):
+        path = tmp_path / "lint.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, "lint", CURATED, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("bad lint config: ")
 
 
 class TestConvert:

@@ -13,7 +13,6 @@ from proleg.lint import (
     LintConfig,
     findings_to_json,
     lint,
-    worst_severity,
 )
 from proleg.parser import parse_program
 
@@ -133,11 +132,6 @@ class TestOrderingAndOutput:
         assert isinstance(parsed, list)
         for entry in parsed:
             assert {"check_id", "severity", "line", "message"} <= set(entry)
-
-    def test_worst_severity(self):
-        program = parse_program("p <=. exception(p, q). q <=. exception(q, p).")
-        assert worst_severity(lint(program, DEFAULT_LINT_CONFIG)) == ERROR
-        assert worst_severity([]) is None
 
 
 class TestConfigLoading:

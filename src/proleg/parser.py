@@ -69,9 +69,9 @@ EOF = "eof"
 
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 # One alternative per token kind, named after it, tried in this order;
-# BADCHAR takes any single character nothing else matches. An
-# unterminated string runs to the end of its line (a backslash escapes
-# even a line break).
+# BADCHAR takes any single character nothing else matches. A backslash
+# escapes any character, a line break too. An unterminated string runs
+# to the end of its line, or of the input with a final lone backslash.
 _TOKEN_RE = re.compile(
     "|".join(
         f"(?P<{kind}>{pattern})"

@@ -308,11 +308,6 @@ class Substitution:
     def get(self, name: str) -> Optional[Term]:
         return self._bindings.get(name)
 
-    def bind(self, name: str, term: Term) -> "Substitution":
-        updated = dict(self._bindings)
-        updated[name] = term
-        return Substitution(updated)
-
     def items(self) -> Iterator[tuple[str, Term]]:
         return iter(self._bindings.items())
 
@@ -335,12 +330,19 @@ class Substitution:
 EMPTY_SUBSTITUTION = Substitution()
 
 
-def walk(subst: Substitution, term: Term) -> Term:
+def _owning(bindings: dict[str, Term]) -> Substitution:
+    """A Substitution over ``bindings`` itself, which no one else holds."""
+    subst = object.__new__(Substitution)
+    subst._bindings = bindings
+    return subst
+
+
+def _walk(bindings: Mapping[str, Term], term: Term) -> Term:
     """Follow variable bindings until a non-variable or unbound variable."""
     steps = 0
-    limit = len(subst) + 1
+    limit = len(bindings) + 1
     while isinstance(term, Variable):
-        bound = subst.get(term.name)
+        bound = bindings.get(term.name)
         if bound is None:
             return term
         term = bound
@@ -354,35 +356,48 @@ def apply(subst: Substitution, term: Term) -> Term:
     """Apply a substitution, dereferencing bindings all the way down.
 
     Ground terms and unbound variables come back unchanged; the result
-    is a fixpoint of further application.
+    is a fixpoint of further application. Each dereference step costs
+    O(1), so the cost is linear in the size of the result and the binding
+    links followed. Raises ValueError on a cyclic substitution.
     """
-    return _apply(subst, term, ())
+    return _apply(subst._bindings, term, None)
 
 
-def _apply(subst: Substitution, term: Term, trail: tuple[str, ...]) -> Term:
-    while isinstance(term, Variable):
-        bound = subst.get(term.name)
-        if bound is None:
+def _apply(bindings: Mapping[str, Term], term: Term, path: Optional[set[str]]) -> Term:
+    # ``path`` holds the bound variables dereferenced between the root and
+    # this term, so meeting one again is a cycle. It is made on the first
+    # dereference, and each level takes back the names it added before it
+    # returns, so siblings never see each other's names.
+    if isinstance(term, Variable):
+        if term.name not in bindings:
             return term
-        if term.name in trail:
-            raise ValueError(f"cyclic substitution through {term.name}")
-        trail = trail + (term.name,)
-        term = bound
+        if path is None:
+            path = set()
+        chain = []
+        while isinstance(term, Variable) and term.name in bindings:
+            if term.name in path:
+                raise ValueError(f"cyclic substitution through {term.name}")
+            path.add(term.name)
+            chain.append(term.name)
+            term = bindings[term.name]
+        term = _apply(bindings, term, path)
+        path.difference_update(chain)
+        return term
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_apply(subst, a, trail) for a in term.args))
+        return Compound(term.functor, tuple(_apply(bindings, a, path) for a in term.args))
     return term
 
 
 def apply_atom(subst: Substitution, atom: Atom) -> Atom:
-    return Atom(atom.predicate, tuple(apply(subst, a) for a in atom.args))
+    return Atom(atom.predicate, tuple(_apply(subst._bindings, a, None) for a in atom.args))
 
 
-def _occurs(subst: Substitution, name: str, term: Term) -> bool:
-    term = walk(subst, term)
+def _occurs(bindings: Mapping[str, Term], name: str, term: Term) -> bool:
+    term = _walk(bindings, term)
     if isinstance(term, Variable):
         return term.name == name
     if isinstance(term, Compound):
-        return any(_occurs(subst, name, a) for a in term.args)
+        return any(_occurs(bindings, name, a) for a in term.args)
     return False
 
 
@@ -390,46 +405,62 @@ def unify(a: Term, b: Term, subst: Optional[Substitution] = None) -> Optional[Su
     """Most-general unifier of two terms, or None when there is none.
 
     The occurs check is always on: a variable never unifies with a term
-    containing it, so no cyclic binding can ever be produced.
+    containing it, so no cyclic binding can ever be produced. When both
+    sides are unbound variables, the one from ``a`` is bound to ``b``'s.
     """
+    return _unify((a,), (b,), subst)
+
+
+def unify_atoms(a: Atom, b: Atom, subst: Optional[Substitution] = None) -> Optional[Substitution]:
+    """Unify two atoms; fails immediately unless predicate keys match."""
+    if a.predicate != b.predicate or len(a.args) != len(b.args):
+        return None
+    return _unify(a.args, b.args, subst)
+
+
+def _unify(xs: tuple[Term, ...], ys: tuple[Term, ...],
+           subst: Optional[Substitution]) -> Optional[Substitution]:
+    """Unify the argument pairs left to right in one worklist. The
+    bindings are copied once, on the first new binding, so a call that
+    binds nothing allocates nothing and returns ``subst`` itself."""
     s = subst if subst is not None else EMPTY_SUBSTITUTION
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        x = walk(s, x)
-        y = walk(s, y)
+    bindings = s._bindings
+    owned = False
+    pending: Optional[list[tuple[Term, Term]]] = None
+    index = 0
+    while True:
+        if pending:
+            x, y = pending.pop()
+        elif index < len(xs):
+            x, y = xs[index], ys[index]
+            index += 1
+        else:
+            return _owning(bindings) if owned else s
+        if isinstance(x, Variable):
+            x = _walk(bindings, x)
+        if isinstance(y, Variable):
+            y = _walk(bindings, y)
         if x == y:
             continue
         if isinstance(x, Variable):
-            if _occurs(s, x.name, y):
-                return None
-            s = s.bind(x.name, y)
-            continue
-        if isinstance(y, Variable):
-            if _occurs(s, y.name, x):
-                return None
-            s = s.bind(y.name, x)
-            continue
-        if (
+            name, term = x.name, y
+        elif isinstance(y, Variable):
+            name, term = y.name, x
+        elif (
             isinstance(x, Compound)
             and isinstance(y, Compound)
             and x.functor == y.functor
             and len(x.args) == len(y.args)
         ):
-            stack.extend(zip(x.args, y.args))
+            if pending is None:
+                pending = []
+            pending.extend(zip(x.args, y.args))
             continue
-        return None
-    return s
-
-
-def unify_atoms(a: Atom, b: Atom, subst: Optional[Substitution] = None) -> Optional[Substitution]:
-    """Unify two atoms; fails immediately unless predicate keys match."""
-    if a.key != b.key:
-        return None
-    s = subst if subst is not None else EMPTY_SUBSTITUTION
-    for x, y in zip(a.args, b.args):
-        result = unify(x, y, s)
-        if result is None:
+        else:
             return None
-        s = result
-    return s
+        if isinstance(term, Compound) and _occurs(bindings, name, term):
+            return None
+        if not owned:
+            bindings = dict(bindings)
+            owned = True
+        bindings[name] = term

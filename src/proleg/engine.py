@@ -389,7 +389,7 @@ class _Resolver:
         settled = False
         for rule_id, clause in self.rules.get(goal.key, ()):
             head, *body = self._fresh(clause)
-            bound = unify_atoms(goal, head, subst)
+            bound = unify_atoms(head, goal, subst)
             if bound is None:
                 continue
             # A failure shows the rule's first body item: the failed
@@ -466,7 +466,7 @@ class _Resolver:
         checks: list[tuple[EdgeKind, TraceNode]] = []
         for clause in self.exceptions.get(instance.key, ()):
             head, exception = self._fresh(clause)
-            bound = unify_atoms(instance, head)
+            bound = unify_atoms(head, instance)
             if bound is None:
                 continue
             solution, node = next(self.prove(exception, bound, depth + 1, ancestors))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -87,10 +87,14 @@ class LintConfig:
     @classmethod
     def from_obj(cls, obj: object) -> "LintConfig":
         """Build a config from parsed JSON; raises ValueError unless it is
-        an object whose lists hold ``name/arity`` strings and whose
-        ``generic_siblings`` is a boolean."""
+        an object of known fields whose lists hold ``name/arity`` strings
+        and whose ``generic_siblings`` is a boolean."""
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {obj!r}")
+        known = {f.name for f in fields(cls)}
+        for name in obj:
+            if name not in known:
+                raise ValueError(f"unknown field {name!r}")
 
         def keys(name: str, default: tuple[PredicateKey, ...]) -> tuple[PredicateKey, ...]:
             if name not in obj:

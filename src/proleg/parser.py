@@ -17,7 +17,8 @@ IDENT and VARIABLE are the data model's name patterns
 (``ast.IDENT_PATTERN``, ``ast.VARIABLE_PATTERN``), INTEGER is an
 optional ``-`` and ASCII digits, and a quoted string may hold any
 character. Any other character outside a string is a ``badchar`` token,
-which every grammar rejects.
+which every grammar rejects. Compound terms nest at most
+``MAX_TERM_DEPTH`` (100) levels deep.
 
 ``%`` starts a line comment. An annotation line applies to the next
 statement. Rules are given ids ``r1, r2, ...`` in textual order unless
@@ -90,6 +91,10 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+# The deepest compound-term nesting the parser accepts. The data model's
+# recursive walks (equality, hashing, printing, substitution) are measured
+# to handle 200 levels at the default recursion limit, not 250.
+MAX_TERM_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -214,16 +219,19 @@ class _TokenStream:
                 return
 
 
-def _parse_term(ts: _TokenStream) -> Term:
+def _parse_term(ts: _TokenStream, depth: int) -> Term:
+    """One term inside ``depth`` enclosing compounds."""
     tok = ts.peek()
     if tok.kind == IDENT:
         ts.advance()
         if ts.at_punct("("):
+            if depth == MAX_TERM_DEPTH:
+                raise ts.fail(tok, f"term nested deeper than {MAX_TERM_DEPTH} levels")
             ts.advance()
-            args = [_parse_term(ts)]
+            args = [_parse_term(ts, depth + 1)]
             while ts.at_punct(","):
                 ts.advance()
-                args.append(_parse_term(ts))
+                args.append(_parse_term(ts, depth + 1))
             ts.expect_punct(")", "to close argument list")
             return Compound(tok.value, tuple(args))
         return Constant(tok.value)
@@ -251,20 +259,20 @@ def _parse_atom(ts: _TokenStream) -> Atom:
     args: list[Term] = []
     if ts.at_punct("("):
         ts.advance()
-        args.append(_parse_term(ts))
+        args.append(_parse_term(ts, 0))
         while ts.at_punct(","):
             ts.advance()
-            args.append(_parse_term(ts))
+            args.append(_parse_term(ts, 0))
         ts.expect_punct(")", "to close argument list")
     return Atom(tok.value, tuple(args))
 
 
-def _term_as_atom(term: Term, ts: _TokenStream, tok: Token) -> Atom:
+def _term_as_atom(term: Term) -> Optional[Atom]:
     if isinstance(term, Constant):
         return Atom(term.name)
     if isinstance(term, Compound):
         return Atom(term.functor, term.args)
-    raise ts.fail(tok, "exception arguments must be atoms")
+    return None
 
 
 def _parse_statements(source: str, statement: Callable[[_TokenStream, Token], None]) -> None:
@@ -322,9 +330,13 @@ def parse_program(source: str) -> Program:
             ts.expect_punct(".", "after exception declaration")
             if rule_id is not None:
                 ts.error(tok, "'#id' applies to rules, not exception declarations")
-            head = _term_as_atom(atom.args[0], ts, tok)
-            exc = _term_as_atom(atom.args[1], ts, tok)
-            exceptions.append(ExceptionDecl(head, exc, source=citation, line=tok.line))
+            # The '.' is consumed, so an error here must not abort: recovery
+            # would skip the next statement.
+            head, exc = _term_as_atom(atom.args[0]), _term_as_atom(atom.args[1])
+            if head is None or exc is None:
+                ts.error(tok, "exception arguments must be atoms")
+            else:
+                exceptions.append(ExceptionDecl(head, exc, source=citation, line=tok.line))
             return
         if tok.kind == IDENT:
             if tok.value == "exception":

@@ -63,10 +63,24 @@ class TestApply:
         term = f(C("a"), Integer(3), Text("hi"))
         assert apply(s, term) == term
 
+    # Each binds X into a cycle: through a compound, through a compound's
+    # second argument and back, and around a loop of three variables.
+    CYCLES = [
+        {"X": f(V("X"))},
+        {"X": f(C("a"), V("Y")), "Y": V("X")},
+        {"X": V("Y"), "Y": V("Z"), "Z": V("X")},
+    ]
+
     def test_cyclic_substitution_detected(self):
-        s = Substitution({"X": f(V("X"))})
-        with pytest.raises(ValueError):
-            apply(s, V("X"))
+        for bindings in self.CYCLES:
+            with pytest.raises(ValueError):
+                apply(Substitution(bindings), V("X"))
+
+    def test_variable_repeated_in_sibling_arguments_is_not_a_cycle(self):
+        # The second Y is reached after the first has been fully applied;
+        # a cycle check that kept the first Y's names would reject it.
+        bindings = {"X": f(V("Y"), V("Y")), "Y": g(V("Z")), "Z": C("a")}
+        assert apply(Substitution(bindings), V("X")) == f(g(C("a")), g(C("a")))
 
 
 class TestUnify:
@@ -134,6 +148,11 @@ def arbitrary_terms(draw):
         return Compound("f", tuple(build(d - 1) for _ in range(draw(st.integers(1, 2)))))
 
     return build(depth)
+
+
+@given(acyclic_substitutions(), arbitrary_terms())
+def test_apply_matches_naive_rewrite_to_fixpoint(s, t):
+    assert apply(s, t) == naive_apply_fixpoint(dict(s.items()), t)
 
 
 @given(acyclic_substitutions(), arbitrary_terms())

@@ -136,6 +136,16 @@ def test_deep_chain_with_long_bodies_runs_in_a_fresh_process(tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (0, "o\n", "")
 
 
+def test_deeply_nested_term_is_a_parse_error_in_a_fresh_process(tmp_path):
+    # 1000 levels overflow a recursive reader at the default recursion limit.
+    rules = tmp_path / "nested.proleg"
+    rules.write_text("p(" + "f(" * 1000 + "a" + ")" * 1001 + " <=.\n", encoding="utf-8")
+    done = run_fresh_python("-m", "proleg.cli", "check", str(rules))
+    assert "Traceback" not in done.stderr
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"{rules}:1:203: term nested deeper than 100 levels\n")
+
+
 @pytest.mark.parametrize(
     "command",
     [("run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY), ("case", "run", CASE_FILE)],
@@ -272,8 +282,10 @@ class TestLint:
             {"generic_siblings": "no"},
             {"presupposed_predicates": ["Foo/1"]},
             {"declared_fact_schema": ["/2"]},
+            {"declared_fact_shema": ["x/1"]},
         ],
-        ids=["list", "non-string-item", "string-boolean", "uppercase-name", "empty-name"],
+        ids=["list", "non-string-item", "string-boolean", "uppercase-name", "empty-name",
+             "unknown-key"],
     )
     def test_bad_config_exits_2(self, capsys, tmp_path, config):
         path = tmp_path / "lint.json"

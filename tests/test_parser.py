@@ -19,6 +19,7 @@ from proleg.ast import (
     Variable,
 )
 from proleg.parser import (
+    MAX_TERM_DEPTH,
     ParseError,
     ParseFailure,
     parse_atom,
@@ -197,6 +198,13 @@ class TestParseProgram:
         bad_lines = {e.line for e in errors}
         assert {1, 3, 4} <= bad_lines
 
+    def test_bad_exception_argument_does_not_skip_the_next_statement(self):
+        errors = errors_of("exception(p, X). q <= r s.")
+        assert [str(e) for e in errors] == [
+            "1:1: exception arguments must be atoms",
+            "1:25: expected '.' after rule body",
+        ]
+
     def test_parse_error_has_snippet(self):
         errors = errors_of("p <= q r.")
         assert errors[0].snippet == "p <= q r."
@@ -240,6 +248,19 @@ class TestParseAtom:
         assert parse_atom("lawful_processing(case1)") == Atom(
             "lawful_processing", (Constant("case1"),)
         )
+
+    def test_term_nesting_is_bounded(self):
+        def nested(levels):
+            return "p(" + "f(" * levels + "a" + ")" * (levels + 1)
+
+        term = parse_atom(nested(MAX_TERM_DEPTH)).args[0]
+        for _ in range(MAX_TERM_DEPTH):
+            term = term.args[0]
+        assert term == Constant("a")
+        errors = errors_of(nested(MAX_TERM_DEPTH + 1), parse=parse_atom)
+        assert [str(e) for e in errors] == [
+            f"1:{3 + 2 * MAX_TERM_DEPTH}: term nested deeper than {MAX_TERM_DEPTH} levels"
+        ]
 
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseFailure):

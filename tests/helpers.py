@@ -318,6 +318,85 @@ def naf_fixpoint(clauses: list[PrologClause]) -> frozenset[Atom]:
     return frozenset(true)
 
 
+# ----------------------------------------------------------------------
+# Stratification oracle over predicate keys: reachability and least
+# strata by relaxation, sharing no code with engine.stratify.
+
+
+def random_dependency_program(rng: random.Random, max_preds: int = 8) -> Program:
+    """Random rules and exception declarations over a few predicates of
+    arity 0 or 1; about half the programs do not stratify."""
+    keys = [(f"p{i}", rng.randint(0, 1)) for i in range(rng.randint(1, max_preds))]
+
+    def atom() -> Atom:
+        name, arity = rng.choice(keys)
+        return Atom(name, (Variable("X"),) * arity)
+
+    rules = tuple(
+        Rule(f"r{k + 1}", atom(), tuple(atom() for _ in range(rng.randint(0, 3))))
+        for k in range(rng.randint(0, 2 * len(keys)))
+    )
+    exceptions = tuple(ExceptionDecl(atom(), atom()) for _ in range(rng.randint(0, 3)))
+    return Program(rules, exceptions)
+
+
+def dependency_edges(program: Program) -> tuple[set, set]:
+    """The (head, dependency) key pairs of rule bodies and of exceptions."""
+    positive = {(r.head.key, a.key) for r in program.rules for a in r.body}
+    negative = {(d.head.key, d.exception.key) for d in program.exceptions}
+    return positive, negative
+
+
+def shortest_path_length(edges: set, source, target) -> Optional[int]:
+    """Edges on a shortest path from source to target, or None."""
+    frontier, seen, length = {source}, {source}, 0
+    while frontier:
+        if target in frontier:
+            return length
+        frontier = {d for h, d in edges if h in frontier} - seen
+        seen |= frontier
+        length += 1
+    return None
+
+
+def reference_strata(program: Program) -> list[frozenset]:
+    """The least strata: s[h] >= s[d] for a rule edge and s[h] >= s[d] + 1
+    for an exception edge. Only meaningful for stratified programs."""
+    positive, negative = dependency_edges(program)
+    level = {key: 0 for edge in positive | negative for key in edge}
+    level.update({r.head.key: 0 for r in program.rules})
+    for _ in range(len(level) + 1):
+        changed = False
+        for edges, weight in ((positive, 0), (negative, 1)):
+            for head, dep in edges:
+                if level[head] < level[dep] + weight:
+                    level[head] = level[dep] + weight
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise AssertionError("program is not stratified")
+    if not level:
+        return []
+    return [
+        frozenset(k for k, v in level.items() if v == n) for n in range(max(level.values()) + 1)
+    ]
+
+
+def reference_cycle(program: Program) -> Optional[tuple[tuple, int]]:
+    """For the first exception declaration, in program order, whose
+    exception reaches its head: ((head, exception) keys, length of the
+    shortest cycle through that edge). None when the program stratifies."""
+    positive, negative = dependency_edges(program)
+    edges = positive | negative
+    for decl in program.exceptions:
+        pair = (decl.head.key, decl.exception.key)
+        back = shortest_path_length(edges, pair[1], pair[0])
+        if back is not None:
+            return pair, back + 1
+    return None
+
+
 def ground_with(program: Program, constant: str = "case1") -> Program:
     """Instantiate every variable with one constant (exact for rule bases
     whose only terms are that case constant)."""

@@ -25,8 +25,12 @@ from helpers import (
     assert_no_circular_proof,
     assert_trace_invariants,
     ground_over,
+    dependency_edges,
+    random_dependency_program,
     random_ground_program,
     random_nonground_program,
+    reference_cycle,
+    reference_strata,
     run_fresh_python,
 )
 
@@ -96,6 +100,27 @@ class TestStratify:
         lines = outputs[0].splitlines()
         assert lines[0] == cycle
         assert lines[-1] == f"error: UNSTRATIFIED_EXCEPTION_CYCLE at exception 1 (line 1): {cycle}"
+
+
+    def test_matches_the_reference_on_random_programs(self):
+        rng = random.Random(8)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2000):
+            program = random_dependency_program(rng)
+            expected = reference_cycle(program)
+            outcomes[expected is None] += 1
+            if expected is None:
+                assert stratify(program) == reference_strata(program)
+                continue
+            with pytest.raises(Unstratified) as info:
+                stratify(program)
+            cycle = info.value.cycle
+            (head, exception), length = expected
+            assert cycle[0] == head and (cycle + cycle)[1] == exception
+            assert len(cycle) == length
+            positive, negative = dependency_edges(program)
+            assert set(zip(cycle, cycle[1:] + cycle[:1])) <= positive | negative
+        assert min(outcomes.values()) > 500
 
 
 class TestSolve:

@@ -280,14 +280,14 @@ def rename_atom(atom: Atom, mapping: Mapping[str, Variable]) -> Atom:
     return Atom(atom.predicate, tuple(rename_term(a, mapping) for a in atom.args))
 
 
-def canonical_atom(atom: Atom, prefix: str = "_G") -> Atom:
+def canonical_atom(atom: Atom) -> Atom:
     """Rename the atom's variables to ``_G0, _G1, ...`` in occurrence order.
 
     Two atoms that are identical up to variable renaming canonicalise to
     the same atom, which is what the evaluator's loop check compares.
     """
     mapping = {
-        name: Variable(f"{prefix}{i}") for i, name in enumerate(variables_of(atom))
+        name: Variable(f"_G{i}") for i, name in enumerate(variables_of(atom))
     }
     return rename_atom(atom, mapping)
 

@@ -25,7 +25,7 @@ Two evaluators are provided deliberately:
 from __future__ import annotations
 
 import sys
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -111,99 +111,30 @@ class StepsExceeded(EngineError):
         )
 
 
-def _dependency_graph(
-    program: Program,
-) -> tuple[set[PredicateKey], set[tuple[PredicateKey, PredicateKey, bool]]]:
-    """Nodes and (head, dependency, negative) edges of the program."""
-    nodes: set[PredicateKey] = set()
-    edges: set[tuple[PredicateKey, PredicateKey, bool]] = set()
-    for rule in program.rules:
-        nodes.add(rule.head.key)
-        for atom in rule.body:
-            nodes.add(atom.key)
-            edges.add((rule.head.key, atom.key, False))
-    for decl in program.exceptions:
-        nodes.add(decl.head.key)
-        nodes.add(decl.exception.key)
-        edges.add((decl.head.key, decl.exception.key, True))
-    return nodes, edges
-
-
-def _strongly_connected(
-    nodes: set[PredicateKey], succ: dict[PredicateKey, set[PredicateKey]]
-) -> list[set[PredicateKey]]:
-    """Kosaraju's algorithm, iterative."""
-    order: list[PredicateKey] = []
-    seen: set[PredicateKey] = set()
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        stack: list[tuple[PredicateKey, Optional[Iterator[PredicateKey]]]] = [(start, None)]
-        while stack:
-            node, it = stack.pop()
-            if it is None:
-                if node in seen:
-                    continue
-                seen.add(node)
-                it = iter(sorted(succ.get(node, ())))
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    stack.append((node, it))
-                    stack.append((nxt, None))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-    pred: dict[PredicateKey, set[PredicateKey]] = defaultdict(set)
-    for node, targets in succ.items():
-        for target in targets:
-            pred[target].add(node)
-    components: list[set[PredicateKey]] = []
-    assigned: set[PredicateKey] = set()
-    for start in reversed(order):
-        if start in assigned:
-            continue
-        component = {start}
-        assigned.add(start)
-        work = [start]
-        while work:
-            node = work.pop()
-            for nxt in pred.get(node, ()):
-                if nxt not in assigned:
-                    assigned.add(nxt)
-                    component.add(nxt)
-                    work.append(nxt)
-        components.append(component)
-    return components
-
-
 def _cycle_through(
-    head: PredicateKey,
-    target: PredicateKey,
-    component: set[PredicateKey],
-    succ: dict[PredicateKey, set[PredicateKey]],
+    head: PredicateKey, target: PredicateKey, succ: dict[PredicateKey, dict[PredicateKey, bool]]
 ) -> list[PredicateKey]:
-    """A cycle [head, target, ...] using the negative edge head -> target."""
+    """A shortest cycle [head, target, ...] using the negative edge head -> target.
+
+    Every path from target back to head lies in their component, so the
+    breadth-first search needs no restriction to it.
+    """
     parents: dict[PredicateKey, PredicateKey] = {}
-    work = [target]
+    work = deque([target])
     visited = {target}
     while work:
-        node = work.pop(0)
+        node = work.popleft()
         if node == head:
             break
-        for nxt in sorted(succ.get(node, ())):
-            if nxt in component and nxt not in visited:
+        for nxt in sorted(succ[node]):
+            if nxt not in visited:
                 visited.add(nxt)
                 parents[nxt] = node
                 work.append(nxt)
     path = [head]
-    node = head
-    while node != target:
-        node = parents[node]
-        path.append(node)
-    path.reverse()  # now [target, ..., head]
-    return [head] + path[:-1]
+    while path[-1] != target:
+        path.append(parents[path[-1]])
+    return [head] + path[:0:-1]  # head, then target back along the path
 
 
 def stratify(program: Program) -> list[frozenset[PredicateKey]]:
@@ -213,52 +144,66 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     the same stratum or lower, and every exception dependency sits
     strictly lower. Predicates defined only by facts land in stratum 0.
     Raises Unstratified when a cycle crosses an exception edge.
+
+    One iterative pass of Tarjan's algorithm finds the strongly connected
+    components, dependencies first, so each component takes its stratum
+    from edges that leave it as it closes.
     """
-    nodes, edges = _dependency_graph(program)
-    if not nodes:
-        return []
-    succ: dict[PredicateKey, set[PredicateKey]] = defaultdict(set)
-    for head, dep, _negative in edges:
-        succ[head].add(dep)
-    components = _strongly_connected(nodes, succ)
-    component_of: dict[PredicateKey, int] = {}
-    for index, component in enumerate(components):
-        for node in component:
-            component_of[node] = index
+    # succ[head][dependency] is True when some edge between them is an exception.
+    succ: dict[PredicateKey, dict[PredicateKey, bool]] = {}
+    for rule in program.rules:
+        deps = succ.setdefault(rule.head.key, {})
+        for atom in rule.body:
+            key = atom.key
+            deps.setdefault(key, False)
+            succ.setdefault(key, {})
+    for decl in program.exceptions:
+        succ.setdefault(decl.head.key, {})[decl.exception.key] = True
+        succ.setdefault(decl.exception.key, {})
+    order: dict[PredicateKey, int] = {}  # discovery number
+    low: dict[PredicateKey, int] = {}
+    component: dict[PredicateKey, int] = {}  # set when the node's component closes
+    level: list[int] = []  # stratum of each component
+    stack: list[PredicateKey] = []
+    for root in sorted(succ):
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(sorted(succ[root])))]
+        while work:
+            node, deps = work[-1]
+            for dep in deps:
+                if dep not in order:
+                    order[dep] = low[dep] = len(order)
+                    stack.append(dep)
+                    work.append((dep, iter(sorted(succ[dep]))))
+                    break
+                if dep not in component and order[dep] < low[node]:  # still on the stack
+                    low[node] = order[dep]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] != order[node]:
+                    continue
+                index = len(level)
+                members = [stack.pop()]
+                while members[-1] != node:
+                    members.append(stack.pop())
+                component.update(dict.fromkeys(members, index))
+                level.append(max((level[component[dep]] + negative for member in members
+                                  for dep, negative in succ[member].items()
+                                  if component[dep] != index), default=0))
     # The first exception declaration, in program order, that closes a cycle.
     for decl in program.exceptions:
         head, dep = decl.head.key, decl.exception.key
-        if component_of[head] == component_of[dep]:
-            raise Unstratified(_cycle_through(head, dep, components[component_of[head]], succ))
-    # Assign strata over the condensation, dependencies first.
-    comp_edges: dict[int, set[tuple[int, bool]]] = defaultdict(set)
-    indegree: dict[int, int] = {i: 0 for i in range(len(components))}
-    reverse: dict[int, set[int]] = defaultdict(set)
-    for head, dep, negative in edges:
-        a, b = component_of[head], component_of[dep]
-        if a != b:
-            comp_edges[a].add((b, negative))
-    for a, targets in comp_edges.items():
-        indegree[a] = len({b for b, _ in targets})
-        for b, _ in targets:
-            reverse[b].add(a)
-    stratum: dict[int, int] = {}
-    ready = [i for i in range(len(components)) if indegree[i] == 0]
-    while ready:
-        comp = ready.pop()
-        stratum[comp] = max(
-            (stratum[b] + (1 if negative else 0) for b, negative in comp_edges.get(comp, ())),
-            default=0,
-        )
-        for parent in reverse.get(comp, ()):
-            indegree[parent] -= 1
-            if indegree[parent] == 0:
-                ready.append(parent)
-    height = max(stratum.values()) + 1
-    partition: list[set[PredicateKey]] = [set() for _ in range(height)]
-    for index, component in enumerate(components):
-        partition[stratum[index]].update(component)
-    return [frozenset(level) for level in partition]
+        if component[head] == component[dep]:
+            raise Unstratified(_cycle_through(head, dep, succ))
+    partition: list[set[PredicateKey]] = [set() for _ in range(max(level, default=-1) + 1)]
+    for key, index in component.items():
+        partition[level[index]].add(key)
+    return [frozenset(keys) for keys in partition]
 
 
 _Edges = tuple[tuple[EdgeKind, TraceNode], ...]

@@ -216,7 +216,11 @@ def load_case(path: Union[str, Path]) -> CaseFile:
         errors.append("field 'facts' must be a list of atoms or {\"path\": ...}")
 
     fragments: list[TraceFragment] = []
-    for raw in obj.get("expected_trace_fragments", []):
+    raw_fragments = obj.get("expected_trace_fragments", [])
+    if not isinstance(raw_fragments, list):
+        errors.append("field 'expected_trace_fragments' must be a list")
+        raw_fragments = []
+    for raw in raw_fragments:
         if not isinstance(raw, dict):
             errors.append(f"trace fragment must be an object: {raw!r}")
             continue

@@ -156,11 +156,6 @@ def findings_to_json(findings: list[LintFinding]) -> str:
     return json.dumps([f.to_obj() for f in findings], indent=2)
 
 
-def _heads_unify(decl_head: Atom, rule_head: Atom) -> bool:
-    mapping = {name: Variable(f"_L_{name}") for name in variables_of(decl_head)}
-    return unify_atoms(rename_atom(decl_head, mapping), rule_head) is not None
-
-
 def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFinding]:
     """Run every check; findings are ordered by source position."""
     cfg = config or DEFAULT_LINT_CONFIG
@@ -212,7 +207,11 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
                 )
 
     for index, decl in enumerate(program.exceptions, start=1):
-        if not any(_heads_unify(decl.head, rule.head) for rule in program.rules):
+        # Renamed apart from the rule heads; only rules under its key can unify.
+        mapping = {name: Variable(f"_L_{name}") for name in variables_of(decl.head)}
+        head = rename_atom(decl.head, mapping)
+        rules = by_head.get(decl.head.key, ())
+        if not any(unify_atoms(head, rule.head) is not None for rule in rules):
             findings.append(
                 LintFinding(
                     LintCheck.ORPHAN_EXCEPTION,
@@ -249,22 +248,21 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
     try:
         stratify(program)
     except Unstratified as exc:
-        cycle_preds = set(exc.cycle)
-        line = None
-        statement = "program"
-        for index, decl in enumerate(program.exceptions, start=1):
-            if decl.head.key in cycle_preds:
-                line = decl.line
-                statement = f"exception {index}"
-                break
-        pretty = " -> ".join(indicator(k) for k in exc.cycle + exc.cycle[:1])
+        # The cycle starts with the head and exception of the first
+        # declaration, in program order, that closes it.
+        closing = (exc.cycle[0], (exc.cycle + exc.cycle)[1])
+        index, decl = next(
+            (index, decl)
+            for index, decl in enumerate(program.exceptions, start=1)
+            if (decl.head.key, decl.exception.key) == closing
+        )
         findings.append(
             LintFinding(
                 LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE,
                 ERROR,
-                statement,
-                line,
-                f"exception dependencies form a cycle: {pretty}",
+                f"exception {index}",
+                decl.line,
+                str(exc),
             )
         )
 

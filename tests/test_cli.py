@@ -357,6 +357,23 @@ class TestCase:
         code, _, err = run_cli(capsys, "case", "run", str(path))
         assert code == 2
 
+    def test_non_list_fragments_exit_2_in_a_fresh_process(self, tmp_path):
+        for value in (None, 5, "abc", {}):
+            case = {
+                "id": "fragments",
+                "description": "fragments that are not a list",
+                "ruleset": str(curated_ruleset_path()),
+                "facts": [],
+                "query": "lawful_processing(case1)",
+                "expected": "x",
+                "expected_trace_fragments": value,
+            }
+            path = tmp_path / "fragments.case.json"
+            path.write_text(json.dumps(case), encoding="utf-8")
+            done = run_fresh_python("-m", "proleg.cli", "case", "run", str(path))
+            assert (done.returncode, done.stdout) == (2, ""), value
+            assert done.stderr == f"{path}: field 'expected_trace_fragments' must be a list\n"
+
     def test_empty_directory_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "case", "run", "--all", str(tmp_path))
         assert code == 2

@@ -1,0 +1,30 @@
+"""The package depends on the standard library only."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "proleg"
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one module."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_module_imports_only_the_standard_library_or_proleg():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 5
+    allowed = set(sys.stdlib_module_names) | {"proleg"}
+    outside = {
+        str(path.relative_to(SRC)): sorted(imported_modules(path) - allowed) for path in modules
+    }
+    assert {name: found for name, found in outside.items() if found} == {}

@@ -102,6 +102,18 @@ class TestIndividualChecks:
         assert finding.severity == ERROR
         assert "p/0" in finding.message and "q/0" in finding.message
 
+    def test_unstratified_cycle_reported_at_the_closing_declaration(self):
+        cases = [
+            ("a <= c.\nc <= a.\nexception(a, x).\nexception(c, a).\n", 4, "c/0 -> a/0 -> c/0"),
+            # A self-loop: the cycle has one element.
+            ("p <= q.\nexception(q, r).\nexception(p, p).\n", 3, "p/0 -> p/0"),
+        ]
+        for source, line, cycle in cases:
+            findings = by_check(lint(parse_program(source), DEFAULT_LINT_CONFIG))
+            [finding] = findings[LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE]
+            assert (finding.statement, finding.line) == ("exception 2", line)
+            assert finding.message == f"exception dependencies form a cycle: {cycle}"
+
     def test_generic_sibling_mode(self):
         program = parse_program("p <= a, shared.\np <= b.")
         config = LintConfig(generic_siblings=True, declared_fact_schema=())

@@ -102,6 +102,17 @@ class TestStratify:
         assert lines[-1] == f"error: UNSTRATIFIED_EXCEPTION_CYCLE at exception 1 (line 1): {cycle}"
 
 
+    def test_long_exception_chain_at_the_default_recursion_limit(self):
+        # A fresh interpreter, because solve raises the limit in this one.
+        script = (
+            "import sys\n"
+            "from proleg import parse_program, stratify\n"
+            "source = ''.join(f'p{i} <= q{i}. exception(p{i}, p{i + 1}).' for i in range(5000))\n"
+            "print(sys.getrecursionlimit(), len(stratify(parse_program(source))))\n"
+        )
+        done = run_fresh_python("-c", script)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1000 5001\n", "")
+
     def test_matches_the_reference_on_random_programs(self):
         rng = random.Random(8)
         outcomes = {True: 0, False: 0}

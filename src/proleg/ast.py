@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 if TYPE_CHECKING:
     from .engine import ProgramIndex
@@ -267,29 +267,60 @@ def _iter_variables(value: Union[Term, Atom]) -> Iterator[str]:
             yield from _iter_variables(arg)
 
 
+# The field each term kind the resolver builds keeps its name in.
+_NAME_FIELD = {Variable: "name", Compound: "functor", Atom: "predicate"}
+
+
+def _built(cls: type, name: str, args: Optional[tuple] = None):
+    """A Variable (``args`` None), Compound or Atom made from parts that
+    were checked when they were first built: a valid name and a tuple of
+    terms. It skips the public constructors' name check and tuple copy,
+    which the resolver would otherwise pay on every term it builds."""
+    obj = object.__new__(cls)
+    fields = obj.__dict__
+    fields[_NAME_FIELD[cls]] = name
+    if args is not None:
+        fields["args"] = args
+    return obj
+
+
 def rename_term(term: Term, mapping: Mapping[str, Variable]) -> Term:
     """Replace variables by name according to ``mapping``."""
     if isinstance(term, Variable):
         return mapping.get(term.name, term)
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(rename_term(a, mapping) for a in term.args))
+        return _built(Compound, term.functor, tuple(rename_term(a, mapping) for a in term.args))
     return term
 
 
 def rename_atom(atom: Atom, mapping: Mapping[str, Variable]) -> Atom:
-    return Atom(atom.predicate, tuple(rename_term(a, mapping) for a in atom.args))
+    return _built(Atom, atom.predicate, tuple(rename_term(a, mapping) for a in atom.args))
+
+
+def rename_apart(atoms: tuple[Atom, ...], names: Iterable[str], serial: int) -> tuple[Atom, ...]:
+    """The atoms with each variable in ``names`` renamed to ``name#serial``.
+
+    No name the surface syntax or the public constructors accept holds
+    ``#``, so a renamed variable never captures a variable of a query or
+    of a clause used unrenamed; renamings with distinct serials stay apart.
+    """
+    suffix = f"#{serial}"
+    mapping = {name: _built(Variable, name + suffix) for name in names}
+    return tuple(rename_atom(atom, mapping) for atom in atoms)
 
 
 def canonical_atom(atom: Atom) -> Atom:
     """Rename the atom's variables to ``_G0, _G1, ...`` in occurrence order.
 
     Two atoms that are identical up to variable renaming canonicalise to
-    the same atom, which is what the evaluator's loop check compares.
+    the same atom, which is what the evaluator's loop check compares. A
+    ground atom comes back as itself, so ``canonical_atom(a) is a`` tells
+    whether ``a`` is ground.
     """
-    mapping = {
-        name: Variable(f"_G{i}") for i, name in enumerate(variables_of(atom))
-    }
-    return rename_atom(atom, mapping)
+    names = variables_of(atom)
+    if not names:
+        return atom
+    return rename_atom(atom, {name: _built(Variable, f"_G{i}") for i, name in enumerate(names)})
 
 
 class Substitution:
@@ -384,12 +415,12 @@ def _apply(bindings: Mapping[str, Term], term: Term, path: Optional[set[str]]) -
         path.difference_update(chain)
         return term
     if isinstance(term, Compound):
-        return Compound(term.functor, tuple(_apply(bindings, a, path) for a in term.args))
+        return _built(Compound, term.functor, tuple(_apply(bindings, a, path) for a in term.args))
     return term
 
 
 def apply_atom(subst: Substitution, atom: Atom) -> Atom:
-    return Atom(atom.predicate, tuple(_apply(subst._bindings, a, None) for a in atom.args))
+    return _built(Atom, atom.predicate, tuple(_apply(subst._bindings, a, None) for a in atom.args))
 
 
 def _occurs(bindings: Mapping[str, Term], name: str, term: Term) -> bool:

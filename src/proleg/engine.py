@@ -1,12 +1,12 @@
 """Query evaluation under rule-with-exception semantics.
 
 A goal instance succeeds when it matches a case fact, or when some rule
-(tried in program order, with fresh variable renaming per use) has a
-head unifying with the goal, every body atom succeeds left to right
-under the accumulated substitution, and no declared exception whose
-head unifies with the resolved goal instance can itself be proven. An
-exception that succeeds defeats the conclusion instance outright, for
-every rule deriving it.
+(tried in program order, its variables renamed apart per use unless the
+goal is ground) has a head unifying with the goal, every body atom
+succeeds left to right under the accumulated substitution, and no
+declared exception whose head unifies with the resolved goal instance
+can itself be proven. An exception that succeeds defeats the conclusion
+instance outright, for every rule deriving it.
 
 Exception checking is negation as failure, so programs must stratify:
 no dependency cycle may pass through an exception edge. ``stratify``
@@ -39,11 +39,9 @@ from .ast import (
     apply_atom,
     canonical_atom,
     indicator,
-    is_ground,
-    rename_atom,
+    rename_apart,
     unify_atoms,
     variables_of,
-    Variable,
 )
 from .trace import EdgeKind, FACT_MARKER, Outcome, TraceNode
 
@@ -273,14 +271,15 @@ class _Resolver:
         """The clause's atoms with their variables renamed apart from every other use."""
         atoms, names = clause
         self.rename_serial += 1
-        prefix = f"_R{self.rename_serial}_"
-        mapping = {name: Variable(prefix + name) for name in names}
-        return tuple(rename_atom(atom, mapping) for atom in atoms)
+        return rename_apart(atoms, names, self.rename_serial)
 
     # A goal that is ground under the current substitution can add no
     # binding its caller could see, so one solution settles it; defeat
     # is likewise settled by the first derivation, because every
-    # derivation resolves to the same conclusion instance.
+    # derivation resolves to the same conclusion instance. For the same
+    # reason a ground goal proves each clause in a substitution of its
+    # own, made by unifying the unrenamed head with the resolved goal:
+    # no variable of the caller's can meet the clause's there.
 
     def prove(self, goal: Atom, subst: Substitution, depth: int, ancestors: _Ancestors
               ) -> Iterator[tuple[Optional[Substitution], TraceNode]]:
@@ -300,7 +299,7 @@ class _Resolver:
         self.steps += 1
         if depth > self.config.max_depth:
             raise DepthExceeded(canon, depth, self.steps)
-        ground = is_ground(resolved)
+        ground = canon is resolved
         if ground:
             if canon in self.success_cache:
                 yield subst, self.success_cache[canon]
@@ -320,21 +319,25 @@ class _Resolver:
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
-            node = TraceNode(
-                canonical_atom(apply_atom(bound, goal)), Outcome.SUCCESS, via=FACT_MARKER
-            )
             if ground:
+                node = TraceNode(canon, Outcome.SUCCESS, via=FACT_MARKER)
                 self.success_cache[canon] = node
                 yield subst, node
                 return
             found = True
-            yield bound, node
+            yield bound, TraceNode(
+                canonical_atom(apply_atom(bound, goal)), Outcome.SUCCESS, via=FACT_MARKER
+            )
         attempts: list[tuple[EdgeKind, TraceNode]] = []
         defeated_via: Optional[str] = None
         settled = False
         for rule_id, clause in self.rules.get(goal.key, ()):
-            head, *body = self._fresh(clause)
-            bound = unify_atoms(head, goal, subst)
+            if ground:
+                head, *body = clause[0]
+                bound = unify_atoms(head, resolved)
+            else:
+                head, *body = self._fresh(clause)
+                bound = unify_atoms(head, goal, subst)
             if bound is None:
                 continue
             # A failure shows the rule's first body item: the failed
@@ -344,15 +347,21 @@ class _Resolver:
                 if solution is None:
                     shown = conditions
                     continue
-                instance = apply_atom(solution, goal)
-                checks, defeated = self._exception_checks(instance, depth, ancestors)
+                if ground:
+                    instance, node_goal = resolved, canon
+                else:
+                    instance = apply_atom(solution, goal)
+                    node_goal = canonical_atom(instance)
+                checks, defeated = self._exception_checks(
+                    instance, node_goal is instance, depth, ancestors
+                )
                 if shown is None:
                     shown = conditions + checks
                     if defeated and defeated_via is None:
                         defeated_via = rule_id
                 if not defeated:
                     node = TraceNode(
-                        canonical_atom(instance),
+                        node_goal,
                         Outcome.SUCCESS,
                         via=rule_id,
                         children=conditions + checks,
@@ -404,13 +413,15 @@ class _Resolver:
                     yield rest, edge + edges
             first_path = False
 
-    def _exception_checks(self, instance: Atom, depth: int, ancestors: _Ancestors
-                          ) -> tuple[_Edges, bool]:
+    def _exception_checks(self, instance: Atom, ground: bool, depth: int,
+                          ancestors: _Ancestors) -> tuple[_Edges, bool]:
         """Exception edges of a conclusion instance in declaration order, up
-        to the first exception that holds, and whether one held."""
+        to the first exception that holds, and whether one held. Each
+        declaration unifies into a substitution of its own, so only a
+        non-ground instance needs it renamed apart."""
         checks: list[tuple[EdgeKind, TraceNode]] = []
         for clause in self.exceptions.get(instance.key, ()):
-            head, exception = self._fresh(clause)
+            head, exception = clause[0] if ground else self._fresh(clause)
             bound = unify_atoms(head, instance)
             if bound is None:
                 continue

@@ -32,9 +32,8 @@ from .ast import (
     Atom,
     PredicateKey,
     Program,
-    Variable,
     indicator,
-    rename_atom,
+    rename_apart,
     unify_atoms,
     variables_of,
 )
@@ -208,8 +207,7 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
 
     for index, decl in enumerate(program.exceptions, start=1):
         # Renamed apart from the rule heads; only rules under its key can unify.
-        mapping = {name: Variable(f"_L_{name}") for name in variables_of(decl.head)}
-        head = rename_atom(decl.head, mapping)
+        (head,) = rename_apart((decl.head,), variables_of(decl.head), index)
         rules = by_head.get(decl.head.key, ())
         if not any(unify_atoms(head, rule.head) is not None for rule in rules):
             findings.append(

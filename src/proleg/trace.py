@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterator, Optional
 
 from .ast import Atom
-from .parser import parse_atom
+from .parser import ParseFailure, parse_atom
 
 # The C string encoder json.dumps uses with ensure_ascii=True.
 _encode = json.encoder.encode_basestring_ascii
@@ -201,24 +201,52 @@ def _scalar(value: Optional[str]) -> str:
     return "null" if value is None else _encode(value)
 
 
-def _node_from_obj(obj: dict) -> TraceNode:
+# The fields of a node object and of a children item, with their JSON types.
+_NODE_FIELDS = {
+    "goal": str,
+    "outcome": str,
+    "via": (str, type(None)),
+    "defeated": bool,
+    "note": (str, type(None)),
+    "children": list,
+}
+_CHILD_FIELDS = {"edge": str, "node": dict}
+_OUTCOMES = {outcome.value: outcome for outcome in Outcome}
+_EDGES = {kind.value: kind for kind in EdgeKind}
+
+
+def _malformed(detail: str) -> ValueError:
+    return ValueError(f"malformed trace JSON: {detail}")
+
+
+def _checked(obj: object, fields: dict, what: str) -> dict:
+    """``obj`` itself, once it is an object holding every field with its type."""
+    if not isinstance(obj, dict):
+        raise _malformed(f"{what} is a {type(obj).__name__}, not an object")
+    for name, kind in fields.items():
+        if name not in obj:
+            raise _malformed(f"{what} has no {name!r}")
+        if not isinstance(obj[name], kind):
+            raise _malformed(f"{what} field {name!r} is a {type(obj[name]).__name__}")
+    return obj
+
+
+def _node_from_obj(obj: object) -> TraceNode:
+    obj = _checked(obj, _NODE_FIELDS, "node")
     try:
         goal = parse_atom(obj["goal"])
-        outcome = Outcome(obj["outcome"])
-        children = tuple(
-            (EdgeKind(child["edge"]), _node_from_obj(child["node"]))
-            for child in obj["children"]
-        )
-        return TraceNode(
-            goal=goal,
-            outcome=outcome,
-            via=obj["via"],
-            defeated=bool(obj["defeated"]),
-            children=children,
-            note=obj["note"],
-        )
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed trace JSON: {exc}") from exc
+    except ParseFailure as exc:
+        raise _malformed(f"goal {obj['goal']!r}: {exc}") from exc
+    if obj["outcome"] not in _OUTCOMES:
+        raise _malformed(f"outcome {obj['outcome']!r}")
+    children = []
+    for child in obj["children"]:
+        child = _checked(child, _CHILD_FIELDS, "child")
+        if child["edge"] not in _EDGES:
+            raise _malformed(f"edge {child['edge']!r}")
+        children.append((_EDGES[child["edge"]], _node_from_obj(child["node"])))
+    return TraceNode(goal, _OUTCOMES[obj["outcome"]], via=obj["via"],
+                     defeated=obj["defeated"], children=tuple(children), note=obj["note"])
 
 
 def trace_from_json(text: str) -> TraceNode:

@@ -29,6 +29,7 @@ from proleg.ast import (
     Term,
     Text,
     Variable,
+    canonical_atom,
 )
 from proleg.convert import PrologClause
 from proleg.trace import TRACE_VERSION, EdgeKind, Outcome, TraceNode, iter_nodes
@@ -592,6 +593,8 @@ def validate_dot(text: str) -> None:
 
 def assert_trace_invariants(root: TraceNode) -> None:
     for node, _edge in iter_nodes(root):
+        # Every goal is shown canonically, so no internal name can leak.
+        assert node.goal == canonical_atom(node.goal), f"goal not canonical: {node.goal}"
         assert node.outcome.glyph in ("o", "x")
         cond = [c for k, c in node.children if k is EdgeKind.CONDITION]
         exc = [c for k, c in node.children if k is EdgeKind.EXCEPTION]

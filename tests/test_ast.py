@@ -19,6 +19,7 @@ from proleg.ast import (
     apply,
     canonical_atom,
     is_ground,
+    rename_apart,
     unify,
     unify_atoms,
     variables_of,
@@ -193,6 +194,8 @@ class TestModelInvariants:
             Variable("lower")
         with pytest.raises(ValueError):
             Atom("Bad")
+        with pytest.raises(ValueError):
+            Variable("X#1")  # the form rename_apart gives
 
     def test_is_ground_and_variables_of(self):
         atom = Atom("p", (f(V("X"), C("a")), V("Y"), V("X")))
@@ -204,6 +207,20 @@ class TestModelInvariants:
         left = Atom("p", (V("A"), f(V("B"), V("A"))))
         right = Atom("p", (V("Q"), f(V("R"), V("Q"))))
         assert canonical_atom(left) == canonical_atom(right)
+
+    def test_canonical_atom_returns_a_ground_atom_itself(self):
+        ground = Atom("p", (f(C("a")), Integer(2)))
+        assert canonical_atom(ground) is ground
+        assert canonical_atom(Atom("p", (V("X"),))) == Atom("p", (V("_G0"),))
+
+    def test_rename_apart_renames_only_the_named_variables(self):
+        head, body = Atom("p", (f(V("X"), C("a")), V("Y"))), Atom("q", (V("X"),))
+        renamed = rename_apart((head, body), ["X"], 3)
+        assert [str(atom) for atom in renamed] == ["p(f(X#3, a), Y)", "q(X#3)"]
+        # The built terms compare and hash like checked ones.
+        twin = Atom("p", (f(V("Z"), C("a")), V("Y")))
+        assert canonical_atom(renamed[0]) == canonical_atom(twin)
+        assert hash(canonical_atom(renamed[0])) == hash(canonical_atom(twin))
 
     def test_structural_equality_and_hash(self):
         a1 = Atom("p", (C("a"), Integer(1)))

@@ -13,12 +13,13 @@ from proleg.engine import (
     EngineConfig,
     StepsExceeded,
     Unstratified,
+    _Resolver,
     holds_all,
     solve,
     stratify,
 )
 from proleg.gdpr import bundled_case_paths, load_case
-from proleg.parser import parse_facts, parse_program
+from proleg.parser import parse_atom, parse_facts, parse_program
 from proleg.trace import Outcome, render_json, render_text
 
 from helpers import (
@@ -233,6 +234,58 @@ class TestSolve:
         assert good is Outcome.SUCCESS
         assert bad is Outcome.FAILURE
 
+    # A ground callee proves its clause in a substitution of its own, so
+    # mid's clause may reuse the names X and Y that top's clause holds.
+    CALLER_NAMES = (
+        "top(X) <= s(X, Y), mid(Y).\nmid(X) <= t(X, Y), u(Y).\nexception(mid(X), v(X, Y))."
+    )
+    CALLER_FACTS = "s(a, b). s(a, c). s(d, b). t(b, d). t(c, d). u(d). v(b, z)."
+    MID_C = (
+        "mid(c) [o] (r2)\n"
+        "  -> t(c, d) [o] (fact)\n"
+        "  -> u(d) [o] (fact)\n"
+        "  ~> v(c, _G0) [x] (no rule matched)\n"
+    )
+    MID_B = (
+        "mid(b) [x] (r2; defeated)\n"
+        "  -> t(b, d) [o] (fact)\n"
+        "  -> u(d) [o] (fact)\n"
+        "  ~> v(b, z) [o] (fact)\n"
+    )
+    TOP_A = (
+        "top(a) [o] (r1)\n"
+        "  -> s(a, c) [o] (fact)\n"
+        "  -> mid(c) [o] (r2)\n"
+        "    -> t(c, d) [o] (fact)\n"
+        "    -> u(d) [o] (fact)\n"
+        "    ~> v(c, _G0) [x] (no rule matched)\n"
+    )
+    TOP_D = (
+        "top(d) [x]\n"
+        "  -> s(d, b) [o] (fact)\n"
+        "  -> mid(b) [x] (r2; defeated)\n"
+        "    -> t(b, d) [o] (fact)\n"
+        "    -> u(d) [o] (fact)\n"
+        "    ~> v(b, z) [o] (fact)\n"
+    )
+
+    @pytest.mark.parametrize("query, expected", [
+        ("top(a)", TOP_A), ("top(W)", TOP_A), ("top(Y)", TOP_A), ("top(d)", TOP_D),
+        ("mid(b)", MID_B), ("mid(X)", MID_C),
+    ], ids=["top(a)", "top(W)", "top(Y)", "top(d)", "mid(b)", "mid(X)"])
+    def test_ground_callee_may_reuse_its_callers_variable_names(self, query, expected):
+        program = parse_program(self.CALLER_NAMES)
+        _, trace = solve(program, parse_facts(self.CALLER_FACTS), parse_atom(query))
+        assert render_text(trace) == expected
+
+    @pytest.mark.parametrize("name", ["W", "Z", "_G0", "_R1_Z", "_L_Z"])
+    def test_renamed_clause_variables_never_capture_a_query_variable(self, name):
+        # Clause variables are renamed apart to names no query can write.
+        program = parse_program("p(X) <= q(X, Z), r(Z).")
+        out, trace = solve(program, parse_facts("q(a, b). r(b)."), Atom("p", (Variable(name),)))
+        assert out is Outcome.SUCCESS
+        assert render_text(trace) == "p(a) [o] (r1)\n  -> q(a, b) [o] (fact)\n  -> r(b) [o] (fact)\n"
+
 
 class TestHoldsAll:
     def test_two_step_chain(self):
@@ -379,6 +432,62 @@ def test_solve_agrees_with_holds_all_on_random_nonground_programs():
                 f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
             )
             assert_trace_invariants(trace)
+
+
+def _instance_of(pattern: Atom, atom: Atom) -> bool:
+    """Whether the ground atom is an instance of the pattern, whose
+    arguments are constants and variables."""
+    bindings: dict = {}
+    return pattern.key == atom.key and all(
+        bindings.setdefault(p.name, a) == a if isinstance(p, Variable) else p == a
+        for p, a in zip(pattern.args, atom.args)
+    )
+
+
+def test_nonground_queries_agree_with_holds_all_on_random_nonground_programs():
+    # A non-ground query holds when some ground instance of it does, so
+    # the search runs open goals whose callees become ground part way.
+    rng = random.Random(11)
+    asked = exhausted = 0
+    for _ in range(200):
+        program, facts, constants, universe = random_nonground_program(rng)
+        model = holds_all(ground_over(program, constants), facts)
+        for name, arity in sorted({atom.key for atom in universe if atom.args}):
+            fresh = tuple(Variable(f"V{k}") for k in range(arity))
+            for pattern in (Atom(name, fresh), Atom(name, (Variable("V0"),) * arity),
+                            Atom(name, (Constant(constants[0]),) + fresh[1:])):
+                asked += 1
+                try:
+                    out, trace = solve(program, facts, pattern)
+                except StepsExceeded:
+                    exhausted += 1
+                    continue
+                expected = any(_instance_of(pattern, atom) for atom in model)
+                assert (out is Outcome.SUCCESS) == expected, (
+                    f"disagreement on {pattern}\nrules: {program.rules}\n"
+                    f"exceptions: {program.exceptions}\nfacts: {sorted(map(str, facts.facts))}"
+                )
+                assert_trace_invariants(trace)
+    # An open goal may search without bound; only a few may use up the budget.
+    assert asked > 1000 and exhausted <= asked // 100
+
+
+def test_ground_goals_rename_no_clause(monkeypatch):
+    # A ground goal proves each clause unrenamed, in a substitution of its
+    # own. Goals of the curated base are ground once the subject is, and
+    # a ground program has no other kind, so neither renames a clause.
+    def renamed(self, clause):
+        raise AssertionError(f"renamed the clause of {clause[0][0]}")
+
+    monkeypatch.setattr(_Resolver, "_fresh", renamed)
+    for path in bundled_case_paths():
+        case = load_case(path)
+        solve(case.program, case.facts, case.query)
+    rng = random.Random(97)
+    for _ in range(50):
+        program, facts, universe = random_ground_program(rng)
+        for atom in universe:
+            solve(program, facts, atom)
 
 
 def test_repeated_solves_on_one_program_match_fresh_copies():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from proleg.gdpr import curated_ruleset_path, lint_config_path, llm_ruleset_path
 from proleg.lint import (
     DEFAULT_LINT_CONFIG,
@@ -78,6 +80,13 @@ class TestIndividualChecks:
 
     def test_exception_head_unifying_a_rule_is_not_orphan(self):
         program = parse_program("p(X) <= q(X).\nexception(p(a), e).")
+        findings = by_check(lint(program, DEFAULT_LINT_CONFIG))
+        assert LintCheck.ORPHAN_EXCEPTION not in findings
+
+    @pytest.mark.parametrize("variable", ["V", "X", "_L_X", "_G0"])
+    def test_orphan_check_renames_apart_from_any_rule_variable(self, variable):
+        # p(b, V) unifies with p(X, a) whatever the rule calls V.
+        program = parse_program(f"p(b, {variable}) <= q({variable}).\nexception(p(X, a), r(X)).")
         findings = by_check(lint(program, DEFAULT_LINT_CONFIG))
         assert LintCheck.ORPHAN_EXCEPTION not in findings
 

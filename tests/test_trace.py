@@ -159,6 +159,44 @@ class TestRenderJson:
             trace_from_json(text)
 
 
+_DELETED = object()
+
+
+@pytest.mark.parametrize("path, value", [
+    ("goal", "p("),
+    ("goal", "p(X) <= q"),
+    ("goal", 5),
+    ("goal", None),
+    ("outcome", ["o"]),
+    ("outcome", "maybe"),
+    ("via", 3),
+    ("defeated", "false"),
+    ("defeated", 0),
+    ("note", [1]),
+    ("note", _DELETED),
+    ("children", 5),
+    ("children", {"edge": "condition"}),
+    ("children.0", 5),
+    ("children.0", {"edge": "condition"}),
+    ("children.0.edge", 1),
+    ("children.0.edge", "because"),
+    ("children.0.node", [1]),
+    ("children.0.node.goal", "p("),
+])
+def test_malformed_trace_json_is_a_value_error(path, value):
+    obj = json.loads(render_json(defeated_consent_node()))
+    keys = [int(key) if key.isdigit() else key for key in path.split(".")]
+    container = obj
+    for key in keys[:-1]:
+        container = container[key]
+    if value is _DELETED:
+        del container[keys[-1]]
+    else:
+        container[keys[-1]] = value
+    with pytest.raises(ValueError, match="^malformed trace JSON: "):
+        trace_from_json(json.dumps(obj, indent=2))
+
+
 def test_glyph_mapping_everywhere():
     node = defeated_consent_node()
     assert Outcome.SUCCESS.glyph == "o"

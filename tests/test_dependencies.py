@@ -1,4 +1,5 @@
-"""The package depends on the standard library only."""
+"""Checks over the package source: it depends on the standard library only
+and changes no process-wide interpreter setting."""
 
 from __future__ import annotations
 
@@ -28,3 +29,24 @@ def test_every_module_imports_only_the_standard_library_or_proleg():
         str(path.relative_to(SRC)): sorted(imported_modules(path) - allowed) for path in modules
     }
     assert {name: found for name, found in outside.items() if found} == {}
+
+
+def names_used(path: Path) -> set[str]:
+    """Every attribute, variable and imported name one module mentions."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_no_module_changes_the_recursion_limit():
+    # Every walk and the search itself run on explicit stacks, so nothing
+    # needs a raised limit, and a raised limit would outlive the call.
+    modules = sorted(SRC.rglob("*.py"))
+    assert [str(path.relative_to(SRC)) for path in modules
+            if "setrecursionlimit" in names_used(path)] == []

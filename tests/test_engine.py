@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from proleg.ast import Atom, Constant, FactBase, Program, Variable
 from proleg.engine import (
     DepthExceeded,
     EngineConfig,
+    EngineError,
     StepsExceeded,
     Unstratified,
     _Resolver,
@@ -366,6 +368,108 @@ class TestTermination:
     def test_mutual_recursion_fails_finitely(self):
         out, _ = outcome_of("p <= q. q <= p.", "p")
         assert out is Outcome.FAILURE
+
+    LIMITS = (
+        "p(X) <= q(X, Y), r(Y). q(X, Y) <= e(X, Y). r(Y) <= s(Y), t(Y).",
+        "e(a, b). e(a, c). s(c). t(c).",
+    )
+
+    @pytest.mark.parametrize("query, config, expected", [
+        ("p(a)", EngineConfig(max_steps=4), (
+            StepsExceeded, "resolution step budget exhausted after 4 steps at s(b) (depth 3)")),
+        ("p(a)", EngineConfig(max_steps=7), (
+            StepsExceeded, "resolution step budget exhausted after 7 steps at t(c) (depth 3)")),
+        ("p(a)", EngineConfig(max_depth=2), (
+            DepthExceeded,
+            "goal nesting exceeded the depth limit at e(a, _G0) (depth 3, after 3 steps)")),
+        ("p(X)", EngineConfig(max_steps=4), (
+            StepsExceeded, "resolution step budget exhausted after 4 steps at s(b) (depth 3)")),
+        ("p(X)", EngineConfig(max_steps=7), (
+            StepsExceeded, "resolution step budget exhausted after 7 steps at t(c) (depth 3)")),
+        ("p(X)", EngineConfig(max_depth=1), (
+            DepthExceeded,
+            "goal nesting exceeded the depth limit at q(_G0, _G1) (depth 2, after 2 steps)")),
+    ])
+    def test_limit_errors_name_the_goal_depth_and_steps(self, query, config, expected):
+        # The budget runs out after backtracking from s(b) into e(a, c).
+        with pytest.raises(EngineError) as info:
+            solve(parse_program(self.LIMITS[0]), parse_facts(self.LIMITS[1]),
+                  parse_atom(query), config)
+        assert (type(info.value), str(info.value)) == expected
+
+    NO_LOOP_CHECK = (
+        "p(X) <= e(X, Y), p(Y). p(X) <= base(X). exception(p(X), bad(X)). bad(X) <= flag(X).",
+        "e(a, b). e(b, c). base(c). base(b). flag(b).",
+    )
+    P_C = (
+        "p(c) [o] (r2)\n"
+        "  -> base(c) [o] (fact)\n"
+        "  ~> bad(c) [x]\n"
+        "    -> flag(c) [x] (no rule matched)\n"
+    )
+    P_A = (
+        "p(a) [x]\n"
+        "  -> e(a, b) [o] (fact)\n"
+        "  -> p(b) [x] (r1; defeated)\n"
+        "    -> e(b, c) [o] (fact)\n"
+        "    -> p(c) [o] (r2)\n"
+        "      -> base(c) [o] (fact)\n"
+        "      ~> bad(c) [x]\n"
+        "        -> flag(c) [x] (no rule matched)\n"
+        "    ~> bad(b) [o] (r3)\n"
+        "      -> flag(b) [o] (fact)\n"
+        "    -> base(b) [o] (fact)\n"
+        "    ~> bad(b) [o] (r3)\n"
+        "      -> flag(b) [o] (fact)\n"
+        "  -> base(a) [x] (no rule matched)\n"
+    )
+
+    @pytest.mark.parametrize("query, expected", [("p(a)", P_A), ("p(X)", P_C), ("p(c)", P_C)])
+    def test_traces_without_the_loop_check(self, query, expected):
+        # A defeated ground goal still shows its later rules; the open query
+        # backtracks past p(b), defeated, into e(b, c) and then into r2.
+        config = EngineConfig(loop_check=False, max_depth=8)
+        _, trace = solve(parse_program(self.NO_LOOP_CHECK[0]),
+                         parse_facts(self.NO_LOOP_CHECK[1]), parse_atom(query), config)
+        assert render_text(trace) == expected
+
+    @pytest.mark.parametrize("query, goal", [("p(a)", "e(b, _G0)"), ("p(X)", "e(b, _G0)"),
+                                             ("p(c)", "e(a, _G0)")])
+    def test_cycle_without_the_loop_check_reaches_the_depth_limit(self, query, goal):
+        config = EngineConfig(loop_check=False, max_depth=8)
+        with pytest.raises(DepthExceeded) as info:
+            solve(parse_program(self.NO_LOOP_CHECK[0]),
+                  parse_facts(self.NO_LOOP_CHECK[1] + " e(c, a)."), parse_atom(query), config)
+        assert str(info.value) == (
+            f"goal nesting exceeded the depth limit at {goal} (depth 9, after 16 steps)"
+        )
+
+    def test_deep_chain_leaves_the_recursion_limit_alone(self):
+        # A fresh interpreter, so the limit it reports is the one solve left.
+        script = textwrap.dedent("""
+            import sys
+            from proleg import parse_atom, parse_facts, parse_program
+            from proleg.engine import EngineConfig, solve
+            from proleg.trace import render_dot, render_text
+
+            program = parse_program(''.join(f'p{i}(X) <= p{i + 1}(X).' for i in range(3000)))
+            facts = parse_facts('p3000(a).')
+            config = EngineConfig(max_depth=4000)
+            for query in ('p0(a)', 'p0(X)', 'p0(b)'):
+                outcome, trace = solve(program, facts, parse_atom(query), config)
+                text, dot = render_text(trace), render_dot(trace)
+                print(query, outcome.glyph, text.count('\\n'), dot.count(' -> '),
+                      text.splitlines()[-1].strip())
+            print(sys.getrecursionlimit())
+        """)
+        done = run_fresh_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "p0(a) o 3001 3000 -> p3000(a) [o] (fact)",
+            "p0(X) o 3001 3000 -> p3000(a) [o] (fact)",
+            "p0(b) x 3001 3000 -> p3000(b) [x] (no rule matched)",
+            "1000",
+        ]
 
 
 def _walk(node):

@@ -262,3 +262,26 @@ def test_walkers_handle_deep_traces_at_the_default_recursion_limit():
     assert lines[2] == '{|  "trace_version": 1,|  "goal": "p2000",|  "outcome": "o",'
     assert lines[3] == '         }|        ]|      }|    }|  ]|}'
     assert lines[4] == "1000"
+
+
+_DEEP_ROUND_TRIP_SCRIPT = textwrap.dedent("""
+    import sys
+    from proleg.ast import Atom
+    from proleg.trace import EdgeKind, Outcome, TraceNode, render_json, trace_from_json
+
+    node = TraceNode(Atom("p400"), Outcome.SUCCESS, via="fact")
+    for i in range(399, -1, -1):
+        node = TraceNode(Atom(f"p{i}"), Outcome.SUCCESS, via=f"r{i + 1}",
+                         children=((EdgeKind.CONDITION, node),))
+    text = render_json(node)
+    print(len(text), render_json(trace_from_json(text)) == text, sys.getrecursionlimit())
+""")
+
+
+def test_deep_trace_json_reads_back_at_the_default_recursion_limit():
+    # 401 levels are 1203 nested JSON containers, past what a recursive
+    # reader manages at the default limit. Dataclass == recurses too, so
+    # the rebuilt tree is compared through its rendering.
+    done = run_fresh_python("-c", _DEEP_ROUND_TRIP_SCRIPT)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5829114 True 1000\n"

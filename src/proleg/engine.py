@@ -24,10 +24,9 @@ Two evaluators are provided deliberately:
 
 from __future__ import annotations
 
-import sys
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ast import (
     Atom,
@@ -43,13 +42,16 @@ from .ast import (
     unify_atoms,
     variables_of,
 )
-from .trace import EdgeKind, FACT_MARKER, Outcome, TraceNode
-
-# Python stack frames per goal-nesting level: the goal's own frame plus
-# one per body atom the body walk nests through (measured on chains), one
-# spare, and never fewer than 8; plus slack for the caller's frames.
-_MIN_FRAMES_PER_LEVEL = 8
-_FRAME_SLACK = 512
+from .trace import (
+    FACT_MARKER,
+    Outcome,
+    TraceNode,
+    _CONDITION,
+    _EXCEPTION,
+    _FAILURE,
+    _SUCCESS,
+    _node,
+)
 
 
 @dataclass(frozen=True)
@@ -204,9 +206,6 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     return [frozenset(keys) for keys in partition]
 
 
-_Edges = tuple[tuple[EdgeKind, TraceNode], ...]
-_Ancestors = dict[Atom, int]
-
 # A clause's atoms, head first, and the variable names they hold.
 _Clause = tuple[tuple[Atom, ...], tuple[str, ...]]
 
@@ -221,9 +220,9 @@ class ProgramIndex:
 
     Building it checks that the program stratifies (raising Unstratified
     otherwise), groups the rules and the exception declarations by head
-    key in program order, with each clause's variable names, and sizes the
-    recursion headroom a goal level needs. ``Program`` keeps the index it
-    builds on first use, so every later solve on that object reuses it.
+    key in program order, with each clause's variable names. ``Program``
+    keeps the index it builds on first use, so every later solve on that
+    object reuses it.
     """
 
     def __init__(self, program: Program):
@@ -236,8 +235,45 @@ class ProgramIndex:
             exceptions[decl.head.key].append(_clause(decl.head, decl.exception))
         self.rules = dict(rules)
         self.exceptions = dict(exceptions)
-        longest_body = max((len(rule.body) for rule in program.rules), default=0)
-        self.frames_per_level = max(_MIN_FRAMES_PER_LEVEL, longest_body + 2)
+
+
+class _Goal:
+    """One goal on the search stack: what a recursive prove would keep in
+    its locals. ``parent`` is the goal it answers and ``slot`` its place
+    there: an index into the parent's clause atoms (head first) or
+    _CHECK_SLOT for an exception check. ``base`` is its own stack index.
+    ``atoms`` is the clause of the rule being tried, ``edges`` the
+    condition edges of the current path through its body, and ``low`` the
+    lowest body slot that has moved past its first solution."""
+
+    __slots__ = (
+        "parent", "slot", "base", "goal", "subst", "depth", "resolved", "canon", "ground",
+        "position", "mark", "facts", "rules", "found", "attempts", "defeated_via", "settled",
+        "rule_id", "atoms", "edges", "low", "shown", "solution", "instance", "node_goal",
+        "exceptions", "checks",
+    )
+
+    def __init__(self, parent: Optional[_Goal], slot: int, base: int, goal: Atom,
+                 subst: Substitution, depth: int, resolved: Atom, canon: Atom,
+                 position: int, mark: int, facts: Optional[list], rules: Optional[list]):
+        self.parent, self.slot, self.base = parent, slot, base
+        self.goal, self.subst, self.depth = goal, subst, depth
+        self.resolved, self.canon, self.ground = resolved, canon, canon is resolved
+        self.position, self.mark = position, mark
+        self.facts = iter(facts) if facts else None
+        self.rules = iter(rules) if rules else None
+        self.found = self.settled = False
+        self.attempts: list = []
+        self.defeated_via = self.atoms = None
+
+
+_CHECK_SLOT = -1
+
+# What the search loop does next: enter a goal; let the stack top try its
+# next fact or rule; check a body solution's exceptions, from the first or
+# the next declaration; settle a body solution; give an answer to the
+# caller; or resume the newest choice point above a goal.
+_CALL, _SEARCH, _SOLVED, _CHECK, _CHECKED, _ANSWER, _BACKTRACK = range(7)
 
 
 class _Resolver:
@@ -255,16 +291,14 @@ class _Resolver:
         self.facts: dict[PredicateKey, list[Atom]] = defaultdict(list)
         for fact in sorted(facts.facts, key=str):
             self.facts[fact.key].append(fact)
-        self.steps = 0
         self.rename_serial = 0
-        # Ground-goal memo tables, from goal to node. A success is valid
-        # in any context (the proof found cannot run through a pruned
-        # ancestor). A plain failure is recorded only when no loop prune
-        # fired against an ancestor older than the goal, since such a
-        # prune could have cut a proof that exists in other contexts;
-        # prune_log tracks the stack positions the loop check matched.
-        self.success_cache: dict[Atom, TraceNode] = {}
-        self.failure_cache: dict[Atom, TraceNode] = {}
+        # Ground-goal memo, from goal to node. A success is valid in any
+        # context (the proof found cannot run through a pruned ancestor).
+        # A plain failure is recorded only when no loop prune fired
+        # against an ancestor older than the goal, since such a prune
+        # could have cut a proof that exists in other contexts; prune_log
+        # tracks the positions of the running goals the loop check matched.
+        self.memo: dict[Atom, TraceNode] = {}
         self.prune_log: list[int] = []
 
     def _fresh(self, clause: _Clause) -> tuple[Atom, ...]:
@@ -281,161 +315,219 @@ class _Resolver:
     # own, made by unifying the unrenamed head with the resolved goal:
     # no variable of the caller's can meet the clause's there.
 
-    def prove(self, goal: Atom, subst: Substitution, depth: int, ancestors: _Ancestors
-              ) -> Iterator[tuple[Optional[Substitution], TraceNode]]:
-        """Each solution of the goal in search order, with its proof node.
+    def run(self, query: Atom) -> TraceNode:
+        """The proof node of the query's first solution, or its failure node.
 
-        A goal without solutions yields (None, failure node) once. The
-        failure node holds, for every rule whose head matched, the
-        first-solution path through the body up to its first failing
-        condition, plus the exception checks when that path completed.
-        ``ancestors`` maps each open goal of this branch to its stack
-        position; each level passes its callees a copy extended by itself.
+        Each goal's solutions come in search order. A goal without
+        solutions answers once with its failure node: for every rule whose
+        head matched, the first-solution path through the body up to its
+        first failing condition, plus the exception checks when that path
+        completed. An exception check takes the first answer of its goal.
+
+        One loop drives an explicit stack of goals. A goal that has given
+        a solution and may give more stays on the stack above its caller,
+        so the stack top is always the newest choice point, and
+        backtracking resumes it. A goal that gives its last answer leaves
+        the stack with everything above it. ``running`` maps each goal now
+        running to its position among them, for the loop check: a goal
+        leaves it when it answers and comes back when it is resumed.
         """
-        resolved = apply_atom(subst, goal)
-        canon = canonical_atom(resolved)
-        if self.steps == self.config.max_steps:
-            raise StepsExceeded(canon, depth, self.steps)
-        self.steps += 1
-        if depth > self.config.max_depth:
-            raise DepthExceeded(canon, depth, self.steps)
-        ground = canon is resolved
-        if ground:
-            if canon in self.success_cache:
-                yield subst, self.success_cache[canon]
-                return
-            if canon in self.failure_cache:
-                yield None, self.failure_cache[canon]
-                return
-        if self.config.loop_check and canon in ancestors:
-            self.prune_log.append(ancestors[canon])
-            yield None, TraceNode(canon, Outcome.FAILURE, note="loop detected")
-            return
-        position = len(ancestors)
-        mark = len(self.prune_log)
-        ancestors = {**ancestors, canon: position}
-        found = False
-        for fact in self.facts.get(goal.key, ()):
-            bound = unify_atoms(goal, fact, subst)
-            if bound is None:
-                continue
-            if ground:
-                node = TraceNode(canon, Outcome.SUCCESS, via=FACT_MARKER)
-                self.success_cache[canon] = node
-                yield subst, node
-                return
-            found = True
-            yield bound, TraceNode(
-                canonical_atom(apply_atom(bound, goal)), Outcome.SUCCESS, via=FACT_MARKER
-            )
-        attempts: list[tuple[EdgeKind, TraceNode]] = []
-        defeated_via: Optional[str] = None
-        settled = False
-        for rule_id, clause in self.rules.get(goal.key, ()):
-            if ground:
-                head, *body = clause[0]
-                bound = unify_atoms(head, resolved)
-            else:
-                head, *body = self._fresh(clause)
-                bound = unify_atoms(head, goal, subst)
-            if bound is None:
-                continue
-            # A failure shows the rule's first body item: the failed
-            # first-solution path, or the first solution with its checks.
-            shown: Optional[_Edges] = None
-            for solution, conditions in self._conditions(body, bound, depth, ancestors):
-                if solution is None:
-                    shown = conditions
+        max_depth, max_steps = self.config.max_depth, self.config.max_steps
+        facts_of, rules_of, exceptions_of = self.facts.get, self.rules.get, self.exceptions.get
+        memo, prune_log = self.memo, self.prune_log
+        steps = 0
+        stack: list[_Goal] = []
+        running: Optional[dict[Atom, int]] = {} if self.config.loop_check else None
+        goal, subst, depth, parent, slot = query, EMPTY_SUBSTITUTION, 1, None, 0
+        mode = _CALL
+        while True:
+            if mode == _CALL:  # enter goal under subst as child `slot` of parent
+                resolved = apply_atom(subst, goal)
+                canon = canonical_atom(resolved)
+                if steps == max_steps:
+                    raise StepsExceeded(canon, depth, steps)
+                steps += 1
+                if depth > max_depth:
+                    raise DepthExceeded(canon, depth, steps)
+                child = None
+                node = memo.get(canon) if canon is resolved else None
+                if node is not None:
+                    solution = subst if node.outcome is _SUCCESS else None
+                    mode = _ANSWER
                     continue
-                if ground:
-                    instance, node_goal = resolved, canon
+                position = 0
+                if running is not None:
+                    position = len(running)
+                    matched = running.setdefault(canon, position)
+                    if matched != position:
+                        prune_log.append(matched)
+                        solution, node = None, _node(canon, _FAILURE, note="loop detected")
+                        mode = _ANSWER
+                        continue
+                frame = _Goal(parent, slot, len(stack), goal, subst, depth, resolved, canon,
+                              position, len(prune_log), facts_of(goal.key), rules_of(goal.key))
+                stack.append(frame)
+                mode = _SEARCH
+            if mode == _SEARCH:  # frame is the stack top, its current body exhausted
+                goal, subst, canon = frame.goal, frame.subst, frame.canon
+                if frame.facts is not None:
+                    for fact in frame.facts:
+                        bound = unify_atoms(goal, fact, subst)
+                        if bound is None:
+                            continue
+                        child = frame
+                        if frame.ground:
+                            node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
+                            solution, last = subst, True
+                        else:
+                            frame.found = True
+                            node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS,
+                                         FACT_MARKER)
+                            solution, last = bound, False
+                        mode = _ANSWER
+                        break
+                    else:
+                        frame.facts = None
+                    if mode == _ANSWER:
+                        continue
+                if frame.atoms is not None:
+                    # A failure shows the rule's first body item: the failed
+                    # first-solution path, or the first solution with its checks.
+                    frame.attempts.extend(frame.shown or ())
+                    frame.atoms = None
+                if frame.rules is not None:
+                    for rule_id, clause in frame.rules:
+                        if frame.ground:
+                            atoms = clause[0]
+                            bound = unify_atoms(atoms[0], frame.resolved)
+                        else:
+                            atoms = self._fresh(clause)
+                            bound = unify_atoms(atoms[0], goal, subst)
+                        if bound is None:
+                            continue
+                        frame.rule_id, frame.atoms, frame.edges = rule_id, atoms, []
+                        frame.low, frame.shown = len(atoms), None
+                        if len(atoms) > 1:
+                            goal, subst, depth, parent, slot = (atoms[1], bound, frame.depth + 1,
+                                                                frame, 1)
+                            mode = _CALL
+                        else:
+                            solution = bound
+                            mode = _SOLVED
+                        break
+                    else:
+                        frame.rules = None
+                    if mode != _SEARCH:
+                        continue
+                if frame.found:  # resumed, with no solution left
+                    stack.pop()
+                    if running is not None:
+                        del running[canon]
+                    asker = frame.parent
+                    mode = _BACKTRACK
+                    continue
+                defeated_via, attempts = frame.defeated_via, frame.attempts
+                node = _node(canon, _FAILURE, defeated_via, defeated_via is not None,
+                             tuple(attempts), None if attempts else "no rule matched")
+                if frame.ground and (frame.settled or all(
+                        index >= frame.position for index in prune_log[frame.mark:])):
+                    memo[canon] = node
+                child, solution, last = frame, None, True
+                mode = _ANSWER
+            if mode == _SOLVED:  # frame's body holds under solution
+                if frame.ground:
+                    frame.instance, frame.node_goal = frame.resolved, frame.canon
                 else:
-                    instance = apply_atom(solution, goal)
-                    node_goal = canonical_atom(instance)
-                checks, defeated = self._exception_checks(
-                    instance, node_goal is instance, depth, ancestors
-                )
-                if shown is None:
-                    shown = conditions + checks
-                    if defeated and defeated_via is None:
-                        defeated_via = rule_id
-                if not defeated:
-                    node = TraceNode(
-                        node_goal,
-                        Outcome.SUCCESS,
-                        via=rule_id,
-                        children=conditions + checks,
-                    )
-                    if ground:
-                        self.success_cache[canon] = node
-                        yield subst, node
-                        return
-                    found = True
-                    yield solution, node
-                elif ground:
-                    # Every other derivation resolves to this same
-                    # defeated instance; later rules are only shown.
-                    settled = True
-                    break
-            attempts.extend(shown or ())
-        if found:
-            return
-        node = TraceNode(
-            canon,
-            Outcome.FAILURE,
-            via=defeated_via,
-            defeated=defeated_via is not None,
-            children=tuple(attempts),
-            note=None if attempts else "no rule matched",
-        )
-        if ground and (settled or all(index >= position for index in self.prune_log[mark:])):
-            self.failure_cache[canon] = node
-        yield None, node
-
-    def _conditions(self, body: list[Atom], subst: Substitution, depth: int,
-                    ancestors: _Ancestors) -> Iterator[tuple[Optional[Substitution], _Edges]]:
-        """Each solution of the conjunction with its condition edges.
-
-        When the first-solution path fails, (None, that path up to its
-        failing condition) comes first, then any solutions backtracking finds.
-        """
-        if not body:
-            yield subst, ()
-            return
-        first_path = True
-        for solution, node in self.prove(body[0], subst, depth + 1, ancestors):
-            edge = ((EdgeKind.CONDITION, node),)
-            if solution is None:
-                yield None, edge
-                return
-            for rest, edges in self._conditions(body[1:], solution, depth, ancestors):
-                if rest is not None or first_path:
-                    yield rest, edge + edges
-            first_path = False
-
-    def _exception_checks(self, instance: Atom, ground: bool, depth: int,
-                          ancestors: _Ancestors) -> tuple[_Edges, bool]:
-        """Exception edges of a conclusion instance in declaration order, up
-        to the first exception that holds, and whether one held. Each
-        declaration unifies into a substitution of its own, so only a
-        non-ground instance needs it renamed apart."""
-        checks: list[tuple[EdgeKind, TraceNode]] = []
-        for clause in self.exceptions.get(instance.key, ()):
-            head, exception = clause[0] if ground else self._fresh(clause)
-            bound = unify_atoms(head, instance)
-            if bound is None:
-                continue
-            solution, node = next(self.prove(exception, bound, depth + 1, ancestors))
-            checks.append((EdgeKind.EXCEPTION, node))
-            if solution is not None:
-                return tuple(checks), True
-        return tuple(checks), False
-
-
-def _ensure_recursion_headroom(frames_per_level: int, max_depth: int) -> None:
-    needed = min(max_depth * frames_per_level + _FRAME_SLACK, 100_000_000)
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
+                    frame.instance = apply_atom(solution, frame.goal)
+                    frame.node_goal = canonical_atom(frame.instance)
+                frame.solution, frame.checks = solution, []
+                declared = exceptions_of(frame.instance.key)
+                frame.exceptions = iter(declared) if declared else None
+                mode = _CHECK
+            if mode == _CHECK:  # frame checks its next exception declaration
+                defeated = False
+                mode = _CHECKED
+                if frame.exceptions is not None:
+                    instance = frame.instance
+                    for clause in frame.exceptions:
+                        head, exception = (clause[0] if frame.node_goal is instance
+                                           else self._fresh(clause))
+                        bound = unify_atoms(head, instance)
+                        if bound is not None:
+                            goal, subst, depth, parent, slot = (exception, bound, frame.depth + 1,
+                                                                frame, _CHECK_SLOT)
+                            mode = _CALL
+                            break
+                    if mode == _CALL:
+                        continue
+            if mode == _CHECKED:  # frame's body solution is checked; defeated says how
+                children = tuple(frame.edges) + tuple(frame.checks)
+                if frame.shown is None:
+                    frame.shown = children
+                    if defeated and frame.defeated_via is None:
+                        frame.defeated_via = frame.rule_id
+                if defeated:
+                    if frame.ground:
+                        # Every other derivation resolves to this same
+                        # defeated instance; later rules are only shown.
+                        frame.settled = True
+                        del stack[frame.base + 1:]
+                        mode = _SEARCH
+                    else:
+                        asker = frame
+                        mode = _BACKTRACK
+                    continue
+                child, node = frame, _node(frame.node_goal, _SUCCESS, frame.rule_id, False,
+                                           children)
+                if frame.ground:
+                    memo[frame.canon] = node
+                    solution, last = frame.subst, True
+                else:
+                    frame.found = True
+                    solution, last = frame.solution, False
+                mode = _ANSWER
+            if mode == _ANSWER:  # child (None: no frame) answers solution with node
+                if child is not None:
+                    parent, slot = child.parent, child.slot
+                    if running is not None:
+                        del running[child.canon]
+                    if last or slot == _CHECK_SLOT:
+                        del stack[child.base:]
+                if parent is None:
+                    return node
+                frame = parent
+                if slot == _CHECK_SLOT:
+                    frame.checks.append((_EXCEPTION, node))
+                    defeated = solution is not None
+                    mode = _CHECKED if defeated else _CHECK
+                    continue
+                if solution is None:
+                    if frame.low >= slot:
+                        frame.shown = (*frame.edges, (_CONDITION, node))
+                    asker = frame
+                    mode = _BACKTRACK
+                else:
+                    del frame.edges[slot - 1:]
+                    frame.edges.append((_CONDITION, node))
+                    slot += 1
+                    if slot < len(frame.atoms):
+                        goal, subst, depth = frame.atoms[slot], solution, frame.depth + 1
+                        parent = frame
+                        mode = _CALL
+                    else:
+                        mode = _SOLVED
+                    continue
+            if mode == _BACKTRACK:  # resume the newest choice point above asker
+                frame = stack[-1]
+                waiting = frame
+                while waiting is not asker:
+                    up = waiting.parent
+                    if running is not None:
+                        running[waiting.canon] = waiting.position
+                    if waiting.slot < up.low:
+                        up.low = waiting.slot
+                    waiting = up
+                mode = _SEARCH
 
 
 def solve(program: Program, facts: FactBase, goal: Atom,
@@ -453,17 +545,14 @@ def solve(program: Program, facts: FactBase, goal: Atom,
 
     The program is stratified and indexed once per Program object, on
     its first solve (``Program.solve_index``), and later solves reuse
-    that; an unstratified program raises on every call.
+    that; an unstratified program raises on every call. The search runs
+    on an explicit stack, so it needs no recursion headroom at any depth.
 
     Deterministic: identical inputs produce identical traces. Raises
     Unstratified, DepthExceeded, or StepsExceeded; a goal that merely
     cannot be proven is a normal FAILURE outcome, not an error.
     """
-    cfg = config or DEFAULT_CONFIG
-    index = program.solve_index
-    _ensure_recursion_headroom(index.frames_per_level, cfg.max_depth)
-    resolver = _Resolver(index, facts, cfg)
-    _, node = next(resolver.prove(goal, EMPTY_SUBSTITUTION, 1, {}))
+    node = _Resolver(program.solve_index, facts, config or DEFAULT_CONFIG).run(goal)
     return node.outcome, node
 
 

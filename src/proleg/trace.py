@@ -11,9 +11,10 @@ for graph tooling, and a versioned JSON form that round-trips.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
 from .ast import Atom
 from .parser import ParseFailure, parse_atom
@@ -68,6 +69,23 @@ class TraceNode:
         object.__setattr__(self, "children", tuple(self.children))
 
 
+# Enum members bound once: reading one off its class (``Outcome.SUCCESS``)
+# or its ``value`` goes through descriptors and costs about ten times a
+# global. The engine and the renderers use these.
+_SUCCESS, _FAILURE = Outcome.SUCCESS, Outcome.FAILURE
+_CONDITION, _EXCEPTION = EdgeKind.CONDITION, EdgeKind.EXCEPTION
+
+
+def _node(goal: Atom, outcome: Outcome, via: Optional[str] = None, defeated: bool = False,
+          children: tuple = (), note: Optional[str] = None) -> TraceNode:
+    """A TraceNode whose ``children`` is already a tuple, made without the
+    dataclass constructor and its frozen-field writes (about 4x cheaper)."""
+    node = object.__new__(TraceNode)
+    node.__dict__.update(goal=goal, outcome=outcome, via=via, defeated=defeated,
+                         children=children, note=note)
+    return node
+
+
 def iter_nodes(root: TraceNode) -> Iterator[tuple[TraceNode, Optional[EdgeKind]]]:
     """Preorder walk yielding (node, incoming edge kind); the root has None."""
     stack: list[tuple[TraceNode, Optional[EdgeKind]]] = [(root, None)]
@@ -85,11 +103,7 @@ def render_text(root: TraceNode) -> str:
     stack: list[tuple[TraceNode, Optional[EdgeKind], int]] = [(root, None, 0)]
     while stack:
         node, edge, depth = stack.pop()
-        prefix = ""
-        if edge is EdgeKind.CONDITION:
-            prefix = "-> "
-        elif edge is EdgeKind.EXCEPTION:
-            prefix = "~> "
+        prefix = "" if edge is None else "-> " if edge is _CONDITION else "~> "
         parts = []
         if node.via is not None:
             parts.append(node.via)
@@ -98,7 +112,7 @@ def render_text(root: TraceNode) -> str:
         if node.defeated:
             parts.append("defeated")
         annot = f" ({'; '.join(parts)})" if parts else ""
-        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome.glyph}]{annot}\n")
+        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome._value_}]{annot}\n")
         for kind, child in reversed(node.children):
             stack.append((child, kind, depth + 1))
     return "".join(lines)
@@ -131,11 +145,12 @@ def render_dot(root: TraceNode) -> str:
         node, parent_id, kind = item
         node_id = f"n{counter}"
         counter += 1
-        color = SUCCESS_NODE_COLOR if node.outcome is Outcome.SUCCESS else FAILURE_NODE_COLOR
-        label = f"{_dot_escape(str(node.goal))}\\n{node.outcome.glyph}"
+        outcome = node.outcome
+        color = SUCCESS_NODE_COLOR if outcome is _SUCCESS else FAILURE_NODE_COLOR
+        label = f"{_dot_escape(str(node.goal))}\\n{outcome._value_}"
         lines.append(f'  {node_id} [label="{label}", color="{color}"];\n')
         if parent_id is not None:
-            style = "solid" if kind is EdgeKind.CONDITION else "dotted"
+            style = "solid" if kind is _CONDITION else "dotted"
             stack.append(f"  {parent_id} -> {node_id} [style={style}];\n")
         for kind, child in reversed(node.children):
             stack.append((child, node_id, kind))
@@ -172,7 +187,7 @@ def render_json(root: TraceNode) -> str:
         field = indents[level + 1]
         pieces.append(
             f'"goal": {_encode(str(node.goal))},{field}'
-            f'"outcome": {_encode(node.outcome.glyph)},{field}'
+            f'"outcome": "{node.outcome._value_}",{field}'
             f'"via": {_scalar(node.via)},{field}'
             f'"defeated": {"true" if node.defeated else "false"},{field}'
             f'"note": {_scalar(node.note)},{field}'
@@ -191,7 +206,7 @@ def render_json(root: TraceNode) -> str:
             stack.append((child, level + 3))
             stack.append(
                 f"{',' if index else ''}{item_indent}{{{wrapper_field}"
-                f'"edge": {_encode(kind.value)},{wrapper_field}'
+                f'"edge": "{kind._value_}",{wrapper_field}'
                 f'"node": {{{indents[level + 4]}'
             )
     return "".join(pieces)
@@ -231,27 +246,128 @@ def _checked(obj: object, fields: dict, what: str) -> dict:
     return obj
 
 
-def _node_from_obj(obj: object) -> TraceNode:
-    obj = _checked(obj, _NODE_FIELDS, "node")
-    try:
-        goal = parse_atom(obj["goal"])
-    except ParseFailure as exc:
-        raise _malformed(f"goal {obj['goal']!r}: {exc}") from exc
-    if obj["outcome"] not in _OUTCOMES:
-        raise _malformed(f"outcome {obj['outcome']!r}")
-    children = []
-    for child in obj["children"]:
-        child = _checked(child, _CHILD_FIELDS, "child")
-        if child["edge"] not in _EDGES:
-            raise _malformed(f"edge {child['edge']!r}")
-        children.append((_EDGES[child["edge"]], _node_from_obj(child["node"])))
-    return TraceNode(goal, _OUTCOMES[obj["outcome"]], via=obj["via"],
-                     defeated=obj["defeated"], children=tuple(children), note=obj["note"])
+def _node_from_obj(root: dict) -> TraceNode:
+    """The tree of a node object, read with an explicit stack. Nodes are
+    checked in preorder, each child item just before its node, and built
+    in reverse, so each node finds its children built."""
+    visits: list[tuple[Optional[EdgeKind], dict, Atom]] = []
+    stack: list[object] = [root]  # the root, then child items still to read
+    while stack:
+        obj, kind = stack.pop(), None
+        if visits:
+            child = _checked(obj, _CHILD_FIELDS, "child")
+            if child["edge"] not in _EDGES:
+                raise _malformed(f"edge {child['edge']!r}")
+            obj, kind = child["node"], _EDGES[child["edge"]]
+        obj = _checked(obj, _NODE_FIELDS, "node")
+        try:
+            goal = parse_atom(obj["goal"])
+        except ParseFailure as exc:
+            raise _malformed(f"goal {obj['goal']!r}: {exc}") from exc
+        if obj["outcome"] not in _OUTCOMES:
+            raise _malformed(f"outcome {obj['outcome']!r}")
+        visits.append((kind, obj, goal))
+        stack.extend(reversed(obj["children"]))
+    built: list[tuple[Optional[EdgeKind], TraceNode]] = []  # first child on top
+    for kind, obj, goal in reversed(visits):
+        start = len(built) - len(obj["children"])
+        children = tuple(reversed(built[start:]))
+        del built[start:]
+        built.append((kind, _node(goal, _OUTCOMES[obj["outcome"]], obj["via"], obj["defeated"],
+                                  children, obj["note"])))
+    return built[0][1]
+
+
+# JSON whitespace. json.dumps(indent=...) writes a newline and spaces,
+# which the first two parts take at the regex engine's fast one-character
+# speed. Each pattern below is anchored and can backtrack only linearly.
+_SPACE = r"\n? *[ \t\n\r]*"
+_skip = re.compile(_SPACE).match
+# Whitespace, then the next character if any.
+_next_char = re.compile(_SPACE + "(.?)", re.DOTALL).match
+# A key with no escape or control character after a newline and spaces,
+# its colon, and the whitespace up to the value: what _key reads slowly.
+_plain_key = re.compile(r'\n? *"([^"\\\x00-\x1f]*)"[ \t\n\r]*:' + _SPACE).match
+# json's own readers of one string and of one value; the reader below
+# calls the last only where no object or array starts.
+_scanstring = json.decoder.scanstring
+_scan_scalar = json.JSONDecoder().scan_once
+
+
+def _key(text: str, index: int) -> tuple[str, int]:
+    """The object key after ``index`` (and any whitespace) and where its value starts."""
+    plain = _plain_key(text, index)
+    if plain:
+        return plain.group(1), plain.end()
+    index = _skip(text, index).end()
+    if text[index:index + 1] != '"':
+        raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                   text, index)
+    key, index = _scanstring(text, index + 1)
+    index = _skip(text, index).end()
+    if text[index:index + 1] != ":":
+        raise json.JSONDecodeError("Expecting ':' delimiter", text, index)
+    return key, _skip(text, index + 1).end()
+
+
+def _load_json(text: str) -> object:
+    """``json.loads(text)`` at any nesting depth: the same value, or a
+    ValueError for the same texts. The C ``json.loads`` recurses once per
+    object or array, so a deep trace overflows the default recursion
+    limit; this reads them with an explicit stack."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    # Open containers, innermost last: a list with None, or a dict with
+    # the key whose value is being read.
+    containers: list[tuple[Union[list, dict], Optional[str]]] = []
+    index = _skip(text, 0).end()
+    while True:
+        opening = text[index:index + 1]
+        if opening == "[" or opening == "{":
+            index = _skip(text, index + 1).end()
+            if text[index:index + 1] == ("]" if opening == "[" else "}"):
+                value, index = ([] if opening == "[" else {}), index + 1
+            elif opening == "[":
+                containers.append(([], None))
+                continue
+            else:
+                key, index = _key(text, index)
+                containers.append(({}, key))
+                continue
+        else:
+            try:
+                value, index = _scan_scalar(text, index)
+            except StopIteration as stop:
+                raise json.JSONDecodeError("Expecting value", text, stop.value) from None
+        # Store the value, closing every container that ends after it.
+        while containers:
+            container, key = containers[-1]
+            if key is None:
+                container.append(value)
+            else:
+                container[key] = value
+            found = _next_char(text, index)
+            delimiter, index = found.group(1), found.end()
+            if delimiter == ",":
+                if key is None:
+                    index = _skip(text, index).end()
+                else:
+                    key, index = _key(text, index)
+                    containers[-1] = (container, key)
+                break
+            if delimiter != ("]" if key is None else "}"):
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, index - 1)
+            value = containers.pop()[0]
+        else:
+            end = _skip(text, index).end()
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+            return value
 
 
 def trace_from_json(text: str) -> TraceNode:
-    """Parse render_json output back into an equal TraceNode tree."""
-    obj = json.loads(text)
+    """Parse render_json output back into an equal TraceNode tree, at any depth."""
+    obj = _load_json(text)
     if not isinstance(obj, dict) or obj.get("trace_version") != TRACE_VERSION:
         raise ValueError("unsupported or missing trace_version")
     return _node_from_obj(obj)

@@ -699,8 +699,8 @@ def random_trace(rng: random.Random, depth: int = 4) -> TraceNode:
 def run_fresh_python(*args: str, env: Optional[dict[str, str]] = None
                      ) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a new interpreter that imports proleg from
-    this checkout's ``src``, so no earlier call in the test process (such
-    as solve raising the recursion limit) can affect it. ``env`` adds to
+    this checkout's ``src``, so nothing earlier in the test process (such
+    as a changed recursion limit) can affect it. ``env`` adds to
     or overrides the inherited environment, e.g. ``PYTHONHASHSEED``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]

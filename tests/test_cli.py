@@ -124,8 +124,9 @@ class TestRun:
 
 
 def test_deep_chain_with_long_bodies_runs_in_a_fresh_process(tmp_path):
-    # 400 goal levels of 13 body atoms each: the body walk nests one
-    # frame per atom, so the recursion headroom must count body length.
+    # 400 goal levels of 13 body atoms each, at the default recursion
+    # limit: the search keeps its goals on an explicit stack, so neither
+    # depth nor body length nests Python frames.
     atoms = ", ".join(f"a{j}" for j in range(12))
     rules = tmp_path / "chain.proleg"
     rules.write_text("".join(f"p{i} <= {atoms}, p{i + 1}.\n" for i in range(400)),

@@ -106,7 +106,7 @@ class TestStratify:
 
 
     def test_long_exception_chain_at_the_default_recursion_limit(self):
-        # A fresh interpreter, because solve raises the limit in this one.
+        # A fresh interpreter, so the limit is the default one.
         script = (
             "import sys\n"
             "from proleg import parse_program, stratify\n"

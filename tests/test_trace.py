@@ -21,6 +21,7 @@ from proleg.trace import (
     render_json,
     render_text,
     trace_from_json,
+    _load_json,
 )
 
 from helpers import (
@@ -249,7 +250,7 @@ _DEEP_CHAIN_SCRIPT = textwrap.dedent("""
 
 
 def test_walkers_handle_deep_traces_at_the_default_recursion_limit():
-    # A fresh interpreter, so no earlier solve has raised the limit.
+    # A fresh interpreter, so the limit is the default one.
     # Indented JSON grows with the square of the depth (324 MB for the
     # whole chain), so render_json gets its lower 1000 levels: 3000 nested
     # containers, deeper than json.loads parses at this limit. Its length
@@ -285,3 +286,48 @@ def test_deep_trace_json_reads_back_at_the_default_recursion_limit():
     done = run_fresh_python("-c", _DEEP_ROUND_TRIP_SCRIPT)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5829114 True 1000\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=2)
+_JSON_NOISE = list('{}[],:" \\0123456789.eE+-tfnulrsaINy\x00\u2028')
+
+
+def _read(reader, text):
+    """What a reader makes of the text: the repr of its value (which tells
+    1 from 1.0 and True, and shows nan), or that it raised ValueError."""
+    try:
+        return repr(reader(text))
+    except ValueError:
+        return "ValueError"
+
+
+@given(_JSON_VALUES, st.none() | st.integers(0, 3) | _JSON_SPACE, _JSON_SPACE, _JSON_SPACE,
+       _JSON_SPACE, _JSON_SPACE, st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_load_json_reads_what_json_loads_reads(value, indent, a, b, c, d, ascii, data):
+    text = json.dumps(value, indent=indent, separators=(f"{a},{b}", f"{c}:{d}"),
+                      ensure_ascii=ascii)
+    text = data.draw(_JSON_SPACE) + text + data.draw(_JSON_SPACE)
+    assert _read(_load_json, text) == _read(json.loads, text) != "ValueError"
+    cut = data.draw(st.integers(0, len(text)))
+    assert _read(_load_json, text[:cut]) == _read(json.loads, text[:cut])
+    at = data.draw(st.integers(0, len(text)))
+    noise = data.draw(st.sampled_from(_JSON_NOISE))
+    for mutated in (text[:at] + noise + text[at:], text[:at] + noise + text[at + 1:]):
+        assert _read(_load_json, mutated) == _read(json.loads, mutated)
+
+
+@pytest.mark.parametrize("text", [
+    "", " ", "{", "[", "]", "}", "[1,]", '{"a":1,}', '{"a" 1}', '{1: 2}', "[1 2]", "01", "1.",
+    "-", "nul", "tru", "NaN", "-Infinity", "Infinity", '"\\x"', '"a\nb"', '"\\ud800"',
+    "\ufeff[]", '{"a": 1, "a": [2]}', "[[], {}, [{}]]", "1 2", "[1]]", "{}}", " [ ] ",
+    b'{"a": [1]}', '{"a": [1]}'.encode("utf-16"), "1" * 5000,
+])
+def test_load_json_edge_cases(text):
+    assert _read(_load_json, text) == _read(json.loads, text)

@@ -97,12 +97,62 @@ class Compound:
         object.__setattr__(self, "args", tuple(self.args))
         if len(self.args) < 1:
             raise ValueError("compound terms need at least one argument")
+        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+
+    # Hashing, equality and printing use no recursion, so a term nested
+    # any number of levels deep works at the default recursion limit. The
+    # hash is the one the dataclass would compute, taken once when the
+    # term is built from its arguments' own (see also ``_built``).
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _same_terms(self, other)
+
+    def __reduce__(self):
+        # String hashes differ between processes, so the cached hash must not travel.
+        return Compound, (self.functor, self.args)
 
     def __str__(self) -> str:
-        return f"{self.functor}({', '.join(str(a) for a in self.args)})"
+        return _term_text(self)
 
 
 Term = Union[Constant, Variable, Integer, Text, Compound]
+
+
+def _same_terms(x: Compound, y: Compound) -> bool:
+    pending = [(x, y)]
+    while pending:
+        x, y = pending.pop()
+        if x.__class__ is Compound and y.__class__ is Compound:
+            if x is not y:
+                if x._hash != y._hash or x.functor != y.functor or len(x.args) != len(y.args):
+                    return False
+                pending.extend(zip(x.args, y.args))
+        elif x != y:
+            return False
+    return True
+
+
+def _term_text(term: Compound) -> str:
+    parts: list[str] = []
+    pending: list = [term]  # terms still to write, and the literal text between them
+    while pending:
+        item = pending.pop()
+        if item.__class__ is str:
+            parts.append(item)
+        elif item.__class__ is Compound:
+            parts += (item.functor, "(")
+            pending.append(")")
+            for arg in reversed(item.args[1:]):
+                pending += (arg, ", ")
+            pending.append(item.args[0])
+        else:
+            parts.append(str(item))
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -263,8 +313,16 @@ def _iter_variables(value: Union[Term, Atom]) -> Iterator[str]:
     if isinstance(value, Variable):
         yield value.name
     elif isinstance(value, (Compound, Atom)):
-        for arg in value.args:
-            yield from _iter_variables(arg)
+        stack = [iter(value.args)]  # the arguments left at each open level
+        while stack:
+            for arg in stack[-1]:
+                if isinstance(arg, Variable):
+                    yield arg.name
+                elif isinstance(arg, Compound):
+                    stack.append(iter(arg.args))
+                    break
+            else:
+                stack.pop()
 
 
 # The field each term kind the resolver builds keeps its name in.
@@ -275,12 +333,15 @@ def _built(cls: type, name: str, args: Optional[tuple] = None):
     """A Variable (``args`` None), Compound or Atom made from parts that
     were checked when they were first built: a valid name and a tuple of
     terms. It skips the public constructors' name check and tuple copy,
-    which the resolver would otherwise pay on every term it builds."""
+    which the resolver would otherwise pay on every term it builds, and
+    takes a compound's hash as ``Compound`` does."""
     obj = object.__new__(cls)
     fields = obj.__dict__
     fields[_NAME_FIELD[cls]] = name
     if args is not None:
         fields["args"] = args
+        if cls is Compound:
+            fields["_hash"] = hash((name, args))
     return obj
 
 
@@ -288,9 +349,24 @@ def rename_term(term: Term, mapping: Mapping[str, Variable]) -> Term:
     """Replace variables by name according to ``mapping``."""
     if isinstance(term, Variable):
         return mapping.get(term.name, term)
-    if isinstance(term, Compound):
-        return _built(Compound, term.functor, tuple(rename_term(a, mapping) for a in term.args))
-    return term
+    stack = []  # each compound being rebuilt: functor, arguments, arguments rebuilt
+    while True:
+        if isinstance(term, Compound):
+            stack.append((term.functor, term.args, []))
+            term = term.args[0]
+            continue
+        if isinstance(term, Variable):
+            term = mapping.get(term.name, term)
+        while stack:  # hand the finished term to the compound it belongs to
+            functor, args, built = stack[-1]
+            built.append(term)
+            if len(built) < len(args):
+                term = args[len(built)]
+                break
+            stack.pop()
+            term = _built(Compound, functor, tuple(built))
+        else:
+            return term
 
 
 def rename_atom(atom: Atom, mapping: Mapping[str, Variable]) -> Atom:
@@ -391,44 +467,68 @@ def apply(subst: Substitution, term: Term) -> Term:
     O(1), so the cost is linear in the size of the result and the binding
     links followed. Raises ValueError on a cyclic substitution.
     """
-    return _apply(subst._bindings, term, None)
+    return _apply(subst._bindings, term)
 
 
-def _apply(bindings: Mapping[str, Term], term: Term, path: Optional[set[str]]) -> Term:
-    # ``path`` holds the bound variables dereferenced between the root and
-    # this term, so meeting one again is a cycle. It is made on the first
-    # dereference, and each level takes back the names it added before it
-    # returns, so siblings never see each other's names.
+def _apply(bindings: Mapping[str, Term], term: Term) -> Term:
     if isinstance(term, Variable):
         if term.name not in bindings:
             return term
-        if path is None:
-            path = set()
-        chain = []
-        while isinstance(term, Variable) and term.name in bindings:
-            if term.name in path:
-                raise ValueError(f"cyclic substitution through {term.name}")
-            path.add(term.name)
-            chain.append(term.name)
-            term = bindings[term.name]
-        term = _apply(bindings, term, path)
-        path.difference_update(chain)
+    elif not isinstance(term, Compound):
         return term
-    if isinstance(term, Compound):
-        return _built(Compound, term.functor, tuple(_apply(bindings, a, path) for a in term.args))
-    return term
+    # ``path`` holds the bound variables dereferenced between the root and
+    # the term in hand, so meeting one again is a cycle. It is made on the
+    # first dereference. ``stack`` holds each compound being rebuilt with
+    # the names its own dereference added to ``path``, which leave again
+    # when it is done, so siblings never see each other's names.
+    path: Optional[set[str]] = None
+    stack = []
+    while True:
+        chain = None
+        if isinstance(term, Variable) and term.name in bindings:
+            if path is None:
+                path = set()
+            chain = []
+            while isinstance(term, Variable) and term.name in bindings:
+                if term.name in path:
+                    raise ValueError(f"cyclic substitution through {term.name}")
+                path.add(term.name)
+                chain.append(term.name)
+                term = bindings[term.name]
+        if isinstance(term, Compound):
+            stack.append((term.functor, term.args, [], chain))
+            term = term.args[0]
+            continue
+        if chain:
+            path.difference_update(chain)
+        while stack:  # hand the finished term to the compound it belongs to
+            functor, args, built, chain = stack[-1]
+            built.append(term)
+            if len(built) < len(args):
+                term = args[len(built)]
+                break
+            stack.pop()
+            term = _built(Compound, functor, tuple(built))
+            if chain:
+                path.difference_update(chain)
+        else:
+            return term
 
 
 def apply_atom(subst: Substitution, atom: Atom) -> Atom:
-    return _built(Atom, atom.predicate, tuple(_apply(subst._bindings, a, None) for a in atom.args))
+    bindings = subst._bindings
+    return _built(Atom, atom.predicate, tuple(_apply(bindings, a) for a in atom.args))
 
 
 def _occurs(bindings: Mapping[str, Term], name: str, term: Term) -> bool:
-    term = _walk(bindings, term)
-    if isinstance(term, Variable):
-        return term.name == name
-    if isinstance(term, Compound):
-        return any(_occurs(bindings, name, a) for a in term.args)
+    pending = [term]
+    while pending:
+        term = _walk(bindings, pending.pop())
+        if isinstance(term, Variable):
+            if term.name == name:
+                return True
+        elif isinstance(term, Compound):
+            pending.extend(term.args)
     return False
 
 

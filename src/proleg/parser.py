@@ -91,9 +91,10 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-# The deepest compound-term nesting the parser accepts. The data model's
-# recursive walks (equality, hashing, printing, substitution) are measured
-# to handle 200 levels at the default recursion limit, not 250.
+# The deepest compound-term nesting the parser accepts. The parser takes
+# one Python frame per level; the data model's own walks (equality,
+# hashing, printing, substitution) take none, so terms the engine builds
+# deeper than this still work.
 MAX_TERM_DEPTH = 100
 
 

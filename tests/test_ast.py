@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import textwrap
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +28,7 @@ from proleg.ast import (
     variables_of,
 )
 
-from helpers import brute_force_unifiable, naive_apply_fixpoint
+from helpers import brute_force_unifiable, naive_apply_fixpoint, run_fresh_python
 
 
 def C(name):
@@ -172,6 +175,92 @@ def test_mgu_makes_terms_equal(a, b):
 @given(arbitrary_terms(), arbitrary_terms())
 def test_unify_is_symmetric_in_success(a, b):
     assert (unify(a, b) is None) == (unify(b, a) is None)
+
+
+def _structure(term):
+    """The term as nested tuples, which Python compares and hashes itself."""
+    if isinstance(term, Compound):
+        return (term.functor, tuple(_structure(a) for a in term.args))
+    return term
+
+
+def _rebuilt(term):
+    if isinstance(term, Compound):
+        return Compound(term.functor, tuple(_rebuilt(a) for a in term.args))
+    return term
+
+
+def _reference_text(term):
+    if isinstance(term, Compound):
+        return f"{term.functor}({', '.join(_reference_text(a) for a in term.args)})"
+    return str(term)
+
+
+@given(arbitrary_terms(), arbitrary_terms())
+def test_term_equality_hash_and_text_match_a_recursive_reference(a, b):
+    assert (a == b) == (_structure(a) == _structure(b))
+    assert (a != b) == (_structure(a) != _structure(b))
+    twin = _rebuilt(a)
+    assert twin == a and hash(twin) == hash(a)
+    assert str(a) == _reference_text(a)
+    if isinstance(a, Compound):
+        # The hash the frozen dataclass would compute.
+        assert hash(a) == hash((a.functor, a.args))
+        assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_term_operations_handle_deep_terms_at_the_default_recursion_limit():
+    # A fresh interpreter, so the limit is the default one.
+    script = textwrap.dedent("""
+        import sys
+        from proleg.ast import (Atom, Compound, Constant, Substitution, Variable, apply,
+                                canonical_atom, is_ground, rename_apart, unify, variables_of)
+
+        def deep(leaf, n=5000):
+            for _ in range(n):
+                leaf = Compound('s', (leaf,))
+            return leaf
+
+        ground, twin = deep(Constant('z')), deep(Constant('z'))
+        open_atom = Atom('p', (deep(Variable('X')), Variable('Y')))
+        chain = Substitution({f'V{i}': Compound('s', (Variable(f'V{i + 1}'),))
+                              for i in range(5000)})
+        print(ground == twin, hash(ground) == hash(twin), ground != deep(Constant('y')))
+        print(len(str(open_atom)), is_ground(ground), variables_of(open_atom))
+        print(apply(chain, Variable('V0')) == deep(Variable('V5000')))
+        print(canonical_atom(open_atom) == Atom('p', (deep(Variable('_G0')), Variable('_G1'))))
+        renamed = rename_apart((open_atom,), ['X', 'Y'], 1)[0]
+        print(str(renamed) == str(open_atom).replace('X', 'X#1').replace('Y', 'Y#1'))
+        print(unify(Variable('X'), deep(Variable('X'))), unify(twin, deep(Variable('Q'))))
+        print(sys.getrecursionlimit())
+    """)
+    done = run_fresh_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "True True True",
+        "15007 True ['X', 'Y']",
+        "True",
+        "True",
+        "True",
+        "None {Q -> z}",
+        "1000",
+    ]
+
+
+def test_pickled_compound_rehashes_in_another_process():
+    # String hashes differ between processes, so a hash cached in one
+    # process is wrong in another: unpickling must rebuild it.
+    term = "Compound('f', (Constant('a'), Compound('g', (Variable('X'),))))"
+    dump = run_fresh_python(
+        "-c", f"import pickle, sys; from proleg.ast import *; "
+              f"sys.stdout.write(pickle.dumps({term}).hex())",
+        env={"PYTHONHASHSEED": "1"})
+    assert dump.returncode == 0, dump.stderr
+    load = run_fresh_python(
+        "-c", f"import pickle; from proleg.ast import *; "
+              f"print({{pickle.loads(bytes.fromhex('{dump.stdout}')): 1}}.get({term}))",
+        env={"PYTHONHASHSEED": "2"})
+    assert (load.returncode, load.stdout, load.stderr) == (0, "1\n", "")
 
 
 class TestModelInvariants:

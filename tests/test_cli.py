@@ -147,6 +147,20 @@ def test_deeply_nested_term_is_a_parse_error_in_a_fresh_process(tmp_path):
     assert done.stderr.startswith(f"{rules}:1:203: term nested deeper than 100 levels\n")
 
 
+def test_growing_term_exits_2_at_the_depth_limit_in_a_fresh_process(tmp_path):
+    # Each level nests the goal's term one deeper, so the goal that passes
+    # the default depth limit holds a term 512 levels deep.
+    rules = tmp_path / "grow.proleg"
+    rules.write_text("p(X) <= p(s(X)).\n", encoding="utf-8")
+    facts = tmp_path / "none.facts"
+    facts.write_text("", encoding="utf-8")
+    done = run_fresh_python("-m", "proleg.cli", "run", str(rules), str(facts), "--query", "p(z)")
+    assert (done.returncode, done.stdout) == (2, "")
+    goal = "p(" + "s(" * 512 + "z" + ")" * 513
+    assert done.stderr == (f"engine error: goal nesting exceeded the depth limit at {goal} "
+                           "(depth 513, after 513 steps)\n")
+
+
 @pytest.mark.parametrize(
     "command",
     [("run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY), ("case", "run", CASE_FILE)],

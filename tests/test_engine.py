@@ -471,6 +471,56 @@ class TestTermination:
             "1000",
         ]
 
+    def test_growing_term_reaches_the_depth_limit_at_the_default_recursion_limit(self):
+        # Each level nests the goal's term one deeper, so the goal at the
+        # depth limit holds a term 512 levels deep: substituting, hashing,
+        # unifying and printing it must not recurse per level.
+        script = textwrap.dedent("""
+            import sys
+            from proleg import parse_atom, parse_facts, parse_program
+            from proleg.engine import DepthExceeded, solve
+
+            try:
+                solve(parse_program('p(X) <= p(s(X)).'), parse_facts(''), parse_atom('p(z)'))
+            except DepthExceeded as exc:
+                print(exc.depth, exc.steps, str(exc.goal) == 'p(' + 's(' * 512 + 'z' + ')' * 513)
+            print(sys.getrecursionlimit())
+        """)
+        done = run_fresh_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["513 513 True", "1000"]
+
+    def test_proof_over_deep_terms_renders_at_the_default_recursion_limit(self):
+        # 300 levels, each nesting the argument one deeper. The last rule
+        # proves q twice (the second time from the memo, by comparing two
+        # 300-deep goals) and checks its exception on the 300-deep instance.
+        script = textwrap.dedent("""
+            import sys
+            from proleg import parse_atom, parse_facts, parse_program
+            from proleg.engine import EngineConfig, solve
+            from proleg.trace import render_dot, render_text
+
+            n = 300
+            program = parse_program(''.join(f'p{i}(X) <= p{i + 1}(s(X)).' for i in range(n))
+                                    + f'p{n}(X) <= q(X), q(X). exception(p{n}(X), r(X)). q(Y) <=.')
+            for query in ('p0(z)', 'p0(X)'):
+                outcome, trace = solve(program, parse_facts('r(z).'), parse_atom(query))
+                text, dot = render_text(trace), render_dot(trace)
+                print(query, outcome.glyph, text.count('\\n'), dot.count(' -> '))
+                print(text.splitlines()[-1].strip())
+            print(sys.getrecursionlimit())
+        """)
+        done = run_fresh_python("-c", script)
+        assert done.returncode == 0, done.stderr
+        deep = "s(" * 300 + "{}" + ")" * 300
+        assert done.stdout.splitlines() == [
+            "p0(z) o 304 303",
+            f"~> r({deep.format('z')}) [x] (no rule matched)",
+            "p0(X) o 304 303",
+            f"~> r({deep.format('_G0')}) [x] (no rule matched)",
+            "1000",
+        ]
+
 
 def _walk(node):
     from proleg.trace import iter_nodes

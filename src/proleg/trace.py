@@ -285,9 +285,6 @@ _SPACE = r"\n? *[ \t\n\r]*"
 _skip = re.compile(_SPACE).match
 # Whitespace, then the next character if any.
 _next_char = re.compile(_SPACE + "(.?)", re.DOTALL).match
-# A key with no escape or control character after a newline and spaces,
-# its colon, and the whitespace up to the value: what _key reads slowly.
-_plain_key = re.compile(r'\n? *"([^"\\\x00-\x1f]*)"[ \t\n\r]*:' + _SPACE).match
 # json's own readers of one string and of one value; the reader below
 # calls the last only where no object or array starts.
 _scanstring = json.decoder.scanstring
@@ -296,9 +293,6 @@ _scan_scalar = json.JSONDecoder().scan_once
 
 def _key(text: str, index: int) -> tuple[str, int]:
     """The object key after ``index`` (and any whitespace) and where its value starts."""
-    plain = _plain_key(text, index)
-    if plain:
-        return plain.group(1), plain.end()
     index = _skip(text, index).end()
     if text[index:index + 1] != '"':
         raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
@@ -315,8 +309,6 @@ def _load_json(text: str) -> object:
     ValueError for the same texts. The C ``json.loads`` recurses once per
     object or array, so a deep trace overflows the default recursion
     limit; this reads them with an explicit stack."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
     # Open containers, innermost last: a list with None, or a dict with
     # the key whose value is being read.
     containers: list[tuple[Union[list, dict], Optional[str]]] = []

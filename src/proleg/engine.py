@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .ast import (
     Atom,
@@ -237,43 +237,11 @@ class ProgramIndex:
         self.exceptions = dict(exceptions)
 
 
-class _Goal:
-    """One goal on the search stack: what a recursive prove would keep in
-    its locals. ``parent`` is the goal it answers and ``slot`` its place
-    there: an index into the parent's clause atoms (head first) or
-    _CHECK_SLOT for an exception check. ``base`` is its own stack index.
-    ``atoms`` is the clause of the rule being tried, ``edges`` the
-    condition edges of the current path through its body, and ``low`` the
-    lowest body slot that has moved past its first solution."""
-
-    __slots__ = (
-        "parent", "slot", "base", "goal", "subst", "depth", "resolved", "canon", "ground",
-        "position", "mark", "facts", "rules", "found", "attempts", "defeated_via", "settled",
-        "rule_id", "atoms", "edges", "low", "shown", "solution", "instance", "node_goal",
-        "exceptions", "checks",
-    )
-
-    def __init__(self, parent: Optional[_Goal], slot: int, base: int, goal: Atom,
-                 subst: Substitution, depth: int, resolved: Atom, canon: Atom,
-                 position: int, mark: int, facts: Optional[list], rules: Optional[list]):
-        self.parent, self.slot, self.base = parent, slot, base
-        self.goal, self.subst, self.depth = goal, subst, depth
-        self.resolved, self.canon, self.ground = resolved, canon, canon is resolved
-        self.position, self.mark = position, mark
-        self.facts = iter(facts) if facts else None
-        self.rules = iter(rules) if rules else None
-        self.found = self.settled = False
-        self.attempts: list = []
-        self.defeated_via = self.atoms = None
-
-
-_CHECK_SLOT = -1
-
-# What the search loop does next: enter a goal; let the stack top try its
-# next fact or rule; check a body solution's exceptions, from the first or
-# the next declaration; settle a body solution; give an answer to the
-# caller; or resume the newest choice point above a goal.
-_CALL, _SEARCH, _SOLVED, _CHECK, _CHECKED, _ANSWER, _BACKTRACK = range(7)
+# What a goal's generator asks of the search loop: run a subgoal and send
+# back its first answer; the same for an exception check, whose frames go
+# once it answers; pass an answer to the goal that asked; send back the
+# next answer of a waiting subgoal; drop every frame above the asking one.
+_CALL, _CHECK, _ANSWER, _REDO, _DROP = range(5)
 
 
 class _Resolver:
@@ -291,7 +259,12 @@ class _Resolver:
         self.facts: dict[PredicateKey, list[Atom]] = defaultdict(list)
         for fact in sorted(facts.facts, key=str):
             self.facts[fact.key].append(fact)
+        self.steps = 0
         self.rename_serial = 0
+        # Each goal now running mapped to its position among them, for the
+        # loop check: a goal leaves when it answers and comes back when it
+        # is asked for more. None when the loop check is off.
+        self.running: Optional[dict[Atom, int]] = {} if config.loop_check else None
         # Ground-goal memo, from goal to node. A success is valid in any
         # context (the proof found cannot run through a pruned ancestor).
         # A plain failure is recorded only when no loop prune fired
@@ -307,6 +280,46 @@ class _Resolver:
         self.rename_serial += 1
         return rename_apart(atoms, names, self.rename_serial)
 
+    def run(self, query: Atom) -> TraceNode:
+        """The proof node of the query's first solution, or its failure node.
+
+        Each goal is a generator, ``_prove``, that asks this loop to run
+        its subgoals, so goal nesting nests no Python frames. ``stack``
+        holds the generators in the order they started, each with the
+        position of the goal that asked for it. A goal that has answered
+        and may answer again waits there above its caller, so the top is
+        always the newest choice point. Frames leave from the top, and no
+        generator holds another, so closing one never closes another.
+        """
+        stack = [(self._prove(query, EMPTY_SUBSTITUTION, 1), -1, False)]
+        current, value = 0, None
+        while True:
+            try:
+                request = stack[current][0].send(value)
+            except StopIteration:  # a goal with no answer left
+                current, value = stack.pop()[1], None
+                continue
+            kind = request[0]
+            if kind is _ANSWER:
+                _, asker, check = stack[current]
+                if asker < 0:
+                    return request[2]
+                if request[3] or check:  # its last answer, or all a check takes
+                    del stack[current:]
+                    value = request[1], request[2], None
+                else:
+                    value = request[1], request[2], current
+                current = asker
+            elif kind is _CALL or kind is _CHECK:
+                stack.append((self._prove(request[1], request[2], request[3]), current,
+                              kind is _CHECK))
+                current, value = len(stack) - 1, None
+            elif kind is _REDO:
+                current, value = request[1], None
+            else:
+                del stack[current + 1:]
+                value = None
+
     # A goal that is ground under the current substitution can add no
     # binding its caller could see, so one solution settles it; defeat
     # is likewise settled by the first derivation, because every
@@ -315,219 +328,157 @@ class _Resolver:
     # own, made by unifying the unrenamed head with the resolved goal:
     # no variable of the caller's can meet the clause's there.
 
-    def run(self, query: Atom) -> TraceNode:
-        """The proof node of the query's first solution, or its failure node.
+    def _prove(self, goal: Atom, subst: Substitution, depth: int) -> Iterator[tuple]:
+        """The goal's answers in search order, as requests to ``run``.
 
-        Each goal's solutions come in search order. A goal without
-        solutions answers once with its failure node: for every rule whose
-        head matched, the first-solution path through the body up to its
-        first failing condition, plus the exception checks when that path
-        completed. An exception check takes the first answer of its goal.
-
-        One loop drives an explicit stack of goals. A goal that has given
-        a solution and may give more stays on the stack above its caller,
-        so the stack top is always the newest choice point, and
-        backtracking resumes it. A goal that gives its last answer leaves
-        the stack with everything above it. ``running`` maps each goal now
-        running to its position among them, for the loop check: a goal
-        leaves it when it answers and comes back when it is resumed.
+        Each answer is (_ANSWER, solution, proof node, last). A goal
+        without solutions answers once with a None solution and its
+        failure node: for every rule whose head matched, the first-solution
+        path through the body up to its first failing condition, plus the
+        exception checks when that path completed. ``run`` sends back a
+        subgoal's answer as (solution, node, stack position to ask for
+        more or None), or None when it has no more.
         """
-        max_depth, max_steps = self.config.max_depth, self.config.max_steps
-        facts_of, rules_of, exceptions_of = self.facts.get, self.rules.get, self.exceptions.get
-        memo, prune_log = self.memo, self.prune_log
-        steps = 0
-        stack: list[_Goal] = []
-        running: Optional[dict[Atom, int]] = {} if self.config.loop_check else None
-        goal, subst, depth, parent, slot = query, EMPTY_SUBSTITUTION, 1, None, 0
-        mode = _CALL
-        while True:
-            if mode == _CALL:  # enter goal under subst as child `slot` of parent
-                resolved = apply_atom(subst, goal)
-                canon = canonical_atom(resolved)
-                if steps == max_steps:
-                    raise StepsExceeded(canon, depth, steps)
-                steps += 1
-                if depth > max_depth:
-                    raise DepthExceeded(canon, depth, steps)
-                child = None
-                node = memo.get(canon) if canon is resolved else None
-                if node is not None:
-                    solution = subst if node.outcome is _SUCCESS else None
-                    mode = _ANSWER
-                    continue
-                position = 0
-                if running is not None:
-                    position = len(running)
-                    matched = running.setdefault(canon, position)
-                    if matched != position:
-                        prune_log.append(matched)
-                        solution, node = None, _node(canon, _FAILURE, note="loop detected")
-                        mode = _ANSWER
+        resolved = apply_atom(subst, goal)
+        canon = canonical_atom(resolved)
+        if self.steps == self.config.max_steps:
+            raise StepsExceeded(canon, depth, self.steps)
+        self.steps += 1
+        if depth > self.config.max_depth:
+            raise DepthExceeded(canon, depth, self.steps)
+        ground = canon is resolved
+        memo, running, prune_log = self.memo, self.running, self.prune_log
+        node = memo.get(canon) if ground else None
+        if node is not None:
+            yield _ANSWER, subst if node.outcome is _SUCCESS else None, node, True
+            return
+        position = 0
+        if running is not None:
+            position = len(running)
+            matched = running.setdefault(canon, position)
+            if matched != position:
+                prune_log.append(matched)
+                yield _ANSWER, None, _node(canon, _FAILURE, note="loop detected"), True
+                return
+        mark = len(prune_log)
+        found = False
+        for fact in self.facts.get(goal.key, ()):
+            bound = unify_atoms(goal, fact, subst)
+            if bound is None:
+                continue
+            if running is not None:
+                del running[canon]
+            if ground:
+                node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
+                yield _ANSWER, subst, node, True
+                return
+            found = True
+            node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
+            yield _ANSWER, bound, node, False
+            if running is not None:
+                running[canon] = position
+        attempts: list = []
+        defeated_via: Optional[str] = None
+        settled = False
+        for rule_id, clause in self.rules.get(goal.key, ()):
+            if ground:
+                atoms = clause[0]
+                solution = unify_atoms(atoms[0], resolved)
+            else:
+                atoms = self._fresh(clause)
+                solution = unify_atoms(atoms[0], goal, subst)
+            if solution is None:
+                continue
+            # The body left to right. points[k] is where body atom k waits
+            # while it may answer again, and low the lowest atom that has
+            # moved past its first answer. A failing atom k is shown only
+            # while low >= k, on the first-solution path. A failure shows
+            # the rule's first body item: the failed first-solution path,
+            # or the first solution with its checks.
+            shown = None
+            edges: list = []
+            points: list = [None] * len(atoms)
+            low = k = len(atoms)
+            if k > 1:
+                k = 1
+                solution, node, points[1] = yield _CALL, atoms[1], solution, depth + 1
+            while True:
+                if k < len(atoms):  # atom k answered a call
+                    if solution is not None:
+                        edges.append((_CONDITION, node))
+                        k += 1
+                        if k < len(atoms):
+                            solution, node, points[k] = yield _CALL, atoms[k], solution, depth + 1
                         continue
-                frame = _Goal(parent, slot, len(stack), goal, subst, depth, resolved, canon,
-                              position, len(prune_log), facts_of(goal.key), rules_of(goal.key))
-                stack.append(frame)
-                mode = _SEARCH
-            if mode == _SEARCH:  # frame is the stack top, its current body exhausted
-                goal, subst, canon = frame.goal, frame.subst, frame.canon
-                if frame.facts is not None:
-                    for fact in frame.facts:
-                        bound = unify_atoms(goal, fact, subst)
-                        if bound is None:
-                            continue
-                        child = frame
-                        if frame.ground:
-                            node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
-                            solution, last = subst, True
-                        else:
-                            frame.found = True
-                            node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS,
-                                         FACT_MARKER)
-                            solution, last = bound, False
-                        mode = _ANSWER
-                        break
+                    if low >= k:
+                        shown = (*edges, (_CONDITION, node))
+                else:  # the body holds under solution
+                    if ground:
+                        instance, node_goal = resolved, canon
                     else:
-                        frame.facts = None
-                    if mode == _ANSWER:
-                        continue
-                if frame.atoms is not None:
-                    # A failure shows the rule's first body item: the failed
-                    # first-solution path, or the first solution with its checks.
-                    frame.attempts.extend(frame.shown or ())
-                    frame.atoms = None
-                if frame.rules is not None:
-                    for rule_id, clause in frame.rules:
-                        if frame.ground:
-                            atoms = clause[0]
-                            bound = unify_atoms(atoms[0], frame.resolved)
-                        else:
-                            atoms = self._fresh(clause)
-                            bound = unify_atoms(atoms[0], goal, subst)
-                        if bound is None:
-                            continue
-                        frame.rule_id, frame.atoms, frame.edges = rule_id, atoms, []
-                        frame.low, frame.shown = len(atoms), None
-                        if len(atoms) > 1:
-                            goal, subst, depth, parent, slot = (atoms[1], bound, frame.depth + 1,
-                                                                frame, 1)
-                            mode = _CALL
-                        else:
-                            solution = bound
-                            mode = _SOLVED
-                        break
-                    else:
-                        frame.rules = None
-                    if mode != _SEARCH:
-                        continue
-                if frame.found:  # resumed, with no solution left
-                    stack.pop()
-                    if running is not None:
-                        del running[canon]
-                    asker = frame.parent
-                    mode = _BACKTRACK
-                    continue
-                defeated_via, attempts = frame.defeated_via, frame.attempts
-                node = _node(canon, _FAILURE, defeated_via, defeated_via is not None,
-                             tuple(attempts), None if attempts else "no rule matched")
-                if frame.ground and (frame.settled or all(
-                        index >= frame.position for index in prune_log[frame.mark:])):
-                    memo[canon] = node
-                child, solution, last = frame, None, True
-                mode = _ANSWER
-            if mode == _SOLVED:  # frame's body holds under solution
-                if frame.ground:
-                    frame.instance, frame.node_goal = frame.resolved, frame.canon
-                else:
-                    frame.instance = apply_atom(solution, frame.goal)
-                    frame.node_goal = canonical_atom(frame.instance)
-                frame.solution, frame.checks = solution, []
-                declared = exceptions_of(frame.instance.key)
-                frame.exceptions = iter(declared) if declared else None
-                mode = _CHECK
-            if mode == _CHECK:  # frame checks its next exception declaration
-                defeated = False
-                mode = _CHECKED
-                if frame.exceptions is not None:
-                    instance = frame.instance
-                    for clause in frame.exceptions:
-                        head, exception = (clause[0] if frame.node_goal is instance
+                        instance = apply_atom(solution, goal)
+                        node_goal = canonical_atom(instance)
+                    checks = []
+                    defeated = False
+                    for clause in self.exceptions.get(instance.key, ()):
+                        head, exception = (clause[0] if node_goal is instance
                                            else self._fresh(clause))
                         bound = unify_atoms(head, instance)
                         if bound is not None:
-                            goal, subst, depth, parent, slot = (exception, bound, frame.depth + 1,
-                                                                frame, _CHECK_SLOT)
-                            mode = _CALL
-                            break
-                    if mode == _CALL:
-                        continue
-            if mode == _CHECKED:  # frame's body solution is checked; defeated says how
-                children = tuple(frame.edges) + tuple(frame.checks)
-                if frame.shown is None:
-                    frame.shown = children
-                    if defeated and frame.defeated_via is None:
-                        frame.defeated_via = frame.rule_id
-                if defeated:
-                    if frame.ground:
+                            holds, node, _ = yield _CHECK, exception, bound, depth + 1
+                            checks.append((_EXCEPTION, node))
+                            if holds is not None:
+                                defeated = True
+                                break
+                    children = (*edges, *checks)
+                    if shown is None:
+                        shown = children
+                        if defeated and defeated_via is None:
+                            defeated_via = rule_id
+                    if not defeated:
+                        node = _node(node_goal, _SUCCESS, rule_id, False, children)
+                        if running is not None:
+                            del running[canon]
+                        if ground:
+                            memo[canon] = node
+                            yield _ANSWER, subst, node, True
+                            return
+                        found = True
+                        yield _ANSWER, solution, node, False
+                        if running is not None:
+                            running[canon] = position
+                    elif ground:
                         # Every other derivation resolves to this same
                         # defeated instance; later rules are only shown.
-                        frame.settled = True
-                        del stack[frame.base + 1:]
-                        mode = _SEARCH
-                    else:
-                        asker = frame
-                        mode = _BACKTRACK
-                    continue
-                child, node = frame, _node(frame.node_goal, _SUCCESS, frame.rule_id, False,
-                                           children)
-                if frame.ground:
-                    memo[frame.canon] = node
-                    solution, last = frame.subst, True
-                else:
-                    frame.found = True
-                    solution, last = frame.solution, False
-                mode = _ANSWER
-            if mode == _ANSWER:  # child (None: no frame) answers solution with node
-                if child is not None:
-                    parent, slot = child.parent, child.slot
-                    if running is not None:
-                        del running[child.canon]
-                    if last or slot == _CHECK_SLOT:
-                        del stack[child.base:]
-                if parent is None:
-                    return node
-                frame = parent
-                if slot == _CHECK_SLOT:
-                    frame.checks.append((_EXCEPTION, node))
-                    defeated = solution is not None
-                    mode = _CHECKED if defeated else _CHECK
-                    continue
-                if solution is None:
-                    if frame.low >= slot:
-                        frame.shown = (*frame.edges, (_CONDITION, node))
-                    asker = frame
-                    mode = _BACKTRACK
-                else:
-                    del frame.edges[slot - 1:]
-                    frame.edges.append((_CONDITION, node))
-                    slot += 1
-                    if slot < len(frame.atoms):
-                        goal, subst, depth = frame.atoms[slot], solution, frame.depth + 1
-                        parent = frame
-                        mode = _CALL
-                    else:
-                        mode = _SOLVED
-                    continue
-            if mode == _BACKTRACK:  # resume the newest choice point above asker
-                frame = stack[-1]
-                waiting = frame
-                while waiting is not asker:
-                    up = waiting.parent
-                    if running is not None:
-                        running[waiting.canon] = waiting.position
-                    if waiting.slot < up.low:
-                        up.low = waiting.slot
-                    waiting = up
-                mode = _SEARCH
+                        settled = True
+                        yield (_DROP,)
+                        break
+                # Ask the newest body atom that may answer again.
+                answer = None
+                while answer is None:
+                    k -= 1
+                    while k and points[k] is None:
+                        k -= 1
+                    if not k:
+                        break
+                    low = min(low, k)
+                    answer = yield _REDO, points[k]
+                    if answer is None:
+                        points[k] = None
+                if not k:
+                    break
+                solution, node, points[k] = answer
+                del edges[k - 1:]
+            attempts.extend(shown or ())
+        if running is not None:
+            del running[canon]
+        if found:
+            return
+        node = _node(canon, _FAILURE, defeated_via, defeated_via is not None, tuple(attempts),
+                     None if attempts else "no rule matched")
+        if ground and (settled or all(index >= position for index in prune_log[mark:])):
+            memo[canon] = node
+        yield _ANSWER, None, node, True
 
 
 def solve(program: Program, facts: FactBase, goal: Atom,

@@ -85,7 +85,7 @@ class Text:
         return f'"{escape_text(self.value)}"'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Compound:
     """A functor applied to one or more argument terms."""
 
@@ -99,10 +99,10 @@ class Compound:
             raise ValueError("compound terms need at least one argument")
         object.__setattr__(self, "_hash", hash((self.functor, self.args)))
 
-    # Hashing, equality and printing use no recursion, so a term nested
-    # any number of levels deep works at the default recursion limit. The
-    # hash is the one the dataclass would compute, taken once when the
-    # term is built from its arguments' own (see also ``_built``).
+    # Hashing, equality, printing and repr use no recursion, so a term
+    # nested any number of levels deep works at the default recursion
+    # limit. The hash is the one the dataclass would compute, taken once
+    # when the term is built from its arguments' own (see also ``_built``).
 
     def __hash__(self) -> int:
         return self._hash
@@ -118,6 +118,9 @@ class Compound:
 
     def __str__(self) -> str:
         return _term_text(self)
+
+    def __repr__(self) -> str:
+        return f"<Compound {self}>"
 
 
 Term = Union[Constant, Variable, Integer, Text, Compound]
@@ -155,7 +158,7 @@ def _term_text(term: Compound) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Atom:
     """A predicate applied to zero or more terms.
 
@@ -182,6 +185,9 @@ class Atom:
         if not self.args:
             return self.predicate
         return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+
+    def __repr__(self) -> str:
+        return f"<Atom {self}>"
 
 
 PredicateKey = tuple[str, int]

@@ -11,18 +11,13 @@ for graph tooling, and a versioned JSON form that round-trips.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .ast import Atom
-from .parser import ParseFailure, parse_atom
+from .ast import Atom, Compound, Constant, Integer, Term, Text, Variable
 
-# The C string encoder json.dumps uses with ensure_ascii=True.
-_encode = json.encoder.encode_basestring_ascii
-
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 #: Marker used in ``TraceNode.via`` when a goal matched a case fact.
 FACT_MARKER = "fact"
@@ -159,207 +154,136 @@ def render_dot(root: TraceNode) -> str:
 
 
 def render_json(root: TraceNode) -> str:
-    """Canonical JSON with stable key order; the root object carries a
-    ``trace_version`` field ahead of the node fields.
+    """``json.dumps`` of ``{"trace_version": 2, "terms": [...], "nodes":
+    [...], "root": k}``, whose rows cite only rows before them, so the
+    JSON nests five containers deep at any trace depth. A term row is
+    ``["c", name]``, ``["v", name]``, ``["i", int]``, ``["t", str]`` or
+    ``["f", functor, arg_id, ...]``, one per distinct term. A node row is
+    ``[predicate, [arg_id, ...], outcome, via, defeated, note, [[edge,
+    node_id], ...]]``, one per node object, so a memo-shared subtree is
+    written once. Both walks are post-order, on explicit stacks."""
+    terms: list[list] = []
+    term_ids: dict[Term, int] = {}  # keyed by the term: a Compound caches its hash
 
-    The text is exactly ``json.dumps(obj, indent=2)`` of the object whose
-    node fields are ``goal``, ``outcome``, ``via``, ``defeated``, ``note``
-    and ``children`` (a list of ``{"edge", "node"}``). It is written in
-    one walk with an explicit stack, so its cost is linear in its length
-    and deep traces need no recursion.
-    """
-    # indents[k] starts a line at nesting level k. A node whose "{" sits
-    # at level k has its fields at k + 1, its children list items at
-    # k + 2, and each child's "edge" and "node" fields at k + 3.
-    indents = ["\n"]
-    pieces = ['{\n  "trace_version": ', str(TRACE_VERSION), ",\n  "]
-    # Stack items: a node with the level of its "{" (already written,
-    # with the indent of its first field), or text written after a subtree.
-    stack: list = [(root, 0)]
+    def term_id(term: Term) -> int:
+        stack = [term]
+        while stack:
+            top = stack[-1]
+            if top in term_ids:
+                stack.pop()
+            elif top.__class__ is not Compound:
+                kind = _TERM_KINDS[top.__class__]
+                term_ids[stack.pop()] = len(terms)
+                terms.append([kind, top.name if kind in "cv" else top.value])
+            else:
+                missing = [arg for arg in top.args if arg not in term_ids]
+                if missing:
+                    stack += reversed(missing)
+                    continue
+                term_ids[stack.pop()] = len(terms)
+                terms.append(["f", top.functor, *[term_ids[arg] for arg in top.args]])
+        return term_ids[term]
+
+    nodes: list[list] = []
+    node_ids: dict[int, int] = {}  # keyed by id(): the tree keeps every node alive
+    stack = [root]
     while stack:
-        item = stack.pop()
-        if type(item) is str:
-            pieces.append(item)
+        node = stack[-1]
+        if id(node) in node_ids:
+            stack.pop()
             continue
-        node, level = item
-        while len(indents) < level + 5:
-            indents.append(indents[-1] + "  ")
-        field = indents[level + 1]
-        pieces.append(
-            f'"goal": {_encode(str(node.goal))},{field}'
-            f'"outcome": "{node.outcome._value_}",{field}'
-            f'"via": {_scalar(node.via)},{field}'
-            f'"defeated": {"true" if node.defeated else "false"},{field}'
-            f'"note": {_scalar(node.note)},{field}'
-            '"children": '
-        )
-        if not node.children:
-            pieces.append(f"[]{indents[level]}}}")
+        missing = [child for _, child in node.children if id(child) not in node_ids]
+        if missing:
+            stack += reversed(missing)
             continue
-        pieces.append("[")
-        item_indent = indents[level + 2]
-        wrapper_field = indents[level + 3]
-        stack.append(f"{field}]{indents[level]}}}")
-        for index in range(len(node.children) - 1, -1, -1):
-            kind, child = node.children[index]
-            stack.append(f"{item_indent}}}")
-            stack.append((child, level + 3))
-            stack.append(
-                f"{',' if index else ''}{item_indent}{{{wrapper_field}"
-                f'"edge": "{kind._value_}",{wrapper_field}'
-                f'"node": {{{indents[level + 4]}'
-            )
-    return "".join(pieces)
+        node_ids[id(stack.pop())] = len(nodes)
+        goal = node.goal
+        nodes.append([goal.predicate, [term_id(arg) for arg in goal.args], node.outcome._value_,
+                      node.via, node.defeated, node.note,
+                      [[kind._value_, node_ids[id(child)]] for kind, child in node.children]])
+    return json.dumps({"trace_version": TRACE_VERSION, "terms": terms, "nodes": nodes,
+                       "root": node_ids[id(root)]})
 
 
-def _scalar(value: Optional[str]) -> str:
-    return "null" if value is None else _encode(value)
-
-
-# The fields of a node object and of a children item, with their JSON types.
-_NODE_FIELDS = {
-    "goal": str,
-    "outcome": str,
-    "via": (str, type(None)),
-    "defeated": bool,
-    "note": (str, type(None)),
-    "children": list,
-}
-_CHILD_FIELDS = {"edge": str, "node": dict}
+_TERM_KINDS = {Constant: "c", Variable: "v", Integer: "i", Text: "t"}
+# The constructor and JSON type of each term row kind but "f".
+_TERM_ROWS = {"c": (Constant, str), "v": (Variable, str), "i": (Integer, int), "t": (Text, str)}
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 _EDGES = {kind.value: kind for kind in EdgeKind}
+_LABEL_TYPES = (str, type(None))  # of via and note
 
 
 def _malformed(detail: str) -> ValueError:
     return ValueError(f"malformed trace JSON: {detail}")
 
 
-def _checked(obj: object, fields: dict, what: str) -> dict:
-    """``obj`` itself, once it is an object holding every field with its type."""
-    if not isinstance(obj, dict):
-        raise _malformed(f"{what} is a {type(obj).__name__}, not an object")
-    for name, kind in fields.items():
-        if name not in obj:
-            raise _malformed(f"{what} has no {name!r}")
-        if not isinstance(obj[name], kind):
-            raise _malformed(f"{what} field {name!r} is a {type(obj[name]).__name__}")
-    return obj
+def _cited(ids: list, rows: list, what: str) -> tuple:
+    """The rows ``ids`` cite, once each is the id of a row already built."""
+    for value in ids:
+        if value.__class__ is not int or not 0 <= value < len(rows):
+            raise _malformed(f"{what} cites {value!r}, not the id of an earlier row")
+    return tuple([rows[value] for value in ids])
 
 
-def _node_from_obj(root: dict) -> TraceNode:
-    """The tree of a node object, read with an explicit stack. Nodes are
-    checked in preorder, each child item just before its node, and built
-    in reverse, so each node finds its children built."""
-    visits: list[tuple[Optional[EdgeKind], dict, Atom]] = []
-    stack: list[object] = [root]  # the root, then child items still to read
-    while stack:
-        obj, kind = stack.pop(), None
-        if visits:
-            child = _checked(obj, _CHILD_FIELDS, "child")
-            if child["edge"] not in _EDGES:
-                raise _malformed(f"edge {child['edge']!r}")
-            obj, kind = child["node"], _EDGES[child["edge"]]
-        obj = _checked(obj, _NODE_FIELDS, "node")
-        try:
-            goal = parse_atom(obj["goal"])
-        except ParseFailure as exc:
-            raise _malformed(f"goal {obj['goal']!r}: {exc}") from exc
-        if obj["outcome"] not in _OUTCOMES:
-            raise _malformed(f"outcome {obj['outcome']!r}")
-        visits.append((kind, obj, goal))
-        stack.extend(reversed(obj["children"]))
-    built: list[tuple[Optional[EdgeKind], TraceNode]] = []  # first child on top
-    for kind, obj, goal in reversed(visits):
-        start = len(built) - len(obj["children"])
-        children = tuple(reversed(built[start:]))
-        del built[start:]
-        built.append((kind, _node(goal, _OUTCOMES[obj["outcome"]], obj["via"], obj["defeated"],
-                                  children, obj["note"])))
-    return built[0][1]
+def _term(row: object, terms: list[Term]) -> Term:
+    """The term of one row; ``terms`` holds those of the rows before it."""
+    kind = row[0] if row.__class__ is list and row and row[0].__class__ is str else None
+    if kind == "f" and len(row) > 2 and row[1].__class__ is str:
+        make, args = Compound, (row[1], _cited(row[2:], terms, f"term {len(terms)}"))
+    elif kind in _TERM_ROWS and len(row) == 2 and row[1].__class__ is _TERM_ROWS[kind][1]:
+        make, args = _TERM_ROWS[kind][0], (row[1],)
+    else:
+        raise _malformed(f"term {len(terms)} {row!r} is not a term row")
+    try:
+        return make(*args)
+    except ValueError as exc:  # a name the constructor rejects
+        raise _malformed(f"term {len(terms)}: {exc}") from None
 
 
-# JSON whitespace. json.dumps(indent=...) writes a newline and spaces,
-# which the first two parts take at the regex engine's fast one-character
-# speed. Each pattern below is anchored and can backtrack only linearly.
-_SPACE = r"\n? *[ \t\n\r]*"
-_skip = re.compile(_SPACE).match
-# Whitespace, then the next character if any.
-_next_char = re.compile(_SPACE + "(.?)", re.DOTALL).match
-# json's own readers of one string and of one value; the reader below
-# calls the last only where no object or array starts.
-_scanstring = json.decoder.scanstring
-_scan_scalar = json.JSONDecoder().scan_once
-
-
-def _key(text: str, index: int) -> tuple[str, int]:
-    """The object key after ``index`` (and any whitespace) and where its value starts."""
-    index = _skip(text, index).end()
-    if text[index:index + 1] != '"':
-        raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
-                                   text, index)
-    key, index = _scanstring(text, index + 1)
-    index = _skip(text, index).end()
-    if text[index:index + 1] != ":":
-        raise json.JSONDecodeError("Expecting ':' delimiter", text, index)
-    return key, _skip(text, index + 1).end()
-
-
-def _load_json(text: str) -> object:
-    """``json.loads(text)`` at any nesting depth: the same value, or a
-    ValueError for the same texts. The C ``json.loads`` recurses once per
-    object or array, so a deep trace overflows the default recursion
-    limit; this reads them with an explicit stack."""
-    # Open containers, innermost last: a list with None, or a dict with
-    # the key whose value is being read.
-    containers: list[tuple[Union[list, dict], Optional[str]]] = []
-    index = _skip(text, 0).end()
-    while True:
-        opening = text[index:index + 1]
-        if opening == "[" or opening == "{":
-            index = _skip(text, index + 1).end()
-            if text[index:index + 1] == ("]" if opening == "[" else "}"):
-                value, index = ([] if opening == "[" else {}), index + 1
-            elif opening == "[":
-                containers.append(([], None))
-                continue
-            else:
-                key, index = _key(text, index)
-                containers.append(({}, key))
-                continue
-        else:
-            try:
-                value, index = _scan_scalar(text, index)
-            except StopIteration as stop:
-                raise json.JSONDecodeError("Expecting value", text, stop.value) from None
-        # Store the value, closing every container that ends after it.
-        while containers:
-            container, key = containers[-1]
-            if key is None:
-                container.append(value)
-            else:
-                container[key] = value
-            found = _next_char(text, index)
-            delimiter, index = found.group(1), found.end()
-            if delimiter == ",":
-                if key is None:
-                    index = _skip(text, index).end()
-                else:
-                    key, index = _key(text, index)
-                    containers[-1] = (container, key)
-                break
-            if delimiter != ("]" if key is None else "}"):
-                raise json.JSONDecodeError("Expecting ',' delimiter", text, index - 1)
-            value = containers.pop()[0]
-        else:
-            end = _skip(text, index).end()
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
-            return value
+def _trace_node(row: object, terms: list[Term], nodes: list[TraceNode]) -> TraceNode:
+    """The node of one row; ``nodes`` holds those of the rows before it."""
+    if row.__class__ is not list or len(row) != 7:
+        raise _malformed(f"node {len(nodes)} {row!r} does not have 7 fields")
+    predicate, args, outcome, via, defeated, note, children = row
+    if not (predicate.__class__ is str and args.__class__ is list and outcome.__class__ is str
+            and outcome in _OUTCOMES and via.__class__ in _LABEL_TYPES
+            and defeated.__class__ is bool and note.__class__ in _LABEL_TYPES
+            and children.__class__ is list):
+        raise _malformed(f"node {len(nodes)} {row!r} is not a node row")
+    args = _cited(args, terms, f"node {len(nodes)}")
+    try:
+        goal = Atom(predicate, args)
+    except ValueError as exc:  # a predicate name the constructor rejects
+        raise _malformed(f"node {len(nodes)}: {exc}") from None
+    edges = []
+    for pair in children:
+        if not (pair.__class__ is list and len(pair) == 2 and pair[0].__class__ is str
+                and pair[0] in _EDGES and pair[1].__class__ is int and 0 <= pair[1] < len(nodes)):
+            raise _malformed(f"node {len(nodes)} child {pair!r} is not [edge, earlier node id]")
+        edges.append((_EDGES[pair[0]], nodes[pair[1]]))
+    return _node(goal, _OUTCOMES[outcome], via, defeated, tuple(edges), note)
 
 
 def trace_from_json(text: str) -> TraceNode:
-    """Parse render_json output back into an equal TraceNode tree, at any depth."""
-    obj = _load_json(text)
-    if not isinstance(obj, dict) or obj.get("trace_version") != TRACE_VERSION:
-        raise ValueError("unsupported or missing trace_version")
-    return _node_from_obj(obj)
+    """Read render_json output back into an equal TraceNode tree, at any
+    depth: one ``json.loads``, then one forward pass over each table that
+    builds every row from rows already built. Terms and goals are made
+    by the ``ast`` constructors, which check every name. Only version 2
+    is read: any other version, and any malformed row, raises ValueError."""
+    try:
+        obj = json.loads(text)
+    except RecursionError:  # the C decoder recurses once per container
+        raise _malformed("nested too deeply for version 2") from None
+    version = obj.get("trace_version") if obj.__class__ is dict else None
+    if version != TRACE_VERSION:
+        raise ValueError(f"trace JSON version {version!r} is not read, only {TRACE_VERSION}")
+    if obj.keys() != {"trace_version", "terms", "nodes", "root"} or not (
+            obj["terms"].__class__ is list and obj["nodes"].__class__ is list):
+        raise _malformed("the top object is not trace_version, terms, nodes and root")
+    terms: list[Term] = []
+    for row in obj["terms"]:
+        terms.append(_term(row, terms))
+    nodes: list[TraceNode] = []
+    for row in obj["nodes"]:
+        nodes.append(_trace_node(row, terms, nodes))
+    return _cited([obj["root"]], nodes, "root")[0]

@@ -645,24 +645,37 @@ def assert_no_circular_proof(root: TraceNode) -> None:
 
 def reference_trace_obj(root: TraceNode) -> dict:
     """The object render_json serialises, built by plain recursion;
-    ``json.dumps(reference_trace_obj(t), indent=2)`` is the reference
-    rendering."""
+    ``json.dumps(reference_trace_obj(t))`` is the reference rendering.
+    Rows come in post-order, arguments and children first and left to
+    right; equal terms share a row, and so does each node object."""
+    terms: list[list] = []
+    term_ids: dict[Term, int] = {}
+    nodes: list[list] = []
+    node_ids: dict[int, int] = {}
 
-    def node_obj(node: TraceNode) -> dict:
-        return {
-            "goal": str(node.goal),
-            "outcome": node.outcome.glyph,
-            "via": node.via,
-            "defeated": node.defeated,
-            "note": node.note,
-            "children": [
-                {"edge": kind.value, "node": node_obj(child)} for kind, child in node.children
-            ],
-        }
+    def term_id(term: Term) -> int:
+        if term not in term_ids:
+            if isinstance(term, Compound):
+                row = ["f", term.functor] + [term_id(arg) for arg in term.args]
+            elif isinstance(term, (Constant, Variable)):
+                row = ["c" if isinstance(term, Constant) else "v", term.name]
+            else:
+                row = ["i" if isinstance(term, Integer) else "t", term.value]
+            term_ids[term] = len(terms)
+            terms.append(row)
+        return term_ids[term]
 
-    obj: dict = {"trace_version": TRACE_VERSION}
-    obj.update(node_obj(root))
-    return obj
+    def node_id(node: TraceNode) -> int:
+        if id(node) not in node_ids:
+            children = [[kind.value, node_id(child)] for kind, child in node.children]
+            args = [term_id(arg) for arg in node.goal.args]
+            node_ids[id(node)] = len(nodes)
+            nodes.append([node.goal.predicate, args, node.outcome.glyph, node.via,
+                          node.defeated, node.note, children])
+        return node_ids[id(node)]
+
+    root_id = node_id(root)
+    return {"trace_version": TRACE_VERSION, "terms": terms, "nodes": nodes, "root": root_id}
 
 
 def _random_label(rng: random.Random) -> Optional[str]:
@@ -675,18 +688,24 @@ def _random_label(rng: random.Random) -> Optional[str]:
                    for _ in range(rng.randint(0, 8)))
 
 
-def random_trace(rng: random.Random, depth: int = 4) -> TraceNode:
+def random_trace(rng: random.Random, depth: int = 4,
+                 built: Optional[list[TraceNode]] = None) -> TraceNode:
     """A trace tree of arbitrary shape: goals may hold Text terms with
     quotes, backslashes, newlines and non-ASCII characters, ``via`` and
     ``note`` may be None or any string, nodes may be leaves or have
-    several children. It need not satisfy the engine's invariants."""
+    several children, and a child may be a node object already used
+    elsewhere in the tree, as a memo-shared subtree is. It need not
+    satisfy the engine's invariants."""
+    built = [] if built is None else built
     children = ()
     if depth > 0 and rng.random() < 0.7:
         children = tuple(
-            (rng.choice(list(EdgeKind)), random_trace(rng, depth - 1))
+            (rng.choice(list(EdgeKind)),
+             rng.choice(built) if built and rng.random() < 0.2
+             else random_trace(rng, depth - 1, built))
             for _ in range(rng.randint(1, 3))
         )
-    return TraceNode(
+    node = TraceNode(
         _random_atom(rng),
         rng.choice(list(Outcome)),
         via=_random_label(rng),
@@ -694,6 +713,8 @@ def random_trace(rng: random.Random, depth: int = 4) -> TraceNode:
         children=children,
         note=_random_label(rng),
     )
+    built.append(node)
+    return node
 
 
 def run_fresh_python(*args: str, env: Optional[dict[str, str]] = None

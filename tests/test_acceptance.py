@@ -265,6 +265,6 @@ def test_criterion_9_trace_validity():
         assert_trace_invariants(trace)
         text = render_json(trace)
         assert trace_from_json(text) == trace
-        assert json.loads(text)["trace_version"] == 1
+        assert json.loads(text)["trace_version"] == 2
         validate_dot(render_dot(trace))
     _report(9, "trace invariants, JSON round-trip, DOT validity")

@@ -232,6 +232,7 @@ def test_term_operations_handle_deep_terms_at_the_default_recursion_limit():
         renamed = rename_apart((open_atom,), ['X', 'Y'], 1)[0]
         print(str(renamed) == str(open_atom).replace('X', 'X#1').replace('Y', 'Y#1'))
         print(unify(Variable('X'), deep(Variable('X'))), unify(twin, deep(Variable('Q'))))
+        print(repr(open_atom) == f'<Atom {open_atom}>', repr(ground)[:16])
         print(sys.getrecursionlimit())
     """)
     done = run_fresh_python("-c", script)
@@ -243,6 +244,7 @@ def test_term_operations_handle_deep_terms_at_the_default_recursion_limit():
         "True",
         "True",
         "None {Q -> z}",
+        "True <Compound s(s(s(",
         "1000",
     ]
 

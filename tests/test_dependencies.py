@@ -1,5 +1,6 @@
-"""Checks over the package source: it depends on the standard library only
-and changes no process-wide interpreter setting."""
+"""Checks over the package source: it depends on the standard library only,
+changes no process-wide interpreter setting, and keeps the trace module
+off the parser."""
 
 from __future__ import annotations
 
@@ -50,3 +51,26 @@ def test_no_module_changes_the_recursion_limit():
     modules = sorted(SRC.rglob("*.py"))
     assert [str(path.relative_to(SRC)) for path in modules
             if "setrecursionlimit" in names_used(path)] == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """The ``proleg`` modules one top-level module of the package imports,
+    relatively or absolutely, as ``proleg.<name>``."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names if alias.name.startswith("proleg."))
+        elif isinstance(node, ast.ImportFrom):
+            module = ("proleg." + (node.module or "")).rstrip(".") if node.level else node.module
+            if module == "proleg":  # from . import x: x is a module
+                found.update(f"proleg.{alias.name}" for alias in node.names)
+            elif module.startswith("proleg."):
+                found.add(module)
+    return found
+
+
+def test_the_trace_module_imports_only_the_data_model():
+    # trace_from_json builds goals from term rows through the ast
+    # constructors; it must never go back to parsing goal text.
+    assert package_imports(SRC / "engine.py") >= {"proleg.ast", "proleg.trace"}
+    assert package_imports(SRC / "trace.py") == {"proleg.ast"}

@@ -22,7 +22,14 @@ from proleg.gdpr import (
     TraceFragment,
 )
 from proleg.parser import parse_atom, parse_program
-from proleg.trace import Outcome, iter_nodes, render_dot, render_json, render_text
+from proleg.trace import (
+    Outcome,
+    iter_nodes,
+    render_dot,
+    render_json,
+    render_text,
+    trace_from_json,
+)
 
 from helpers import assert_trace_invariants, ground_with
 
@@ -189,6 +196,14 @@ class TestRunCase:
             for path in bundled_case_paths()
         )
         assert rendered == pinned.read_text(encoding="utf-8")
+
+    def test_pinned_json_reads_back_to_the_solved_traces(self):
+        pinned = Path(__file__).parent / "data" / "bundled_case_traces_json.txt"
+        lines = pinned.read_text(encoding="utf-8").splitlines()
+        paths = bundled_case_paths()
+        assert len(lines) == len(paths)
+        for line, path in zip(lines, paths):
+            assert trace_from_json(line) == run_case(load_case(path)).trace, path.name
 
     def test_withdrawal_sensitivity(self, withdrawal_case):
         outcome, _ = solve(

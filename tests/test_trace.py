@@ -9,8 +9,9 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proleg.ast import Atom, Constant
+from proleg.ast import Atom, Compound, Constant, FactBase, Variable
 from proleg.engine import solve
+from proleg.parser import parse_program
 from proleg.trace import (
     EdgeKind,
     FACT_MARKER,
@@ -21,7 +22,6 @@ from proleg.trace import (
     render_json,
     render_text,
     trace_from_json,
-    _load_json,
 )
 
 from helpers import (
@@ -111,29 +111,41 @@ class TestRenderDot:
 
 class TestRenderJson:
     def test_fact_node_schema(self):
-        parsed = json.loads(render_json(fact_node()))
-        assert parsed["trace_version"] == 1
-        node_fields = {k: parsed[k] for k in ("goal", "outcome", "via", "defeated", "note", "children")}
-        assert node_fields == {
-            "goal": "f(a)",
-            "outcome": "o",
-            "via": "fact",
-            "defeated": False,
-            "note": None,
-            "children": [],
+        assert json.loads(render_json(fact_node())) == {
+            "trace_version": 2,
+            "terms": [["c", "a"]],
+            "nodes": [["f", [0], "o", "fact", False, None, []]],
+            "root": 0,
         }
 
     def test_key_order_is_stable(self):
         text = render_json(fact_node())
-        keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
-        assert keys == ["trace_version", "goal", "outcome", "via", "defeated", "note", "children"]
+        assert text.startswith('{"trace_version": 2, "terms": [')
+        assert list(json.loads(text)) == ["trace_version", "terms", "nodes", "root"]
 
     def test_defeated_node_schema(self):
         parsed = json.loads(render_json(defeated_consent_node()))
-        assert parsed["defeated"] is True
-        assert parsed["outcome"] == "x"
-        exception_children = [c for c in parsed["children"] if c["edge"] == "exception"]
-        assert exception_children and exception_children[0]["node"]["outcome"] == "o"
+        assert parsed["terms"] == [["c", "case1"]]  # one row for the three goals' case1
+        assert parsed["nodes"] == [
+            ["consent_given", [0], "o", "fact", False, None, []],
+            ["consent_withdrawn", [0], "o", "fact", False, None, []],
+            ["basis_consent", [0], "x", "r7", True, None, [["condition", 0], ["exception", 1]]],
+        ]
+        assert parsed["root"] == 2
+
+    def test_shared_nodes_and_terms_are_written_once(self):
+        shared = TraceNode(Atom("q", (Compound("f", (Constant("a"),)),)), Outcome.SUCCESS,
+                           via=FACT_MARKER)
+        left = TraceNode(Atom("l", (Compound("f", (Constant("a"),)),)), Outcome.SUCCESS,
+                         via="r1", children=((EdgeKind.CONDITION, shared),))
+        root = TraceNode(Atom("p"), Outcome.SUCCESS, via="r2",
+                         children=((EdgeKind.CONDITION, left), (EdgeKind.CONDITION, shared)))
+        parsed = json.loads(render_json(root))
+        assert parsed["terms"] == [["c", "a"], ["f", "f", 0]]
+        assert [row[0] for row in parsed["nodes"]] == ["q", "l", "p"]
+        rebuilt = trace_from_json(render_json(root))
+        assert rebuilt == root
+        assert rebuilt.children[0][1].children[0][1] is rebuilt.children[1][1]
 
     def test_round_trip_equality(self):
         node = defeated_consent_node()
@@ -154,6 +166,17 @@ class TestRenderJson:
         with pytest.raises(ValueError):
             trace_from_json('{"goal": "f", "outcome": "o"}')
 
+    def test_version_1_is_no_longer_read(self):
+        version_1 = json.dumps({"trace_version": 1, "goal": "f(a)", "outcome": "o",
+                                "via": "fact", "defeated": False, "note": None,
+                                "children": []}, indent=2)
+        with pytest.raises(ValueError, match="^trace JSON version 1 is not read"):
+            trace_from_json(version_1)
+        # A deep version 1 trace nests past what json.loads reads at this limit.
+        deep = '{"trace_version": 1, "children": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        with pytest.raises(ValueError, match="^malformed trace JSON: nested too deeply"):
+            trace_from_json(deep)
+
     def test_bad_outcome_rejected(self):
         text = render_json(fact_node()).replace('"o"', '"maybe"')
         with pytest.raises(ValueError):
@@ -161,6 +184,17 @@ class TestRenderJson:
 
 
 _DELETED = object()
+# Paths name steps in the JSON document. A path that starts with a field
+# name starts in the root node's row: ``goal`` is its predicate, then
+# ``args``, ``outcome``, ``via``, ``defeated``, ``note`` and ``children``;
+# a child pair holds ``edge`` and ``node``, and a ``node`` step that is
+# not the last goes on to the row of the node it cites.
+_ROW_FIELDS = {"goal": 0, "args": 1, "outcome": 2, "via": 3, "defeated": 4, "note": 5,
+               "children": 6, "edge": 0, "node": 1}
+
+
+def _step(name: str):
+    return int(name) if name.isdigit() else _ROW_FIELDS.get(name, name)
 
 
 @pytest.mark.parametrize("path, value", [
@@ -183,19 +217,59 @@ _DELETED = object()
     ("children.0.edge", "because"),
     ("children.0.node", [1]),
     ("children.0.node.goal", "p("),
+    # Ids: forward, out of range, negative, or a bool.
+    ("args.0", 1),
+    ("args.0", -1),
+    ("args.0", False),
+    ("args", 0),
+    ("children.0.node", 2),
+    ("children.0.node", 3),
+    ("children.0.node", True),
+    ("root", 3),
+    ("root", -1),
+    ("root", True),
+    ("root", "2"),
+    ("root", _DELETED),
+    ("terms.0", ["f", "g", 0]),
+    ("terms", [["c", "case1"], ["f", "g", 0, 2]]),
+    ("terms", [["c", "case1"], ["f", "g", True]]),
+    # Term rows: unknown kind, invalid name, wrong JSON type, no arguments.
+    ("terms.0.0", "x"),
+    ("terms.0.1", "Case1"),
+    ("terms.0", ["v", "x"]),
+    ("terms", [["c", "case1"], ["f", "G", 0]]),
+    ("terms.0", ["c", 5]),
+    ("terms.0", ["i", "5"]),
+    ("terms.0", ["i", True]),
+    ("terms.0", ["i", 1.5]),
+    ("terms.0", ["t", None]),
+    ("terms.0", ["f", "g"]),
+    ("terms.0", []),
+    ("terms.0", "case1"),
+    # A field missing or extra, in a term row, node row, child pair or the document.
+    ("terms.0", ["c", "case1", "x"]),
+    ("nodes.0", ["consent_given", [0], "o", "fact", False, None]),
+    ("nodes.0", ["consent_given", [0], "o", "fact", False, None, [], None]),
+    ("children.0", ["condition"]),
+    ("children.0", ["condition", 0, 0]),
+    ("nodes.1", "x"),
+    ("nodes", {}),
+    ("terms", None),
+    ("terms", _DELETED),
+    ("extra", 1),
 ])
 def test_malformed_trace_json_is_a_value_error(path, value):
     obj = json.loads(render_json(defeated_consent_node()))
-    keys = [int(key) if key.isdigit() else key for key in path.split(".")]
-    container = obj
-    for key in keys[:-1]:
-        container = container[key]
+    steps = path.split(".")
+    container = obj["nodes"][obj["root"]] if steps[0] in _ROW_FIELDS else obj
+    for name in steps[:-1]:
+        container = obj["nodes"][container[1]] if name == "node" else container[_step(name)]
     if value is _DELETED:
-        del container[keys[-1]]
+        del container[_step(steps[-1])]
     else:
-        container[keys[-1]] = value
+        container[_step(steps[-1])] = value
     with pytest.raises(ValueError, match="^malformed trace JSON: "):
-        trace_from_json(json.dumps(obj, indent=2))
+        trace_from_json(json.dumps(obj))
 
 
 def test_glyph_mapping_everywhere():
@@ -207,7 +281,7 @@ def test_glyph_mapping_everywhere():
     dot = render_dot(node)
     assert "\\no" in dot and "\\nx" in dot
     parsed = json.loads(render_json(node))
-    assert parsed["outcome"] == "x"
+    assert parsed["nodes"][parsed["root"]][2] == "x"
 
 
 def test_iter_nodes_reports_incoming_edges():
@@ -222,112 +296,102 @@ def test_iter_nodes_reports_incoming_edges():
 @settings(max_examples=150, deadline=None)
 def test_render_json_is_json_dumps_of_the_node_object(seed):
     trace = random_trace(random.Random(seed))
-    assert render_json(trace) == json.dumps(reference_trace_obj(trace), indent=2)
+    text = render_json(trace)
+    assert text == json.dumps(reference_trace_obj(trace))
+    assert trace_from_json(text) == trace
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["c", "v", "i", "t", "f", "o", "x", "condition", "exception", "X"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+@given(st.integers(min_value=0, max_value=2**32), _JSON_VALUES, st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_changed_document_reads_back_or_is_a_value_error(seed, value, data):
+    obj = json.loads(render_json(random_trace(random.Random(seed))))
+    # Every list in the document: both tables, each row, argument list and child pair.
+    lists = [obj["terms"], obj["nodes"], *obj["terms"], *obj["nodes"]]
+    lists += [part for row in obj["nodes"] for part in (row[1], row[6], *row[6])]
+    target = data.draw(st.sampled_from([part for part in lists if part]))
+    target[data.draw(st.integers(0, len(target) - 1))] = value
+    try:
+        trace_from_json(json.dumps(obj))
+    except ValueError as exc:
+        assert str(exc).startswith("malformed trace JSON: ")
+
+
+# A 3,001-level chain; argv[1] picks what the fresh interpreter does with it.
 _DEEP_CHAIN_SCRIPT = textwrap.dedent("""
     import sys
     from proleg.ast import Atom
     from proleg.trace import (EdgeKind, Outcome, TraceNode, iter_nodes,
-                              render_dot, render_json, render_text)
+                              render_dot, render_json, render_text, trace_from_json)
 
     assert sys.getrecursionlimit() == 1000
     node = TraceNode(Atom("p3000"), Outcome.SUCCESS, via="fact")
     for i in range(2999, -1, -1):
         node = TraceNode(Atom(f"p{i}"), Outcome.SUCCESS, via=f"r{i + 1}",
                          children=((EdgeKind.CONDITION, node),))
-        if i == 2000:
-            lower = node
-    text = render_text(node)
-    dot = render_dot(node)
-    print(len(text.splitlines()), dot.count(" -> "), sum(1 for _ in iter_nodes(node)))
-    js = render_json(lower)
-    print(len(js), js.count('"goal": '), js.count('"children": []'))
-    print(js[:60].replace("\\n", "|"))
-    print(js[-40:].replace("\\n", "|"))
+    if sys.argv[1] == "walk":
+        text = render_text(node)
+        dot = render_dot(node)
+        print(len(text.splitlines()), dot.count(" -> "), sum(1 for _ in iter_nodes(node)))
+    else:
+        js = render_json(node)
+        back = trace_from_json(js)
+        print(len(js), render_json(back) == js, render_text(back) == render_text(node))
     print(sys.getrecursionlimit())
 """)
 
 
 def test_walkers_handle_deep_traces_at_the_default_recursion_limit():
     # A fresh interpreter, so the limit is the default one.
-    # Indented JSON grows with the square of the depth (324 MB for the
-    # whole chain), so render_json gets its lower 1000 levels: 3000 nested
-    # containers, deeper than json.loads parses at this limit. Its length
-    # is that of json.dumps(reference_trace_obj(lower), indent=2).
-    done = run_fresh_python("-c", _DEEP_CHAIN_SCRIPT)
+    done = run_fresh_python("-c", _DEEP_CHAIN_SCRIPT, "walk")
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert lines[0] == "3001 3000 3001"
-    assert lines[1] == "36175133 1001 1"
-    assert lines[2] == '{|  "trace_version": 1,|  "goal": "p2000",|  "outcome": "o",'
-    assert lines[3] == '         }|        ]|      }|    }|  ]|}'
-    assert lines[4] == "1000"
-
-
-_DEEP_ROUND_TRIP_SCRIPT = textwrap.dedent("""
-    import sys
-    from proleg.ast import Atom
-    from proleg.trace import EdgeKind, Outcome, TraceNode, render_json, trace_from_json
-
-    node = TraceNode(Atom("p400"), Outcome.SUCCESS, via="fact")
-    for i in range(399, -1, -1):
-        node = TraceNode(Atom(f"p{i}"), Outcome.SUCCESS, via=f"r{i + 1}",
-                         children=((EdgeKind.CONDITION, node),))
-    text = render_json(node)
-    print(len(text), render_json(trace_from_json(text)) == text, sys.getrecursionlimit())
-""")
+    assert done.stdout.splitlines() == ["3001 3000 3001", "1000"]
 
 
 def test_deep_trace_json_reads_back_at_the_default_recursion_limit():
-    # 401 levels are 1203 nested JSON containers, past what a recursive
-    # reader manages at the default limit. Dataclass == recurses too, so
-    # the rebuilt tree is compared through its rendering.
-    done = run_fresh_python("-c", _DEEP_ROUND_TRIP_SCRIPT)
+    # The whole chain, in a fresh interpreter. Its JSON nests five
+    # containers deep and grows linearly with the depth: 3,001 node rows
+    # in 192 KB, where the indented version 1 took 324 MB.
+    done = run_fresh_python("-c", _DEEP_CHAIN_SCRIPT, "json")
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "5829114 True 1000\n"
+    assert done.stdout.splitlines() == ["191776 True True", "1000"]
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
-                                                                max_size=4),
-    max_leaves=12,
-)
-_JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=2)
-_JSON_NOISE = list('{}[],:" \\0123456789.eE+-tfnulrsaINy\x00\u2028')
+def test_goals_nested_past_the_parser_bound_read_back():
+    # The engine builds q(s^120(z), c120, X) by unification, deeper than
+    # parser.MAX_TERM_DEPTH allows in source text; its trace still reads back.
+    source = "top(X) <= q(z, c0, X).\n" + "".join(
+        f"q(N, c{i}, X) <= q(s(N), c{i + 1}, X).\n" for i in range(120)) + "q(N, c120, N) <=.\n"
+    outcome, trace = solve(parse_program(source), FactBase(), Atom("top", (Variable("X"),)))
+    assert outcome is Outcome.SUCCESS
+    text = render_json(trace)
+    rebuilt = trace_from_json(text)
+    assert render_json(rebuilt) == text
+    assert render_text(rebuilt) == render_text(trace)
 
 
-def _read(reader, text):
-    """What a reader makes of the text: the repr of its value (which tells
-    1 from 1.0 and True, and shows nan), or that it raised ValueError."""
-    try:
-        return repr(reader(text))
-    except ValueError:
-        return "ValueError"
+def _nested_goal_chain(levels: int) -> TraceNode:
+    """p(s(z)) <- p(s(s(z))) <- ... <- p(s^levels(z)), each goal built on the last."""
+    goals = [Compound("s", (Constant("z"),))]
+    while len(goals) < levels:
+        goals.append(Compound("s", (goals[-1],)))
+    node = TraceNode(Atom("p", (goals.pop(),)), Outcome.SUCCESS, via=FACT_MARKER)
+    while goals:
+        node = TraceNode(Atom("p", (goals.pop(),)), Outcome.SUCCESS, via="r1",
+                         children=((EdgeKind.CONDITION, node),))
+    return node
 
 
-@given(_JSON_VALUES, st.none() | st.integers(0, 3) | _JSON_SPACE, _JSON_SPACE, _JSON_SPACE,
-       _JSON_SPACE, _JSON_SPACE, st.booleans(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_load_json_reads_what_json_loads_reads(value, indent, a, b, c, d, ascii, data):
-    text = json.dumps(value, indent=indent, separators=(f"{a},{b}", f"{c}:{d}"),
-                      ensure_ascii=ascii)
-    text = data.draw(_JSON_SPACE) + text + data.draw(_JSON_SPACE)
-    assert _read(_load_json, text) == _read(json.loads, text) != "ValueError"
-    cut = data.draw(st.integers(0, len(text)))
-    assert _read(_load_json, text[:cut]) == _read(json.loads, text[:cut])
-    at = data.draw(st.integers(0, len(text)))
-    noise = data.draw(st.sampled_from(_JSON_NOISE))
-    for mutated in (text[:at] + noise + text[at:], text[:at] + noise + text[at + 1:]):
-        assert _read(_load_json, mutated) == _read(json.loads, mutated)
-
-
-@pytest.mark.parametrize("text", [
-    "", " ", "{", "[", "]", "}", "[1,]", '{"a":1,}', '{"a" 1}', '{1: 2}', "[1 2]", "01", "1.",
-    "-", "nul", "tru", "NaN", "-Infinity", "Infinity", '"\\x"', '"a\nb"', '"\\ud800"',
-    "\ufeff[]", '{"a": 1, "a": [2]}', "[[], {}, [{}]]", "1 2", "[1]]", "{}}", " [ ] ",
-    "1" * 5000,
-])
-def test_load_json_edge_cases(text):
-    assert _read(_load_json, text) == _read(json.loads, text)
+def test_json_grows_linearly_with_goal_nesting():
+    # Each goal's term shares all but one row with the goal below it.
+    texts = [render_json(_nested_goal_chain(levels)) for levels in (600, 1200)]
+    assert len(texts[1]) < 2.2 * len(texts[0])
+    assert render_json(trace_from_json(texts[1])) == texts[1]

@@ -205,9 +205,9 @@ def render_json(root: TraceNode) -> str:
                        "root": node_ids[id(root)]})
 
 
-_TERM_KINDS = {Constant: "c", Variable: "v", Integer: "i", Text: "t"}
 # The constructor and JSON type of each term row kind but "f".
 _TERM_ROWS = {"c": (Constant, str), "v": (Variable, str), "i": (Integer, int), "t": (Text, str)}
+_TERM_KINDS = {make: kind for kind, (make, _) in _TERM_ROWS.items()}
 _OUTCOMES = {outcome.value: outcome for outcome in Outcome}
 _EDGES = {kind.value: kind for kind in EdgeKind}
 _LABEL_TYPES = (str, type(None))  # of via and note

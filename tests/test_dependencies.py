@@ -71,6 +71,7 @@ def package_imports(path: Path) -> set[str]:
 
 def test_the_trace_module_imports_only_the_data_model():
     # trace_from_json builds goals from term rows through the ast
-    # constructors; it must never go back to parsing goal text.
+    # constructors; it must never go back to parsing goal text. The first
+    # line shows the helper sees the relative imports the package uses.
     assert package_imports(SRC / "engine.py") >= {"proleg.ast", "proleg.trace"}
     assert package_imports(SRC / "trace.py") == {"proleg.ast"}

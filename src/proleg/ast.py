@@ -173,6 +173,23 @@ class Atom:
         _check_name(_IDENT_RE, self.predicate, "predicate name")
         object.__setattr__(self, "args", tuple(self.args))
 
+    # The hash is the one the dataclass would compute, kept on first use:
+    # the engine's memo and loop check hash each goal several times, while
+    # many atoms it builds are never hashed at all. Until then the class
+    # attribute answers for it.
+    _hash = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.predicate, self.args))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # As for Compound: a cached hash must not travel between processes.
+        return Atom, (self.predicate, self.args)
+
     @property
     def key(self) -> tuple[str, int]:
         return (self.predicate, len(self.args))
@@ -351,8 +368,9 @@ def _built(cls: type, name: str, args: Optional[tuple] = None):
     return obj
 
 
-def rename_term(term: Term, mapping: Mapping[str, Variable]) -> Term:
-    """Replace variables by name according to ``mapping``."""
+def rename_term(term: Term, mapping: Mapping[str, Term]) -> Term:
+    """Replace variables by name with the terms ``mapping`` gives, once:
+    the terms put in are not searched for further variables."""
     if isinstance(term, Variable):
         return mapping.get(term.name, term)
     stack = []  # each compound being rebuilt: functor, arguments, arguments rebuilt

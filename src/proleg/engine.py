@@ -1,12 +1,15 @@
 """Query evaluation under rule-with-exception semantics.
 
 A goal instance succeeds when it matches a case fact, or when some rule
-(tried in program order, its variables renamed apart per use unless the
-goal is ground) has a head unifying with the goal, every body atom
-succeeds left to right under the accumulated substitution, and no
+(tried in program order) has a head unifying with the goal, every body
+atom succeeds left to right under the accumulated substitution, and no
 declared exception whose head unifies with the resolved goal instance
 can itself be proven. An exception that succeeds defeats the conclusion
-instance outright, for every rule deriving it.
+instance outright, for every rule deriving it. A rule is called without
+renaming its variables when the goal is ground, or when the rule is
+flat: each head argument a variable or a ground term, and each body
+variable also in the head. Only open goals on other rules rename the
+rule apart per use.
 
 Exception checking is negation as failure, so programs must stratify:
 no dependency cycle may pass through an exception edge. ``stratify``
@@ -35,10 +38,15 @@ from .ast import (
     Program,
     Substitution,
     EMPTY_SUBSTITUTION,
+    Variable,
+    _built,
+    _unify,
     apply_atom,
     canonical_atom,
     indicator,
+    is_ground,
     rename_apart,
+    rename_term,
     unify_atoms,
     variables_of,
 )
@@ -215,21 +223,77 @@ def _clause(*atoms: Atom) -> _Clause:
     return atoms, tuple(names)
 
 
+# A rule's argument plan: the head positions a goal must pass, each with
+# a ground term or the earlier position of the same variable to equal,
+# and each body atom's predicate with, per argument, the head position
+# whose goal term it takes or a (term, ((variable, position), ...)) pair
+# to fill in. The positions are those of the head's arguments.
+_Plan = tuple[tuple[tuple[int, object], ...], tuple[tuple[str, tuple], ...]]
+
+
+def _plan(head: Atom, body: tuple[Atom, ...]) -> Optional[_Plan]:
+    """The rule's argument plan, or None unless every head argument is a
+    variable or a ground term and every body variable occurs in the head.
+
+    Such a rule has no variable left once its head has matched a goal, so
+    calling it renames nothing and binds none of its own variables: the
+    body is the goal's argument terms put into the head variables' places.
+    """
+    first: dict[str, int] = {}
+    checks = []
+    for position, arg in enumerate(head.args):
+        if isinstance(arg, Variable):
+            if arg.name in first:
+                checks.append((position, first[arg.name]))
+            else:
+                first[arg.name] = position
+        elif is_ground(arg):
+            checks.append((position, arg))
+        else:
+            return None
+    atoms = []
+    for atom in body:
+        specs: list = []
+        for arg in atom.args:
+            names = variables_of(arg)
+            if not set(names) <= first.keys():
+                return None
+            if isinstance(arg, Variable):
+                specs.append(first[arg.name])
+            else:
+                specs.append((arg, tuple((name, first[name]) for name in names)))
+        atoms.append((atom.predicate, tuple(specs)))
+    return tuple(checks), tuple(atoms)
+
+
+def _body_atoms(goal: Atom, body: tuple[tuple[str, tuple], ...], args: tuple) -> list[Atom]:
+    """The goal, then the plan's body atoms over the goal's argument terms."""
+    atoms = [goal]
+    for predicate, specs in body:
+        atoms.append(_built(Atom, predicate, tuple([
+            args[spec] if spec.__class__ is int
+            else rename_term(spec[0], {name: args[at] for name, at in spec[1]}) if spec[1]
+            else spec[0]
+            for spec in specs])))
+    return atoms
+
+
 class ProgramIndex:
     """The program-side state of ``solve``, built once per Program object.
 
     Building it checks that the program stratifies (raising Unstratified
     otherwise), groups the rules and the exception declarations by head
-    key in program order, with each clause's variable names. ``Program``
-    keeps the index it builds on first use, so every later solve on that
-    object reuses it.
+    key in program order, with each clause's variable names and each
+    rule's argument plan, if it has one. ``Program`` keeps the index it
+    builds on first use, so every later solve on that object reuses it.
     """
 
     def __init__(self, program: Program):
         stratify(program)
-        rules: dict[PredicateKey, list[tuple[str, _Clause]]] = defaultdict(list)
+        rules: dict[PredicateKey, list[tuple[str, _Clause, Optional[_Plan]]]] = defaultdict(list)
         for rule in program.rules:
-            rules[rule.head.key].append((rule.id, _clause(rule.head, *rule.body)))
+            rules[rule.head.key].append((rule.id, _clause(rule.head, *rule.body),
+                                         _plan(rule.head, rule.body)))
         exceptions: dict[PredicateKey, list[_Clause]] = defaultdict(list)
         for decl in program.exceptions:
             exceptions[decl.head.key].append(_clause(decl.head, decl.exception))
@@ -242,6 +306,10 @@ class ProgramIndex:
 # once it answers; pass an answer to the goal that asked; send back the
 # next answer of a waiting subgoal; drop every frame above the asking one.
 _CALL, _CHECK, _ANSWER, _REDO, _DROP = range(5)
+
+# The substitution a planned rule passes with the body atoms of a ground
+# goal, which are ground as built: the callee takes its goal as it is.
+_GROUND = Substitution()
 
 
 class _Resolver:
@@ -326,7 +394,11 @@ class _Resolver:
     # derivation resolves to the same conclusion instance. For the same
     # reason a ground goal proves each clause in a substitution of its
     # own, made by unifying the unrenamed head with the resolved goal:
-    # no variable of the caller's can meet the clause's there.
+    # no variable of the caller's can meet the clause's there. A rule
+    # with an argument plan needs neither: its head checks run on the
+    # goal's argument terms in the caller's substitution, for any goal,
+    # and its body atoms are made of those terms. Only open goals on
+    # rules without a plan rename clauses apart.
 
     def _prove(self, goal: Atom, subst: Substitution, depth: int) -> Iterator[tuple]:
         """The goal's answers in search order, as requests to ``run``.
@@ -339,8 +411,11 @@ class _Resolver:
         subgoal's answer as (solution, node, stack position to ask for
         more or None), or None when it has no more.
         """
-        resolved = apply_atom(subst, goal)
-        canon = canonical_atom(resolved)
+        if subst is _GROUND:
+            resolved = canon = goal
+        else:
+            resolved = apply_atom(subst, goal)
+            canon = canonical_atom(resolved)
         if self.steps == self.config.max_steps:
             raise StepsExceeded(canon, depth, self.steps)
         self.steps += 1
@@ -362,7 +437,8 @@ class _Resolver:
                 return
         mark = len(prune_log)
         found = False
-        for fact in self.facts.get(goal.key, ()):
+        key = goal.key
+        for fact in self.facts.get(key, ()):
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
@@ -380,8 +456,20 @@ class _Resolver:
         attempts: list = []
         defeated_via: Optional[str] = None
         settled = False
-        for rule_id, clause in self.rules.get(goal.key, ()):
-            if ground:
+        for rule_id, clause, plan in self.rules.get(key, ()):
+            if plan is not None:
+                checks, body = plan
+                args = resolved.args if ground else goal.args
+                solution = _GROUND if ground else subst
+                if checks:
+                    wanted = tuple([args[was] if was.__class__ is int else was
+                                    for _, was in checks])
+                    given = tuple([args[at] for at, _ in checks])
+                    if not ground:
+                        solution = _unify(wanted, given, subst)
+                    elif wanted != given:
+                        continue
+            elif ground:
                 atoms = clause[0]
                 solution = unify_atoms(atoms[0], resolved)
             else:
@@ -389,6 +477,8 @@ class _Resolver:
                 solution = unify_atoms(atoms[0], goal, subst)
             if solution is None:
                 continue
+            if plan is not None:
+                atoms = _body_atoms(goal, body, args)
             # The body left to right. points[k] is where body atom k waits
             # while it may answer again, and low the lowest atom that has
             # moved past its first answer. A failing atom k is shown only
@@ -420,7 +510,7 @@ class _Resolver:
                         node_goal = canonical_atom(instance)
                     checks = []
                     defeated = False
-                    for clause in self.exceptions.get(instance.key, ()):
+                    for clause in self.exceptions.get(key, ()):
                         head, exception = (clause[0] if node_goal is instance
                                            else self._fresh(clause))
                         bound = unify_atoms(head, instance)
@@ -496,8 +586,11 @@ def solve(program: Program, facts: FactBase, goal: Atom,
 
     The program is stratified and indexed once per Program object, on
     its first solve (``Program.solve_index``), and later solves reuse
-    that; an unstratified program raises on every call. The search runs
-    on an explicit stack, so it needs no recursion headroom at any depth.
+    that; an unstratified program raises on every call. The index gives
+    each flat rule an argument plan, so a call of it renames nothing:
+    only open goals on rules without a plan rename clauses apart. The
+    search runs on an explicit stack, so it needs no recursion headroom
+    at any depth.
 
     Deterministic: identical inputs produce identical traces. Raises
     Unstratified, DepthExceeded, or StepsExceeded; a goal that merely

@@ -207,6 +207,9 @@ def test_term_equality_hash_and_text_match_a_recursive_reference(a, b):
         # The hash the frozen dataclass would compute.
         assert hash(a) == hash((a.functor, a.args))
         assert pickle.loads(pickle.dumps(a)) == a
+    atom = Atom("p", (a, b))
+    assert hash(atom) == hash(("p", (a, b))) == hash(Atom("p", (twin, b)))
+    assert pickle.loads(pickle.dumps(atom)) == atom
 
 
 def test_term_operations_handle_deep_terms_at_the_default_recursion_limit():
@@ -251,18 +254,20 @@ def test_term_operations_handle_deep_terms_at_the_default_recursion_limit():
 
 def test_pickled_compound_rehashes_in_another_process():
     # String hashes differ between processes, so a hash cached in one
-    # process is wrong in another: unpickling must rebuild it.
-    term = "Compound('f', (Constant('a'), Compound('g', (Variable('X'),))))"
-    dump = run_fresh_python(
-        "-c", f"import pickle, sys; from proleg.ast import *; "
-              f"sys.stdout.write(pickle.dumps({term}).hex())",
-        env={"PYTHONHASHSEED": "1"})
-    assert dump.returncode == 0, dump.stderr
-    load = run_fresh_python(
-        "-c", f"import pickle; from proleg.ast import *; "
-              f"print({{pickle.loads(bytes.fromhex('{dump.stdout}')): 1}}.get({term}))",
-        env={"PYTHONHASHSEED": "2"})
-    assert (load.returncode, load.stdout, load.stderr) == (0, "1\n", "")
+    # process is wrong in another: unpickling must rebuild it. The dump
+    # hashes each term first, so an atom has a cached hash to leave behind.
+    for term in ("Compound('f', (Constant('a'), Compound('g', (Variable('X'),))))",
+                 "Atom('p', (Constant('a'), Compound('g', (Variable('X'),))))"):
+        dump = run_fresh_python(
+            "-c", f"import pickle, sys; from proleg.ast import *; term = {term}; hash(term); "
+                  f"sys.stdout.write(pickle.dumps(term).hex())",
+            env={"PYTHONHASHSEED": "1"})
+        assert dump.returncode == 0, dump.stderr
+        load = run_fresh_python(
+            "-c", f"import pickle; from proleg.ast import *; "
+                  f"print({{pickle.loads(bytes.fromhex('{dump.stdout}')): 1}}.get({term}))",
+            env={"PYTHONHASHSEED": "2"})
+        assert (load.returncode, load.stdout, load.stderr) == (0, "1\n", ""), term
 
 
 class TestModelInvariants:

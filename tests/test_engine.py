@@ -8,6 +8,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from proleg import engine
 from proleg.ast import Atom, Constant, FactBase, Program, Variable
 from proleg.engine import (
     DepthExceeded,
@@ -22,7 +23,7 @@ from proleg.engine import (
 )
 from proleg.gdpr import bundled_case_paths, load_case
 from proleg.parser import parse_atom, parse_facts, parse_program
-from proleg.trace import Outcome, render_json, render_text
+from proleg.trace import Outcome, render_dot, render_json, render_text
 
 from helpers import (
     assert_no_circular_proof,
@@ -630,6 +631,8 @@ def test_ground_goals_rename_no_clause(monkeypatch):
     # A ground goal proves each clause unrenamed, in a substitution of its
     # own. Goals of the curated base are ground once the subject is, and
     # a ground program has no other kind, so neither renames a clause.
+    # Nor does an open goal on rules with argument plans: a flat chain
+    # with repeated and constant head arguments, and no exceptions.
     def renamed(self, clause):
         raise AssertionError(f"renamed the clause of {clause[0][0]}")
 
@@ -642,6 +645,49 @@ def test_ground_goals_rename_no_clause(monkeypatch):
         program, facts, universe = random_ground_program(rng)
         for atom in universe:
             solve(program, facts, atom)
+    chain = parse_program(" ".join(f"p{i}(X) <= p{i + 1}(X)." for i in range(40))
+                          + " q(X, X) <= p0(X). q(X, b) <= p3(X), p0(X). r(X, Y) <= q(Y, X).")
+    facts = parse_facts("p40(a). p40(b).")
+    for query, outcome in [("p0(X)", Outcome.SUCCESS), ("q(X, Y)", Outcome.SUCCESS),
+                           ("q(X, X)", Outcome.SUCCESS), ("r(b, Y)", Outcome.SUCCESS),
+                           ("q(c, Y)", Outcome.FAILURE), ("r(X, c)", Outcome.FAILURE)]:
+        assert solve(chain, facts, parse_atom(query))[0] is outcome, query
+
+
+def _rendered(program: Program, facts: FactBase, goal: Atom) -> tuple:
+    try:
+        _, trace = solve(program, facts, goal, EngineConfig(max_steps=20_000))
+    except StepsExceeded as error:
+        return (str(error),)
+    return render_json(trace), render_text(trace), render_dot(trace)
+
+
+def test_argument_plans_leave_traces_unchanged(monkeypatch):
+    # A rule with an argument plan is called without renaming or head
+    # unification; the same rule run the general way must give the same
+    # trace, byte for byte, for ground, all-variable and repeated-variable
+    # goals.
+    rng = random.Random(4242)
+    corpus = []
+    for _ in range(40):
+        program, facts, universe = random_ground_program(rng)
+        corpus.append((program, facts, universe))
+    for _ in range(120):
+        program, facts, constants, universe = random_nonground_program(rng)
+        goals = list(universe)
+        for name, arity in sorted({atom.key for atom in universe if atom.args}):
+            goals.append(Atom(name, tuple(Variable(f"V{k}") for k in range(arity))))
+            goals.append(Atom(name, (Variable("V0"),) * arity))
+        corpus.append((program, facts, goals))
+    plans = [engine._plan(rule.head, rule.body) is not None
+             for program, _, _ in corpus[40:] for rule in program.rules]
+    assert plans.count(True) > 100 and plans.count(False) > 100  # both kinds run
+    with_plans = [[_rendered(program, facts, goal) for goal in goals]
+                  for program, facts, goals in corpus]
+    monkeypatch.setattr(engine, "_plan", lambda head, body: None)
+    without = [[_rendered(Program(program.rules, program.exceptions), facts, goal)
+                for goal in goals] for program, facts, goals in corpus]
+    assert with_plans == without
 
 
 def test_repeated_solves_on_one_program_match_fresh_copies():

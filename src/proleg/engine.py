@@ -458,13 +458,13 @@ class _Resolver:
         settled = False
         for rule_id, clause, plan in self.rules.get(key, ()):
             if plan is not None:
-                checks, body = plan
+                head_checks, body = plan
                 args = resolved.args if ground else goal.args
                 solution = _GROUND if ground else subst
-                if checks:
+                if head_checks:
                     wanted = tuple([args[was] if was.__class__ is int else was
-                                    for _, was in checks])
-                    given = tuple([args[at] for at, _ in checks])
+                                    for _, was in head_checks])
+                    given = tuple([args[at] for at, _ in head_checks])
                     if not ground:
                         solution = _unify(wanted, given, subst)
                     elif wanted != given:

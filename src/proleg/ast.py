@@ -359,12 +359,13 @@ def _built(cls: type, name: str, args: Optional[tuple] = None):
     which the resolver would otherwise pay on every term it builds, and
     takes a compound's hash as ``Compound`` does."""
     obj = object.__new__(cls)
-    fields = obj.__dict__
-    fields[_NAME_FIELD[cls]] = name
+    # Not through ``obj.__dict__``: that would make a real instance dict,
+    # and every later attribute read of the object would be slower.
+    object.__setattr__(obj, _NAME_FIELD[cls], name)
     if args is not None:
-        fields["args"] = args
+        object.__setattr__(obj, "args", args)
         if cls is Compound:
-            fields["_hash"] = hash((name, args))
+            object.__setattr__(obj, "_hash", hash((name, args)))
     return obj
 
 

@@ -316,6 +316,14 @@ class FactBase:
         return len(self.facts)
 
 
+def _ground_facts(facts: frozenset[Atom]) -> FactBase:
+    """A FactBase over atoms already known to be ground, as the parser
+    knows them: it skips the constructor's check and copy."""
+    base = object.__new__(FactBase)
+    object.__setattr__(base, "facts", facts)
+    return base
+
+
 def is_ground(value: Union[Term, Atom]) -> bool:
     """True when the term or atom contains no variable anywhere."""
     for _ in _iter_variables(value):
@@ -348,24 +356,27 @@ def _iter_variables(value: Union[Term, Atom]) -> Iterator[str]:
                 stack.pop()
 
 
-# The field each term kind the resolver builds keeps its name in.
-_NAME_FIELD = {Variable: "name", Compound: "functor", Atom: "predicate"}
+# The field each term kind the resolver and the parser build keeps its name in.
+_new = object.__new__
+_setattr = object.__setattr__
+_NAME_FIELD = {Constant: "name", Variable: "name", Compound: "functor", Atom: "predicate"}
 
 
 def _built(cls: type, name: str, args: Optional[tuple] = None):
-    """A Variable (``args`` None), Compound or Atom made from parts that
-    were checked when they were first built: a valid name and a tuple of
+    """A Constant or Variable (``args`` None), Compound or Atom made from
+    parts already known to be valid: a name that matches its pattern
+    (checked when first built, or by the tokenizer's regex) and a tuple of
     terms. It skips the public constructors' name check and tuple copy,
-    which the resolver would otherwise pay on every term it builds, and
-    takes a compound's hash as ``Compound`` does."""
-    obj = object.__new__(cls)
+    which the resolver and the parser would otherwise pay on every term
+    they build, and takes a compound's hash as ``Compound`` does."""
+    obj = _new(cls)
     # Not through ``obj.__dict__``: that would make a real instance dict,
     # and every later attribute read of the object would be slower.
-    object.__setattr__(obj, _NAME_FIELD[cls], name)
+    _setattr(obj, _NAME_FIELD[cls], name)
     if args is not None:
-        object.__setattr__(obj, "args", args)
+        _setattr(obj, "args", args)
         if cls is Compound:
-            object.__setattr__(obj, "_hash", hash((name, args)))
+            _setattr(obj, "_hash", hash((name, args)))
     return obj
 
 

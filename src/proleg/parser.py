@@ -36,8 +36,8 @@ reads; the PROLEG grammar simply rejects those tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .ast import (
     IDENT_PATTERN,
@@ -54,42 +54,32 @@ from .ast import (
     Term,
     Text,
     Variable,
+    _built,
+    _ground_facts,
     escape_text,
-    is_ground,
 )
 
-# Token kinds.
-IDENT = "ident"
-VAR = "variable"
-INT = "integer"
-STRING = "string"
-ANNOT = "annotation"
-PUNCT = "punct"
-BADCHAR = "badchar"
-EOF = "eof"
+# Token kinds. Inside the parser a punctuation token's kind is the symbol
+# itself, e.g. "(" or "<="; ``tokenize`` reports them all as PUNCT.
+IDENT, VAR, INT, STRING = "ident", "variable", "integer", "string"
+ANNOT, PUNCT, BADCHAR, EOF = "annotation", "punct", "badchar", "eof"
 
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
-# One alternative per token kind, named after it, tried in this order;
-# BADCHAR takes any single character nothing else matches. A backslash
-# escapes any character, a line break too. An unterminated string runs
-# to the end of its line, or of the input with a final lone backslash.
-_TOKEN_RE = re.compile(
-    "|".join(
-        f"(?P<{kind}>{pattern})"
-        for kind, pattern in (
-            ("skip", r"[ \t\r\n]+|%[^\n]*"),
-            (STRING, _STRING_BODY + '"'),
-            ("unterminated", _STRING_BODY + r"\\?"),
-            (ANNOT, r"#[A-Za-z0-9_]*"),
-            (INT, r"-?[0-9]+"),
-            (IDENT, IDENT_PATTERN),
-            (VAR, VARIABLE_PATTERN),
-            (PUNCT, r"<=|:-|\?-|\\\+|[(),.;!]"),
-            (BADCHAR, r"[\s\S]"),
-        )
-    )
-)
+# One match per token: blanks and comments, then one alternative per token
+# kind, named after it. Only BADCHAR overlaps the others, so it comes last;
+# the end-of-input alternative keeps trailing blanks from being given back
+# as a BADCHAR. The name alternatives are the data model's own patterns, so
+# the parser builds names without checking them again. A backslash escapes
+# any character, a line break too. An unterminated string runs to the end
+# of its line, or of the input with a final lone backslash.
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*(?:" + "|".join(
+    f"(?P<{kind}>{pattern})" for kind, pattern in [
+        (IDENT, IDENT_PATTERN), (PUNCT, r"<=|:-|\?-|\\\+|[(),.;!]"), (VAR, VARIABLE_PATTERN),
+        (INT, r"-?[0-9]+"), (STRING, _STRING_BODY + '"'), ("unterminated", _STRING_BODY + r"\\?"),
+        (ANNOT, r"#[A-Za-z0-9_]*"), (BADCHAR, r"[\s\S]"), (EOF, r"\Z")]) + ")")
+_PUNCTS = frozenset(["<=", ":-", "?-", "\\+", "(", ")", ",", ".", ";", "!"])
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
+_LINE_RE = re.compile(r"[^\n]*")
 _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # The deepest compound-term nesting the parser accepts. The parser takes
 # one Python frame per level; the data model's own walks (equality,
@@ -119,19 +109,7 @@ class ParseFailure(Exception):
         super().__init__("; ".join(str(e) for e in self.errors))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: object
-    line: int
-    column: int
-
-
-def _with_snippets(text: str, errors: list[ParseError]) -> list[ParseError]:
-    """The errors, each with its stripped source line as the snippet.
-    Lines end at '\\n' only, the one break that positions count."""
-    lines = text.split("\n")
-    return [replace(e, snippet=lines[e.line - 1].strip()) for e in errors]
+Token = NamedTuple("Token", [("kind", str), ("value", object), ("line", int), ("column", int)])
 
 
 def _unescape(match: re.Match) -> str:
@@ -140,132 +118,169 @@ def _unescape(match: re.Match) -> str:
 
 def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
     """Split source text into tokens, collecting lexical errors."""
-    tokens: list[Token] = []
-    errors: list[ParseError] = []
-    line = 1
-    line_start = 0
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        value = match.group()
-        column = match.start() - line_start + 1
-        if kind in (IDENT, PUNCT, VAR, BADCHAR):
-            # BADCHAR is not an error yet: a statement the parser skips (say,
-            # a Prolog directive) may legitimately contain it.
-            tokens.append(Token(kind, value, line, column))
-        elif kind == INT:
-            try:
-                tokens.append(Token(INT, int(value), line, column))
-            except ValueError:  # more digits than int() converts
-                errors.append(ParseError(line, column, "integer literal too long"))
-        elif kind == STRING:
-            tokens.append(Token(STRING, _ESCAPE_RE.sub(_unescape, value[1:-1]), line, column))
-        elif kind == ANNOT and value in ("#source", "#id"):
-            tokens.append(Token(ANNOT, value[1:], line, column))
-        elif kind == ANNOT:
-            errors.append(ParseError(line, column, f"unknown annotation '{value}'"))
-        elif kind == "unterminated":
-            errors.append(ParseError(line, column, "unterminated string"))
-        if "\n" in value:
-            line += value.count("\n")
-            line_start = match.start() + value.rindex("\n") + 1
-    tokens.append(Token(EOF, None, line, len(text) - line_start + 1))
-    return tokens, _with_snippets(text, errors) if errors else errors
+    p = _Parser(text)
+    return ([Token(PUNCT if kind in _PUNCTS else kind, value, *p.position(offset))
+             for kind, value, offset in p.tokens], p.failure().errors)
 
 
 class _Abort(Exception):
     """Internal signal: a statement could not be parsed; recover and go on."""
 
 
-class _TokenStream:
+class _Parser:
+    """One text's tokens, read by index: ``pos`` is the next token's.
+    Errors are kept as (offset, message), lexical ones first."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens, self.errors = tokenize(text)
-        self.pos = 0
+        """Scan the text: tokens as (kind, value, offset), ending with EOF;
+        lexical errors as (offset, message). A punctuation token's kind is
+        its symbol. BADCHAR is not an error yet: a statement the parser
+        skips (say, a Prolog directive) may hold one."""
+        self.text, self.tokens, self.errors = text, [], []
+        self.pos = self.variables = 0  # variables: how many Variables were built
+        self.counted, self.line, self.line_start = 0, 1, 0  # see ``position``
+        append = self.tokens.append
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            value = match[kind]
+            offset = match.start(kind)
+            if kind == IDENT or kind == VAR or kind == BADCHAR:
+                append((kind, value, offset))
+            elif kind == PUNCT:
+                append((value, value, offset))
+            elif kind == INT:
+                try:
+                    append((INT, int(value), offset))
+                except ValueError:  # more digits than int() converts
+                    self.errors.append((offset, "integer literal too long"))
+            elif kind == STRING:
+                value = value[1:-1]
+                append((STRING, _ESCAPE_RE.sub(_unescape, value) if "\\" in value else value,
+                        offset))
+            elif kind == ANNOT and value in ("#source", "#id"):
+                append((ANNOT, value[1:], offset))
+            elif kind == ANNOT:
+                self.errors.append((offset, f"unknown annotation '{value}'"))
+            elif kind == EOF:  # after trailing blanks, an empty match at the end would follow
+                append((EOF, None, offset))
+                break
+            else:
+                self.errors.append((offset, "unterminated string"))
 
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+    def position(self, offset: int) -> tuple[int, int]:
+        """The offset's 1-based line and column; lines end at '\\n' only.
+        Counting goes on from the offset asked before, so offsets asked in
+        increasing order cost time linear in the text."""
+        if offset < self.counted:
+            self.counted, self.line, self.line_start = 0, 1, 0
+        breaks = self.text.count("\n", self.counted, offset)
+        if breaks:
+            self.line += breaks
+            self.line_start = self.text.rfind("\n", self.counted, offset) + 1
+        self.counted = offset
+        return self.line, offset - self.line_start + 1
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != EOF:
-            self.pos += 1
-        return tok
-
-    def at_punct(self, symbol: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
-        return tok.kind == PUNCT and tok.value == symbol
-
-    def error(self, tok: Token, message: str) -> None:
-        self.errors.append(ParseError(tok.line, tok.column, message))
-
-    def fail(self, tok: Token, message: str) -> "_Abort":
-        self.error(tok, message)
+    def error(self, token: tuple, message: str) -> _Abort:
+        """Record an error at the token; raise what it returns to give up
+        the statement."""
+        self.errors.append((token[2], message))
         return _Abort()
 
-    def failure(self) -> ParseFailure:
-        return ParseFailure(_with_snippets(self.text, self.errors))
+    def unexpected(self, token: tuple, expected: str) -> _Abort:
+        if token[0] == BADCHAR:
+            return self.error(token, f"unexpected character {token[1]!r}")
+        return self.error(token, f"expected {expected}")
 
-    def expect_punct(self, symbol: str, context: str) -> Token:
-        tok = self.peek()
-        if not self.at_punct(symbol):
-            raise self.fail(tok, f"expected '{symbol}' {context}")
-        return self.advance()
+    def expect(self, symbol: str, context: str) -> None:
+        token = self.tokens[self.pos]
+        if token[0] != symbol:
+            raise self.error(token, f"expected '{symbol}' {context}")
+        self.pos += 1
+
+    def statements(self, statement: Callable[[_Parser, tuple], None]) -> None:
+        """Call ``statement`` at each statement's start up to the end of input,
+        skipping past the next '.' after one that fails; then raise any errors."""
+        tokens = self.tokens
+        while tokens[self.pos][0] != EOF:
+            try:
+                statement(self, tokens[self.pos])
+            except _Abort:
+                self.recover_statement()
+        if self.errors:
+            raise self.failure()
 
     def recover_statement(self) -> None:
         """Skip past the next '.' (or to end of input)."""
-        while self.peek().kind != EOF:
-            tok = self.advance()
-            if tok.kind == PUNCT and tok.value == ".":
+        while self.tokens[self.pos][0] != EOF:
+            self.pos += 1
+            if self.tokens[self.pos - 1][0] == ".":
                 return
 
-
-def _parse_term(ts: _TokenStream, depth: int) -> Term:
-    """One term inside ``depth`` enclosing compounds."""
-    tok = ts.peek()
-    if tok.kind == IDENT:
-        ts.advance()
-        if ts.at_punct("("):
-            if depth == MAX_TERM_DEPTH:
-                raise ts.fail(tok, f"term nested deeper than {MAX_TERM_DEPTH} levels")
-            ts.advance()
-            args = [_parse_term(ts, depth + 1)]
-            while ts.at_punct(","):
-                ts.advance()
-                args.append(_parse_term(ts, depth + 1))
-            ts.expect_punct(")", "to close argument list")
-            return Compound(tok.value, tuple(args))
-        return Constant(tok.value)
-    if tok.kind == VAR:
-        ts.advance()
-        return Variable(tok.value)
-    if tok.kind == INT:
-        ts.advance()
-        return Integer(tok.value)
-    if tok.kind == STRING:
-        ts.advance()
-        return Text(tok.value)
-    if tok.kind == BADCHAR:
-        raise ts.fail(tok, f"unexpected character {tok.value!r}")
-    raise ts.fail(tok, "expected a term")
+    def failure(self) -> ParseFailure:
+        """The errors so far, each with its stripped source line as the snippet."""
+        errors = []
+        for offset, message in self.errors:
+            line, column = self.position(offset)
+            snippet = _LINE_RE.match(self.text, self.line_start)[0].strip()
+            errors.append(ParseError(line, column, message, snippet))
+        return ParseFailure(errors)
 
 
-def _parse_atom(ts: _TokenStream) -> Atom:
-    tok = ts.peek()
-    if tok.kind == BADCHAR:
-        raise ts.fail(tok, f"unexpected character {tok.value!r}")
-    if tok.kind != IDENT:
-        raise ts.fail(tok, "expected a predicate name")
-    ts.advance()
+def _parse_args(p: _Parser, pos: int, depth: int) -> tuple[tuple[Term, ...], int]:
+    """The terms of the argument list whose '(' ends before token ``pos``,
+    inside ``depth`` enclosing compounds; and the index after its ')'."""
+    tokens = p.tokens
     args: list[Term] = []
-    if ts.at_punct("("):
-        ts.advance()
-        args.append(_parse_term(ts, 0))
-        while ts.at_punct(","):
-            ts.advance()
-            args.append(_parse_term(ts, 0))
-        ts.expect_punct(")", "to close argument list")
-    return Atom(tok.value, tuple(args))
+    while True:
+        token = tokens[pos]
+        kind, value = token[0], token[1]
+        pos += 1
+        if kind == IDENT and tokens[pos][0] == "(":
+            if depth == MAX_TERM_DEPTH:
+                p.pos = pos
+                raise p.error(token, f"term nested deeper than {MAX_TERM_DEPTH} levels")
+            inner, pos = _parse_args(p, pos + 1, depth + 1)
+            args.append(_built(Compound, value, inner))
+        elif kind == IDENT:
+            args.append(_built(Constant, value))
+        elif kind == VAR:
+            args.append(_built(Variable, value))
+            p.variables += 1
+        elif kind == INT:
+            args.append(Integer(value))
+        elif kind == STRING:
+            args.append(Text(value))
+        else:
+            p.pos = pos - 1
+            raise p.unexpected(token, "a term")
+        kind = tokens[pos][0]
+        if kind == ")":
+            return tuple(args), pos + 1
+        if kind != ",":
+            p.pos = pos
+            raise p.error(tokens[pos], "expected ')' to close argument list")
+        pos += 1
+
+
+def _parse_atom(p: _Parser) -> Atom:
+    pos = p.pos
+    token = p.tokens[pos]
+    if token[0] != IDENT:
+        raise p.unexpected(token, "a predicate name")
+    if p.tokens[pos + 1][0] == "(":
+        args, p.pos = _parse_args(p, pos + 2, 0)
+        return _built(Atom, token[1], args)
+    p.pos = pos + 1
+    return _built(Atom, token[1], ())
+
+
+def _comma_separated(p: _Parser, parse: Callable[[_Parser], object]) -> list:
+    """One or more ``parse`` results, separated by commas."""
+    items = [parse(p)]
+    while p.tokens[p.pos][0] == ",":
+        p.pos += 1
+        items.append(parse(p))
+    return items
 
 
 def _term_as_atom(term: Term) -> Optional[Atom]:
@@ -274,20 +289,6 @@ def _term_as_atom(term: Term) -> Optional[Atom]:
     if isinstance(term, Compound):
         return Atom(term.functor, term.args)
     return None
-
-
-def _parse_statements(source: str, statement: Callable[[_TokenStream, Token], None]) -> None:
-    """Call ``statement`` at the start of each statement up to the end of
-    input, skipping past the next '.' after one that fails; then raise
-    ParseFailure if any error was collected."""
-    ts = _TokenStream(source)
-    while ts.peek().kind != EOF:
-        try:
-            statement(ts, ts.peek())
-        except _Abort:
-            ts.recover_statement()
-    if ts.errors:
-        raise ts.failure()
 
 
 def parse_program(source: str) -> Program:
@@ -301,70 +302,64 @@ def parse_program(source: str) -> Program:
     used_ids: set[str] = set()
     rule_count = 0
 
-    def statement(ts: _TokenStream, tok: Token) -> None:
+    def statement(p: _Parser, token: tuple) -> None:
         nonlocal rule_count
+        tokens = p.tokens
         citation: Optional[SourceRef] = None
         rule_id: Optional[str] = None
-        while tok.kind == ANNOT:
-            annotation = ts.advance()
-            value = ts.peek()
-            if annotation.value == "source":
-                if value.kind != STRING:
-                    raise ts.fail(value, "expected a quoted citation after '#source'")
-                ts.advance()
-                if not value.value:
-                    raise ts.fail(value, "'#source' citation must be non-empty")
-                citation = SourceRef(value.value)
+        while token[0] == ANNOT:
+            annotation, value = token, tokens[p.pos + 1]
+            p.pos += 1
+            if annotation[1] == "source":
+                if value[0] != STRING:
+                    raise p.error(value, "expected a quoted citation after '#source'")
+                p.pos += 1
+                if not value[1]:
+                    raise p.error(value, "'#source' citation must be non-empty")
+                citation = SourceRef(value[1])
             else:
-                if value.kind != IDENT:
-                    raise ts.fail(value, "expected an identifier after '#id'")
-                ts.advance()
-                rule_id = value.value
-            tok = ts.peek()
-            if tok.kind == EOF:
-                ts.error(annotation, "annotation is not followed by a statement")
+                if value[0] != IDENT:
+                    raise p.error(value, "expected an identifier after '#id'")
+                p.pos += 1
+                rule_id = value[1]
+            token = tokens[p.pos]
+            if token[0] == EOF:
+                p.error(annotation, "annotation is not followed by a statement")
                 return
-        if tok.kind == IDENT and tok.value == "exception" and ts.at_punct("(", 1):
-            atom = _parse_atom(ts)
+        if token[0] != IDENT:
+            raise p.unexpected(token, "a rule or exception declaration")
+        line = p.position(token[2])[0]
+        if token[1] == "exception" and tokens[p.pos + 1][0] == "(":
+            atom = _parse_atom(p)
             if len(atom.args) != 2:
-                raise ts.fail(tok, "exception declarations take exactly two arguments")
-            ts.expect_punct(".", "after exception declaration")
+                raise p.error(token, "exception declarations take exactly two arguments")
+            p.expect(".", "after exception declaration")
             if rule_id is not None:
-                ts.error(tok, "'#id' applies to rules, not exception declarations")
+                p.error(token, "'#id' applies to rules, not exception declarations")
             # The '.' is consumed, so an error here must not abort: recovery
             # would skip the next statement.
             head, exc = _term_as_atom(atom.args[0]), _term_as_atom(atom.args[1])
             if head is None or exc is None:
-                ts.error(tok, "exception arguments must be atoms")
+                p.error(token, "exception arguments must be atoms")
             else:
-                exceptions.append(ExceptionDecl(head, exc, source=citation, line=tok.line))
+                exceptions.append(ExceptionDecl(head, exc, source=citation, line=line))
             return
-        if tok.kind == IDENT:
-            if tok.value == "exception":
-                raise ts.fail(tok, "'exception' is reserved for exception declarations")
-            head = _parse_atom(ts)
-            ts.expect_punct("<=", "after rule head")
-            body: list[Atom] = []
-            if not ts.at_punct("."):
-                body.append(_parse_atom(ts))
-                while ts.at_punct(","):
-                    ts.advance()
-                    body.append(_parse_atom(ts))
-            ts.expect_punct(".", "after rule body")
-            rule_count += 1
-            if rule_id is None:
-                rule_id = f"r{rule_count}"
-            if rule_id in used_ids:
-                ts.error(tok, f"duplicate rule id '{rule_id}'")
-            else:
-                used_ids.add(rule_id)
-                rules.append(Rule(rule_id, head, tuple(body), source=citation, line=tok.line))
-            return
-        if tok.kind == BADCHAR:
-            raise ts.fail(tok, f"unexpected character {tok.value!r}")
-        raise ts.fail(tok, "expected a rule or exception declaration")
+        if token[1] == "exception":
+            raise p.error(token, "'exception' is reserved for exception declarations")
+        head = _parse_atom(p)
+        p.expect("<=", "after rule head")
+        body = _comma_separated(p, _parse_atom) if tokens[p.pos][0] != "." else []
+        p.expect(".", "after rule body")
+        rule_count += 1
+        if rule_id is None:
+            rule_id = f"r{rule_count}"
+        if rule_id in used_ids:
+            p.error(token, f"duplicate rule id '{rule_id}'")
+        else:
+            used_ids.add(rule_id)
+            rules.append(Rule(rule_id, head, tuple(body), source=citation, line=line))
 
-    _parse_statements(source, statement)
+    _Parser(source).statements(statement)
     return Program(tuple(rules), tuple(exceptions))
 
 
@@ -372,32 +367,32 @@ def parse_facts(source: str) -> FactBase:
     """Parse a sequence of ground atoms, each terminated by '.'."""
     facts: set[Atom] = set()
 
-    def fact(ts: _TokenStream, tok: Token) -> None:
-        if tok.kind == ANNOT:
-            raise ts.fail(tok, "annotations are not allowed in fact files")
-        atom = _parse_atom(ts)
-        ts.expect_punct(".", "after fact")
-        if not is_ground(atom):
-            ts.error(tok, "facts must be ground")
+    def fact(p: _Parser, token: tuple) -> None:
+        if token[0] == ANNOT:
+            raise p.error(token, "annotations are not allowed in fact files")
+        variables = p.variables
+        atom = _parse_atom(p)
+        p.expect(".", "after fact")
+        if p.variables != variables:
+            p.error(token, "facts must be ground")
         else:
             facts.add(atom)
 
-    _parse_statements(source, fact)
-    return FactBase(frozenset(facts))
+    _Parser(source).statements(fact)
+    return _ground_facts(frozenset(facts))
 
 
 def parse_atom(source: str) -> Atom:
     """Parse a single atom, e.g. a query; the whole input must be consumed."""
-    ts = _TokenStream(source)
+    p = _Parser(source)
     try:
-        atom = _parse_atom(ts)
+        atom = _parse_atom(p)
     except _Abort:
-        raise ts.failure() from None
-    trailing = ts.peek()
-    if trailing.kind != EOF:
-        ts.error(trailing, "unexpected input after atom")
-    if ts.errors:
-        raise ts.failure()
+        raise p.failure() from None
+    if p.tokens[p.pos][0] != EOF:
+        p.error(p.tokens[p.pos], "unexpected input after atom")
+    if p.errors:
+        raise p.failure()
     return atom
 
 
@@ -414,6 +409,9 @@ class PrologClause:
         object.__setattr__(self, "negated_body", tuple(self.negated_body))
 
 
+_SKIPPED = {":-": "directive", "?-": "query"}
+
+
 def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
     """Parse dialect source into clauses plus skip warnings.
 
@@ -423,52 +421,49 @@ def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
     clauses: list[PrologClause] = []
     warnings: list[str] = []
 
-    def clause(ts: _TokenStream, tok: Token) -> None:
-        if tok.kind == ANNOT:
-            raise ts.fail(tok, "annotations belong to PROLEG, not the Prolog subset")
-        for symbol, what in ((":-", "directive"), ("?-", "query")):
-            if ts.at_punct(symbol):
-                ts.advance()
-                ts.recover_statement()
-                warnings.append(f"skipped {what} at line {tok.line}")
-                return
-        head = _parse_atom(ts)
-        positive: list[Atom] = []
-        negated: list[Atom] = []
-        if ts.at_punct(":-"):
-            ts.advance()
-            _parse_literal(ts, positive, negated)
-            while ts.at_punct(","):
-                ts.advance()
-                _parse_literal(ts, positive, negated)
-            if ts.at_punct(";"):
-                raise ts.fail(ts.peek(), "disjunction ';' is outside the supported subset")
-        ts.expect_punct(".", "after clause")
-        clauses.append(PrologClause(head, tuple(positive), tuple(negated)))
+    def clause(p: _Parser, token: tuple) -> None:
+        kind = token[0]
+        if kind == ANNOT:
+            raise p.error(token, "annotations belong to PROLEG, not the Prolog subset")
+        if kind in _SKIPPED:
+            p.pos += 1
+            p.recover_statement()
+            warnings.append(f"skipped {_SKIPPED[kind]} at line {p.position(token[2])[0]}")
+            return
+        head = _parse_atom(p)
+        body: list[tuple[bool, Atom]] = []
+        if p.tokens[p.pos][0] == ":-":
+            p.pos += 1
+            body = _comma_separated(p, _parse_literal)
+            if p.tokens[p.pos][0] == ";":
+                raise p.error(p.tokens[p.pos], "disjunction ';' is outside the supported subset")
+        p.expect(".", "after clause")
+        clauses.append(PrologClause(head, tuple(atom for negated, atom in body if not negated),
+                                    tuple(atom for negated, atom in body if negated)))
 
-    _parse_statements(source, clause)
+    _Parser(source).statements(clause)
     return clauses, warnings
 
 
-def _parse_literal(ts: _TokenStream, positive: list[Atom], negated: list[Atom]) -> None:
-    tok = ts.peek()
-    if ts.at_punct("!"):
-        raise ts.fail(tok, "cut '!' is outside the supported subset")
-    if ts.at_punct(";"):
-        raise ts.fail(tok, "disjunction ';' is outside the supported subset")
-    if ts.at_punct("\\+"):
-        ts.advance()
-        inner = ts.peek()
-        if ts.at_punct("\\+"):
-            raise ts.fail(inner, "nested negation is outside the supported subset")
-        if ts.at_punct("("):
-            ts.advance()
-            if ts.at_punct("\\+"):
-                raise ts.fail(ts.peek(), "nested negation is outside the supported subset")
-            raise ts.fail(inner, "parenthesized negation bodies are outside the supported subset")
-        negated.append(_parse_atom(ts))
-        return
-    positive.append(_parse_atom(ts))
+def _parse_literal(p: _Parser) -> tuple[bool, Atom]:
+    """Whether the literal is negated, and its atom."""
+    token = p.tokens[p.pos]
+    if token[0] == "!":
+        raise p.error(token, "cut '!' is outside the supported subset")
+    if token[0] == ";":
+        raise p.error(token, "disjunction ';' is outside the supported subset")
+    if token[0] != "\\+":
+        return False, _parse_atom(p)
+    p.pos += 1
+    inner = p.tokens[p.pos]
+    if inner[0] == "\\+":
+        raise p.error(inner, "nested negation is outside the supported subset")
+    if inner[0] == "(":
+        p.pos += 1
+        if p.tokens[p.pos][0] == "\\+":
+            raise p.error(p.tokens[p.pos], "nested negation is outside the supported subset")
+        raise p.error(inner, "parenthesized negation bodies are outside the supported subset")
+    return True, _parse_atom(p)
 
 
 def serialize(program: Program) -> str:

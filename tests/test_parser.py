@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from proleg.ast import (
+    IDENT_PATTERN,
+    VARIABLE_PATTERN,
     Atom,
+    Compound,
     Constant,
     ExceptionDecl,
     Integer,
@@ -17,6 +21,7 @@ from proleg.ast import (
     SourceRef,
     Text,
     Variable,
+    is_ground,
 )
 from proleg.parser import (
     MAX_TERM_DEPTH,
@@ -113,6 +118,50 @@ def test_any_text_parses_or_raises_parse_failure(text):
         except ParseFailure as failure:
             assert failure.errors
             assert all(e.line >= 1 and e.column >= 1 for e in failure.errors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.one_of(st.sampled_from(list("aqZ_09éß٣²(),. \n-")), st.characters())))
+def test_name_tokens_are_names_the_constructors_accept(text):
+    # The parser builds names from these tokens without checking them again.
+    tokens, _ = tokenize(text)
+    for token in tokens:
+        if token.kind == "ident":
+            assert Constant(token.value).name == token.value
+        elif token.kind == "variable":
+            assert Variable(token.value).name == token.value
+
+
+def _fresh(name: str) -> str:
+    # A new string object, as each parsed token is: pickle writes a string
+    # object seen before as a back reference, so sharing shows in its bytes.
+    return "".join(list(name))
+
+
+_NAMES = st.from_regex(IDENT_PATTERN, fullmatch=True).map(_fresh)
+_TERMS = st.recursive(
+    st.one_of(
+        _NAMES.map(Constant),
+        st.from_regex(VARIABLE_PATTERN, fullmatch=True).map(_fresh).map(Variable),
+        st.integers().map(Integer),
+        st.text().map(_fresh).map(Text),
+    ),
+    lambda args: st.builds(Compound, _NAMES, st.lists(args, min_size=1, max_size=3).map(tuple)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Atom, _NAMES, st.lists(_TERMS, max_size=3).map(tuple)))
+def test_parsed_atoms_are_the_constructed_ones(atom):
+    parsed = [parse_atom(str(atom)), parse_program(f"{atom} <=.").rules[0].head]
+    if is_ground(atom):
+        parsed += parse_facts(f"{atom}.").facts
+    for got in parsed:
+        assert got == atom
+        assert hash(got) == hash(atom)
+        assert pickle.dumps(got) == pickle.dumps(atom)
+        assert [hash(arg) for arg in got.args] == [hash(arg) for arg in atom.args]
 
 
 def test_non_ascii_digits_and_letters_are_not_names_or_integers():

@@ -61,9 +61,16 @@ from .ast import (
 
 # Token kinds. Inside the parser a punctuation token's kind is the symbol
 # itself, e.g. "(" or "<="; ``tokenize`` reports them all as PUNCT.
-IDENT, VAR, INT, STRING = "ident", "variable", "integer", "string"
-ANNOT, PUNCT, BADCHAR, EOF = "annotation", "punct", "badchar", "eof"
+IDENT = "ident"
+VAR = "variable"
+INT = "integer"
+STRING = "string"
+ANNOT = "annotation"
+PUNCT = "punct"
+BADCHAR = "badchar"
+EOF = "eof"
 
+_PUNCTS = ("<=", ":-", "?-", "\\+", "(", ")", ",", ".", ";", "!")
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 # One match per token: blanks and comments, then one alternative per token
 # kind, named after it. Only BADCHAR overlaps the others, so it comes last;
@@ -74,12 +81,19 @@ _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 # of its line, or of the input with a final lone backslash.
 _TOKEN_RE = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*(?:" + "|".join(
     f"(?P<{kind}>{pattern})" for kind, pattern in [
-        (IDENT, IDENT_PATTERN), (PUNCT, r"<=|:-|\?-|\\\+|[(),.;!]"), (VAR, VARIABLE_PATTERN),
-        (INT, r"-?[0-9]+"), (STRING, _STRING_BODY + '"'), ("unterminated", _STRING_BODY + r"\\?"),
-        (ANNOT, r"#[A-Za-z0-9_]*"), (BADCHAR, r"[\s\S]"), (EOF, r"\Z")]) + ")")
-_PUNCTS = frozenset(["<=", ":-", "?-", "\\+", "(", ")", ",", ".", ";", "!"])
+        (IDENT, IDENT_PATTERN),
+        (PUNCT, "|".join(map(re.escape, _PUNCTS))),
+        (VAR, VARIABLE_PATTERN),
+        (INT, r"-?[0-9]+"),
+        (STRING, _STRING_BODY + '"'),
+        ("unterminated", _STRING_BODY + r"\\?"),
+        (ANNOT, r"#[A-Za-z0-9_]*"),
+        (BADCHAR, r"[\s\S]"),
+        (EOF, r"\Z"),
+    ]) + ")")
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _LINE_RE = re.compile(r"[^\n]*")
+_LITERALS = {INT: Integer, STRING: Text}
 _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 # The deepest compound-term nesting the parser accepts. The parser takes
 # one Python frame per level; the data model's own walks (equality,
@@ -124,7 +138,7 @@ def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
 
 
 class _Abort(Exception):
-    """Internal signal: a statement could not be parsed; recover and go on."""
+    """Internal signal: skip the rest of this statement and go on."""
 
 
 class _Parser:
@@ -154,9 +168,7 @@ class _Parser:
                 except ValueError:  # more digits than int() converts
                     self.errors.append((offset, "integer literal too long"))
             elif kind == STRING:
-                value = value[1:-1]
-                append((STRING, _ESCAPE_RE.sub(_unescape, value) if "\\" in value else value,
-                        offset))
+                append((STRING, _ESCAPE_RE.sub(_unescape, value[1:-1]), offset))
             elif kind == ANNOT and value in ("#source", "#id"):
                 append((ANNOT, value[1:], offset))
             elif kind == ANNOT:
@@ -181,8 +193,7 @@ class _Parser:
         return self.line, offset - self.line_start + 1
 
     def error(self, token: tuple, message: str) -> _Abort:
-        """Record an error at the token; raise what it returns to give up
-        the statement."""
+        """Record an error at the token; raise the result to abort the statement."""
         self.errors.append((token[2], message))
         return _Abort()
 
@@ -199,22 +210,18 @@ class _Parser:
 
     def statements(self, statement: Callable[[_Parser, tuple], None]) -> None:
         """Call ``statement`` at each statement's start up to the end of input,
-        skipping past the next '.' after one that fails; then raise any errors."""
+        skipping past the next '.' after one that aborts; then raise any errors."""
         tokens = self.tokens
         while tokens[self.pos][0] != EOF:
             try:
                 statement(self, tokens[self.pos])
             except _Abort:
-                self.recover_statement()
+                while tokens[self.pos][0] != EOF:
+                    self.pos += 1
+                    if tokens[self.pos - 1][0] == ".":
+                        break
         if self.errors:
             raise self.failure()
-
-    def recover_statement(self) -> None:
-        """Skip past the next '.' (or to end of input)."""
-        while self.tokens[self.pos][0] != EOF:
-            self.pos += 1
-            if self.tokens[self.pos - 1][0] == ".":
-                return
 
     def failure(self) -> ParseFailure:
         """The errors so far, each with its stripped source line as the snippet."""
@@ -246,10 +253,8 @@ def _parse_args(p: _Parser, pos: int, depth: int) -> tuple[tuple[Term, ...], int
         elif kind == VAR:
             args.append(_built(Variable, value))
             p.variables += 1
-        elif kind == INT:
-            args.append(Integer(value))
-        elif kind == STRING:
-            args.append(Text(value))
+        elif kind in _LITERALS:
+            args.append(_LITERALS[kind](value))
         else:
             p.pos = pos - 1
             raise p.unexpected(token, "a term")
@@ -426,10 +431,8 @@ def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
         if kind == ANNOT:
             raise p.error(token, "annotations belong to PROLEG, not the Prolog subset")
         if kind in _SKIPPED:
-            p.pos += 1
-            p.recover_statement()
             warnings.append(f"skipped {_SKIPPED[kind]} at line {p.position(token[2])[0]}")
-            return
+            raise _Abort()
         head = _parse_atom(p)
         body: list[tuple[bool, Atom]] = []
         if p.tokens[p.pos][0] == ":-":

@@ -357,9 +357,10 @@ def _iter_variables(value: Union[Term, Atom]) -> Iterator[str]:
 
 
 # The field each term kind the resolver and the parser build keeps its name in.
+_NAME_FIELD = {Constant: "name", Variable: "name", Compound: "functor", Atom: "predicate"}
+# Looked up once here rather than on each of the calls ``_built`` makes per term.
 _new = object.__new__
 _setattr = object.__setattr__
-_NAME_FIELD = {Constant: "name", Variable: "name", Compound: "functor", Atom: "predicate"}
 
 
 def _built(cls: type, name: str, args: Optional[tuple] = None):

@@ -10,7 +10,6 @@ freely between concurrent evaluations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
@@ -39,70 +38,157 @@ def escape_text(value: str) -> str:
     return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
 
 
-@dataclass(frozen=True)
-class Constant:
+# Looked up once here rather than on each field write below and in ``_built``.
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable records. A subclass names its
+    constructor parameters, in order, in ``_fields``, and the fields that
+    equality and hashing compare in ``_compared`` when that is fewer; its
+    constructor writes each field once with ``object.__setattr__``.
+
+    Two records are equal when they are of the same class and their
+    compared fields are; the hash is the hash of the compared fields'
+    tuple. ``repr`` shows every field, and ``pickle`` rebuilds a record
+    through its constructor. Assigning or deleting an attribute raises
+    AttributeError. The term classes and ``TraceNode`` keep equality and
+    hashing of their own, with the same results, because the engine and
+    the renderers call them on every goal."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls._fields
+
+    def _init(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _setattr(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({values})"
+
+    def __reduce__(self):
+        # Through the constructor: a slotted class has no instance dict for
+        # pickle to fill, and a kept hash must not travel between processes,
+        # since string hashes differ between them.
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Named(Record):
+    """A term that is its name: a Constant or a Variable."""
+
+    __slots__ = _fields = ("name",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Constant(_Named):
     """A named individual, e.g. ``case1``."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(_IDENT_RE, self.name, "constant name")
-
-    def __str__(self) -> str:
-        return self.name
+    def __init__(self, name: str) -> None:
+        _check_name(_IDENT_RE, name, "constant name")
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Named):
     """A logic variable; names start with an uppercase letter or underscore."""
 
-    name: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_name(_VARIABLE_RE, self.name, "variable name")
-
-    def __str__(self) -> str:
-        return self.name
+    def __init__(self, name: str) -> None:
+        _check_name(_VARIABLE_RE, name, "variable name")
+        _setattr(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Integer:
+class _Literal(Record):
+    """A term that is its value: an Integer or a Text."""
+
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: object) -> None:
+        _setattr(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
+
+
+class Integer(_Literal):
     """A signed integer literal."""
 
-    value: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Text:
+class Text(_Literal):
     """A quoted string literal; may hold arbitrary characters."""
 
-    value: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f'"{escape_text(self.value)}"'
 
 
-@dataclass(frozen=True, repr=False)
-class Compound:
+class Compound(Record):
     """A functor applied to one or more argument terms."""
 
-    functor: str
-    args: tuple["Term", ...]
+    __slots__ = ("functor", "args", "_hash")
+    _fields = ("functor", "args")
 
-    def __post_init__(self) -> None:
-        _check_name(_IDENT_RE, self.functor, "functor name")
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) < 1:
+    def __init__(self, functor: str, args: tuple["Term", ...]) -> None:
+        _check_name(_IDENT_RE, functor, "functor name")
+        args = tuple(args)
+        if len(args) < 1:
             raise ValueError("compound terms need at least one argument")
-        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+        _setattr(self, "functor", functor)
+        _setattr(self, "args", args)
+        _setattr(self, "_hash", hash((functor, args)))
 
     # Hashing, equality, printing and repr use no recursion, so a term
     # nested any number of levels deep works at the default recursion
-    # limit. The hash is the one the dataclass would compute, taken once
-    # when the term is built from its arguments' own (see also ``_built``).
+    # limit. The hash is the hash of its fields tuple, taken once when the
+    # term is built from its arguments' own (see also ``_built``).
 
     def __hash__(self) -> int:
         return self._hash
@@ -111,10 +197,6 @@ class Compound:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return _same_terms(self, other)
-
-    def __reduce__(self):
-        # String hashes differ between processes, so the cached hash must not travel.
-        return Compound, (self.functor, self.args)
 
     def __str__(self) -> str:
         return _term_text(self)
@@ -158,37 +240,38 @@ def _term_text(term: Compound) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True, repr=False)
-class Atom:
+class Atom(Record):
     """A predicate applied to zero or more terms.
 
     Predicates are keyed by name and arity: ``p/1`` and ``p/2`` are
     distinct predicates.
     """
 
-    predicate: str
-    args: tuple[Term, ...] = ()
+    # No __slots__: the class attribute ``_hash`` answers until the hash
+    # is first taken, so building an atom writes two fields, not three.
+    _fields = ("predicate", "args")
 
-    def __post_init__(self) -> None:
-        _check_name(_IDENT_RE, self.predicate, "predicate name")
-        object.__setattr__(self, "args", tuple(self.args))
+    def __init__(self, predicate: str, args: tuple[Term, ...] = ()) -> None:
+        _check_name(_IDENT_RE, predicate, "predicate name")
+        _setattr(self, "predicate", predicate)
+        _setattr(self, "args", tuple(args))
 
-    # The hash is the one the dataclass would compute, kept on first use:
-    # the engine's memo and loop check hash each goal several times, while
-    # many atoms it builds are never hashed at all. Until then the class
-    # attribute answers for it.
+    # The hash is the hash of its fields tuple, kept on first use: the
+    # engine's memo and loop check hash each goal several times, while
+    # many atoms it builds are never hashed at all.
     _hash = None
 
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
             value = hash((self.predicate, self.args))
-            object.__setattr__(self, "_hash", value)
+            _setattr(self, "_hash", value)
         return value
 
-    def __reduce__(self):
-        # As for Compound: a cached hash must not travel between processes.
-        return Atom, (self.predicate, self.args)
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.predicate == other.predicate and self.args == other.args
 
     @property
     def key(self) -> tuple[str, int]:
@@ -215,35 +298,31 @@ def indicator(key: PredicateKey) -> str:
     return f"{key[0]}/{key[1]}"
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class SourceRef(Record):
     """Provenance note linking a statement back to authoritative text."""
 
-    citation: str
-    note: Optional[str] = None
+    __slots__ = _fields = ("citation", "note")
 
-    def __post_init__(self) -> None:
-        if not self.citation:
+    def __init__(self, citation: str, note: Optional[str] = None) -> None:
+        if not citation:
             raise ValueError("source citation must be non-empty")
+        self._init(citation, note)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record):
     """A general rule: the head holds when every body atom holds.
 
     ``line`` is the 1-based source line of the statement when the rule
     came from a file; it never participates in structural equality.
     """
 
-    id: str
-    head: Atom
-    body: tuple[Atom, ...] = ()
-    source: Optional[SourceRef] = None
-    line: Optional[int] = field(default=None, compare=False)
+    __slots__ = _fields = ("id", "head", "body", "source", "line")
+    _compared = ("id", "head", "body", "source")
 
-    def __post_init__(self) -> None:
-        _check_name(_IDENT_RE, self.id, "rule id")
-        object.__setattr__(self, "body", tuple(self.body))
+    def __init__(self, id: str, head: Atom, body: tuple[Atom, ...] = (),
+                 source: Optional[SourceRef] = None, line: Optional[int] = None) -> None:
+        _check_name(_IDENT_RE, id, "rule id")
+        self._init(id, head, tuple(body), source, line)
 
     @property
     def is_range_restricted(self) -> bool:
@@ -254,34 +333,35 @@ class Rule:
         return set(variables_of(self.head)) <= body_vars
 
 
-@dataclass(frozen=True)
-class ExceptionDecl:
+class ExceptionDecl(Record):
     """Declares that a proven exception defeats the conclusion ``head``."""
 
-    head: Atom
-    exception: Atom
-    source: Optional[SourceRef] = None
-    line: Optional[int] = field(default=None, compare=False)
+    __slots__ = _fields = ("head", "exception", "source", "line")
+    _compared = ("head", "exception", "source")
+
+    def __init__(self, head: Atom, exception: Atom, source: Optional[SourceRef] = None,
+                 line: Optional[int] = None) -> None:
+        self._init(head, exception, source, line)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """An ordered rule base plus its exception declarations.
 
     Rule order is preserved: the evaluator tries rules in this order.
     """
 
-    rules: tuple[Rule, ...] = ()
-    exceptions: tuple[ExceptionDecl, ...] = ()
+    # No __slots__: ``solve_index`` is kept in the instance dict.
+    _fields = ("rules", "exceptions")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rules", tuple(self.rules))
-        object.__setattr__(self, "exceptions", tuple(self.exceptions))
+    def __init__(self, rules: tuple[Rule, ...] = (),
+                 exceptions: tuple[ExceptionDecl, ...] = ()) -> None:
+        rules = tuple(rules)
         seen: set[str] = set()
-        for rule in self.rules:
+        for rule in rules:
             if rule.id in seen:
                 raise ValueError(f"duplicate rule id: {rule.id!r}")
             seen.add(rule.id)
+        self._init(rules, tuple(exceptions))
 
     def defined_predicates(self) -> frozenset[PredicateKey]:
         """Predicate keys that appear as the head of at least one rule."""
@@ -297,17 +377,18 @@ class Program:
         return ProgramIndex(self)
 
 
-@dataclass(frozen=True)
-class FactBase:
+class FactBase(Record):
     """The ground atoms describing one case, kept apart from the rules."""
 
-    facts: frozenset[Atom] = frozenset()
+    # No __slots__, as for Program, so that derived state can be kept.
+    _fields = ("facts",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facts", frozenset(self.facts))
-        for atom in self.facts:
+    def __init__(self, facts: frozenset[Atom] = frozenset()) -> None:
+        facts = frozenset(facts)
+        for atom in facts:
             if not is_ground(atom):
                 raise ValueError(f"facts must be ground: {atom}")
+        self._init(facts)
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.facts
@@ -316,12 +397,13 @@ class FactBase:
         return len(self.facts)
 
 
-def _ground_facts(facts: frozenset[Atom]) -> FactBase:
-    """A FactBase over atoms already known to be ground, as the parser
-    knows them: it skips the constructor's check and copy."""
-    base = object.__new__(FactBase)
-    object.__setattr__(base, "facts", facts)
-    return base
+def _record(cls: type, *values: object):
+    """A record of ``cls`` whose field values, in ``_fields`` order, are
+    already known to be valid, as the parser knows them: it skips the
+    constructor's checks and copies. The term classes have ``_built``."""
+    obj = _new(cls)
+    obj._init(*values)
+    return obj
 
 
 def is_ground(value: Union[Term, Atom]) -> bool:
@@ -358,9 +440,6 @@ def _iter_variables(value: Union[Term, Atom]) -> Iterator[str]:
 
 # The field each term kind the resolver and the parser build keeps its name in.
 _NAME_FIELD = {Constant: "name", Variable: "name", Compound: "functor", Atom: "predicate"}
-# Looked up once here rather than on each of the calls ``_built`` makes per term.
-_new = object.__new__
-_setattr = object.__setattr__
 
 
 def _built(cls: type, name: str, args: Optional[tuple] = None):
@@ -371,8 +450,8 @@ def _built(cls: type, name: str, args: Optional[tuple] = None):
     which the resolver and the parser would otherwise pay on every term
     they build, and takes a compound's hash as ``Compound`` does."""
     obj = _new(cls)
-    # Not through ``obj.__dict__``: that would make a real instance dict,
-    # and every later attribute read of the object would be slower.
+    # An atom's fields not through ``obj.__dict__``: that would make a real
+    # instance dict, and every later attribute read of the atom would be slower.
     _setattr(obj, _NAME_FIELD[cls], name)
     if args is not None:
         _setattr(obj, "args", args)

@@ -18,21 +18,21 @@ conclusion, not just the clause it came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .ast import Atom, ExceptionDecl, Program, Rule, variables_of
+from .ast import Atom, ExceptionDecl, Program, Record, Rule, variables_of
 from .engine import stratify
 from .parser import PrologClause, parse_prolog_subset
 
 
-@dataclass(frozen=True)
-class ConvertReport:
+class ConvertReport(Record):
     """What the conversion produced, for humans and for tests."""
 
-    converted_rules: int
-    generated_exceptions: int
-    synthesized_predicates: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
+    __slots__ = _fields = ("converted_rules", "generated_exceptions", "synthesized_predicates",
+                           "warnings")
+
+    def __init__(self, converted_rules: int, generated_exceptions: int,
+                 synthesized_predicates: tuple[str, ...] = (),
+                 warnings: tuple[str, ...] = ()) -> None:
+        self._init(converted_rules, generated_exceptions, synthesized_predicates, warnings)
 
 
 def _vocabulary(clauses: list[PrologClause]) -> set[tuple[str, int]]:

@@ -28,7 +28,6 @@ Two evaluators are provided deliberately:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ast import (
@@ -36,6 +35,7 @@ from .ast import (
     FactBase,
     PredicateKey,
     Program,
+    Record,
     Substitution,
     EMPTY_SUBSTITUTION,
     Variable,
@@ -62,19 +62,18 @@ from .trace import (
 )
 
 
-@dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Record):
     """Resource limits for one evaluation."""
 
-    max_depth: int = 512
-    max_steps: int = 100_000
-    loop_check: bool = True
+    __slots__ = _fields = ("max_depth", "max_steps", "loop_check")
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 1:
+    def __init__(self, max_depth: int = 512, max_steps: int = 100_000,
+                 loop_check: bool = True) -> None:
+        if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.max_steps < 1:
+        if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        self._init(max_depth, max_steps, loop_check)
 
 
 DEFAULT_CONFIG = EngineConfig()

@@ -29,11 +29,10 @@ as a wildcard argument.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
-from ..ast import Atom, Compound, FactBase, Program, Term, Variable, is_ground
+from ..ast import Atom, Compound, FactBase, Program, Record, Term, Variable, is_ground
 from ..engine import EngineConfig, solve
 from ..parser import ParseFailure, parse_atom, parse_facts, parse_program
 from ..trace import Outcome, TraceNode, iter_nodes
@@ -73,31 +72,29 @@ class CaseLoadError(Exception):
         super().__init__("; ".join(self.errors))
 
 
-@dataclass(frozen=True)
-class TraceFragment:
+class TraceFragment(Record):
     """An assertion that some trace node matches goal, outcome, and edge.
 
     ``edge`` is "condition", "exception", or "root" (the root node has
     no incoming edge).
     """
 
-    goal: Atom
-    outcome: Outcome
-    edge: str
+    __slots__ = _fields = ("goal", "outcome", "edge")
+
+    def __init__(self, goal: Atom, outcome: Outcome, edge: str) -> None:
+        self._init(goal, outcome, edge)
 
 
-@dataclass(frozen=True)
-class CaseFile:
+class CaseFile(Record):
     """One executable scenario: facts, a query, and the expected result."""
 
-    id: str
-    description: str
-    ruleset_path: Path
-    program: Program
-    facts: FactBase
-    query: Atom
-    expected: Outcome
-    fragments: tuple[TraceFragment, ...] = ()
+    __slots__ = _fields = ("id", "description", "ruleset_path", "program", "facts", "query",
+                           "expected", "fragments")
+
+    def __init__(self, id: str, description: str, ruleset_path: Path, program: Program,
+                 facts: FactBase, query: Atom, expected: Outcome,
+                 fragments: tuple[TraceFragment, ...] = ()) -> None:
+        self._init(id, description, ruleset_path, program, facts, query, expected, fragments)
 
 
 class CaseResult(NamedTuple):

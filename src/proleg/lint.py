@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
@@ -32,6 +31,7 @@ from .ast import (
     Atom,
     PredicateKey,
     Program,
+    Record,
     indicator,
     rename_apart,
     unify_atoms,
@@ -63,25 +63,32 @@ def _parse_indicator(item: object) -> PredicateKey:
     return (match[1], int(match[2]))
 
 
-@dataclass(frozen=True)
-class LintConfig:
+class LintConfig(Record):
     """Predicate lists driving the configurable checks.
 
     Defaults target the GDPR Article 6 vocabulary but are plain data so
-    the same checks transfer to other rule bases.
+    the same checks transfer to other rule bases. When ``generic_siblings``
+    is set, the sibling-consistency check considers every predicate seen
+    in some sibling body, not only the configured list.
     """
 
-    presupposed_predicates: tuple[PredicateKey, ...] = (
-        ("data_is_processed", 1),
-        ("processing_occurs", 1),
-    )
-    universal_condition_predicates: tuple[PredicateKey, ...] = (
-        ("compliant_with_art5_principles", 1),
-    )
-    declared_fact_schema: tuple[PredicateKey, ...] = ()
-    # When set, the sibling-consistency check considers every predicate
-    # seen in some sibling body, not only the configured list.
-    generic_siblings: bool = False
+    __slots__ = _fields = ("presupposed_predicates", "universal_condition_predicates",
+                           "declared_fact_schema", "generic_siblings")
+
+    def __init__(
+        self,
+        presupposed_predicates: tuple[PredicateKey, ...] = (
+            ("data_is_processed", 1),
+            ("processing_occurs", 1),
+        ),
+        universal_condition_predicates: tuple[PredicateKey, ...] = (
+            ("compliant_with_art5_principles", 1),
+        ),
+        declared_fact_schema: tuple[PredicateKey, ...] = (),
+        generic_siblings: bool = False,
+    ) -> None:
+        self._init(presupposed_predicates, universal_condition_predicates, declared_fact_schema,
+                   generic_siblings)
 
     @classmethod
     def from_obj(cls, obj: object) -> "LintConfig":
@@ -90,9 +97,8 @@ class LintConfig:
         and whose ``generic_siblings`` is a boolean."""
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {obj!r}")
-        known = {f.name for f in fields(cls)}
         for name in obj:
-            if name not in known:
+            if name not in cls._fields:
                 raise ValueError(f"unknown field {name!r}")
 
         def keys(name: str, default: tuple[PredicateKey, ...]) -> tuple[PredicateKey, ...]:
@@ -123,14 +129,14 @@ class LintConfig:
 DEFAULT_LINT_CONFIG = LintConfig()
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    check_id: LintCheck
-    severity: str
-    statement: str
-    line: Optional[int]
-    message: str
-    related: tuple[str, ...] = field(default=())
+class LintFinding(Record):
+    """One problem a check found, at a statement and its source line."""
+
+    __slots__ = _fields = ("check_id", "severity", "statement", "line", "message", "related")
+
+    def __init__(self, check_id: LintCheck, severity: str, statement: str, line: Optional[int],
+                 message: str, related: tuple[str, ...] = ()) -> None:
+        self._init(check_id, severity, statement, line, message, related)
 
     def to_obj(self) -> dict:
         return {

@@ -36,7 +36,6 @@ reads; the PROLEG grammar simply rejects those tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .ast import (
@@ -49,13 +48,14 @@ from .ast import (
     FactBase,
     Integer,
     Program,
+    Record,
     Rule,
     SourceRef,
     Term,
     Text,
     Variable,
     _built,
-    _ground_facts,
+    _record,
     escape_text,
 )
 
@@ -102,14 +102,13 @@ _STRING_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 MAX_TERM_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(Record):
     """A syntax problem at a 1-based line/column position."""
 
-    line: int
-    column: int
-    message: str
-    snippet: str = ""
+    __slots__ = _fields = ("line", "column", "message", "snippet")
+
+    def __init__(self, line: int, column: int, message: str, snippet: str = "") -> None:
+        self._init(line, column, message, snippet)
 
     def __str__(self) -> str:
         return f"{self.line}:{self.column}: {self.message}"
@@ -290,9 +289,9 @@ def _comma_separated(p: _Parser, parse: Callable[[_Parser], object]) -> list:
 
 def _term_as_atom(term: Term) -> Optional[Atom]:
     if isinstance(term, Constant):
-        return Atom(term.name)
+        return _built(Atom, term.name, ())
     if isinstance(term, Compound):
-        return Atom(term.functor, term.args)
+        return _built(Atom, term.functor, term.args)
     return None
 
 
@@ -347,7 +346,7 @@ def parse_program(source: str) -> Program:
             if head is None or exc is None:
                 p.error(token, "exception arguments must be atoms")
             else:
-                exceptions.append(ExceptionDecl(head, exc, source=citation, line=line))
+                exceptions.append(_record(ExceptionDecl, head, exc, citation, line))
             return
         if token[1] == "exception":
             raise p.error(token, "'exception' is reserved for exception declarations")
@@ -362,10 +361,10 @@ def parse_program(source: str) -> Program:
             p.error(token, f"duplicate rule id '{rule_id}'")
         else:
             used_ids.add(rule_id)
-            rules.append(Rule(rule_id, head, tuple(body), source=citation, line=line))
+            rules.append(_record(Rule, rule_id, head, tuple(body), citation, line))
 
     _Parser(source).statements(statement)
-    return Program(tuple(rules), tuple(exceptions))
+    return _record(Program, tuple(rules), tuple(exceptions))
 
 
 def parse_facts(source: str) -> FactBase:
@@ -384,7 +383,7 @@ def parse_facts(source: str) -> FactBase:
             facts.add(atom)
 
     _Parser(source).statements(fact)
-    return _ground_facts(frozenset(facts))
+    return _record(FactBase, frozenset(facts))
 
 
 def parse_atom(source: str) -> Atom:
@@ -401,17 +400,14 @@ def parse_atom(source: str) -> Atom:
     return atom
 
 
-@dataclass(frozen=True)
-class PrologClause:
+class PrologClause(Record):
     """One source clause, with negated body literals split out."""
 
-    head: Atom
-    positive_body: tuple[Atom, ...] = ()
-    negated_body: tuple[Atom, ...] = ()
+    __slots__ = _fields = ("head", "positive_body", "negated_body")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "positive_body", tuple(self.positive_body))
-        object.__setattr__(self, "negated_body", tuple(self.negated_body))
+    def __init__(self, head: Atom, positive_body: tuple[Atom, ...] = (),
+                 negated_body: tuple[Atom, ...] = ()) -> None:
+        self._init(head, tuple(positive_body), tuple(negated_body))
 
 
 _SKIPPED = {":-": "directive", "?-": "query"}

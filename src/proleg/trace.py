@@ -11,11 +11,10 @@ for graph tooling, and a versioned JSON form that round-trips.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
 
-from .ast import Atom, Compound, Constant, Integer, Term, Text, Variable
+from .ast import Atom, Compound, Constant, Integer, Record, Term, Text, Variable
 
 TRACE_VERSION = 2
 
@@ -43,8 +42,7 @@ class EdgeKind(Enum):
     EXCEPTION = "exception"
 
 
-@dataclass(frozen=True)
-class TraceNode:
+class TraceNode(Record):
     """One evaluated goal instance.
 
     ``via`` names the rule that produced a success (or ``fact``);
@@ -53,15 +51,25 @@ class TraceNode:
     succeeded.
     """
 
-    goal: Atom
-    outcome: Outcome
-    via: Optional[str] = None
-    defeated: bool = False
-    children: tuple[tuple[EdgeKind, "TraceNode"], ...] = ()
-    note: Optional[str] = None
+    # No __slots__: ``_node`` fills the instance dict in one call.
+    _fields = ("goal", "outcome", "via", "defeated", "children", "note")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, goal: Atom, outcome: Outcome, via: Optional[str] = None,
+                 defeated: bool = False, children: tuple[tuple[EdgeKind, TraceNode], ...] = (),
+                 note: Optional[str] = None) -> None:
+        self._init(goal, outcome, via, defeated, tuple(children), note)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # As tuples, whose comparison skips identical fields without a call.
+        return ((self.goal, self.outcome, self.via, self.defeated, self.children, self.note)
+                == (other.goal, other.outcome, other.via, other.defeated, other.children,
+                    other.note))
+
+    def __hash__(self) -> int:
+        return hash((self.goal, self.outcome, self.via, self.defeated, self.children,
+                     self.note))
 
 
 # Enum members bound once: reading one off its class (``Outcome.SUCCESS``)
@@ -74,7 +82,8 @@ _CONDITION, _EXCEPTION = EdgeKind.CONDITION, EdgeKind.EXCEPTION
 def _node(goal: Atom, outcome: Outcome, via: Optional[str] = None, defeated: bool = False,
           children: tuple = (), note: Optional[str] = None) -> TraceNode:
     """A TraceNode whose ``children`` is already a tuple, made without the
-    dataclass constructor and its frozen-field writes (about 4x cheaper)."""
+    constructor's call and its six field writes: one dict update instead
+    (about 2.5x cheaper per node, timed with ``timeit`` on Python 3.11)."""
     node = object.__new__(TraceNode)
     node.__dict__.update(goal=goal, outcome=outcome, via=via, defeated=defeated,
                          children=children, note=note)

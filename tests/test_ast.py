@@ -204,7 +204,7 @@ def test_term_equality_hash_and_text_match_a_recursive_reference(a, b):
     assert twin == a and hash(twin) == hash(a)
     assert str(a) == _reference_text(a)
     if isinstance(a, Compound):
-        # The hash the frozen dataclass would compute.
+        # The hash of its fields tuple.
         assert hash(a) == hash((a.functor, a.args))
         assert pickle.loads(pickle.dumps(a)) == a
     atom = Atom("p", (a, b))

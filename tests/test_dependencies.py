@@ -1,10 +1,11 @@
 """Checks over the package source: it depends on the standard library only,
-changes no process-wide interpreter setting, and keeps the trace module
-off the parser."""
+changes no process-wide interpreter setting, keeps the trace module off
+the parser, and keeps slow standard modules out of its import."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +76,15 @@ def test_the_trace_module_imports_only_the_data_model():
     # line shows the helper sees the relative imports the package uses.
     assert package_imports(SRC / "engine.py") >= {"proleg.ast", "proleg.trace"}
     assert package_imports(SRC / "trace.py") == {"proleg.ast"}
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    # Every run of the command line starts a fresh interpreter. Loading
+    # these two modules, and compiling the methods ``dataclasses`` writes,
+    # was about a third of importing the package. ``-S`` keeps site hooks
+    # from loading them first.
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import proleg, proleg.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    found = subprocess.run([sys.executable, "-S", "-c", script, str(SRC.parent)],
+                           capture_output=True, text=True, check=True)
+    assert found.stdout == "[]\n"

@@ -7,22 +7,22 @@ case files (single file or ``--all`` over a directory).
 
 Exit codes: 0 when the query succeeded, the case passed, or no finding
 reached the failure threshold; 1 for a failed query, a case mismatch,
-or findings at the threshold; 2 for usage, parse, or engine errors.
+or findings at the threshold; 2 for usage, input, parse, or engine
+errors. Each command raises on a bad input; ``main`` alone prints it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .ast import Program, indicator
+from .ast import indicator
 from .convert import convert_source
-from .engine import EngineConfig, EngineError, stratify
-from .gdpr import CaseFile, CaseLoadError, load_case, run_case
+from .engine import EngineConfig, EngineError, solve, stratify
+from .gdpr import CaseLoadError, load_case, run_case
 from .lint import (
     ERROR,
     WARNING,
@@ -37,6 +37,7 @@ from .parser import (
     parse_facts,
     parse_program,
     range_restriction_warnings,
+    serialize,
 )
 from .trace import Outcome, render_dot, render_json, render_text
 
@@ -47,16 +48,29 @@ EXIT_ERROR = 2
 MAX_STEPS_ENV = "PROLEG_MAX_STEPS"
 
 
-def _print_parse_failure(path: str, failure: ParseFailure) -> None:
-    for error in failure.errors:
-        print(f"{path}:{error.line}:{error.column}: {error.message}", file=sys.stderr)
-        if error.snippet:
-            print(f"    {error.snippet}", file=sys.stderr)
+class _BadInput(Exception):
+    """A bad input; its args are the stderr lines that report it."""
 
 
-def _load_program(path: str) -> Program:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_program(text)
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _BadInput(f"i/o error: {path} is not UTF-8 text: {exc}") from None
+
+
+def _parsed(parse, path: str, text: Optional[str] = None):
+    """``parse`` applied to ``text``, or to the file at ``path``; a parse
+    failure becomes ``path:line:col: message`` lines with their snippets."""
+    try:
+        return parse(_read(path) if text is None else text)
+    except ParseFailure as failure:
+        lines = []
+        for error in failure.errors:
+            lines.append(f"{path}:{error.line}:{error.column}: {error.message}")
+            if error.snippet:
+                lines.append(f"    {error.snippet}")
+        raise _BadInput(*lines) from None
 
 
 def _positive_int(text: str) -> int:
@@ -81,60 +95,33 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
                 f"warning: ignoring {MAX_STEPS_ENV}={env_value!r}: not a positive integer",
                 file=sys.stderr,
             )
-    if getattr(args, "max_steps", None) is not None:
+    if args.max_steps is not None:
         max_steps = args.max_steps
-    max_depth = getattr(args, "max_depth", None) or defaults.max_depth
-    return EngineConfig(max_depth=max_depth, max_steps=max_steps)
+    return EngineConfig(max_depth=args.max_depth or defaults.max_depth, max_steps=max_steps)
 
 
 def _write_trace_outputs(args: argparse.Namespace, trace) -> None:
-    if getattr(args, "trace", None):
+    if args.trace:
         Path(args.trace).write_text(render_json(trace) + "\n", encoding="utf-8")
-    if getattr(args, "dot", None):
+    if args.dot:
         Path(args.dot).write_text(render_dot(trace), encoding="utf-8")
-    if getattr(args, "text", False):
+    if args.text:
         print(render_text(trace), end="")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        program = _load_program(args.rules)
-    except ParseFailure as failure:
-        _print_parse_failure(args.rules, failure)
-        return EXIT_ERROR
-    try:
-        facts = parse_facts(Path(args.facts).read_text(encoding="utf-8"))
-    except ParseFailure as failure:
-        _print_parse_failure(args.facts, failure)
-        return EXIT_ERROR
-    try:
-        goal = parse_atom(args.query)
-    except ParseFailure as failure:
-        _print_parse_failure("<query>", failure)
-        return EXIT_ERROR
-    from .engine import solve
-
-    try:
-        outcome, trace = solve(program, facts, goal, _engine_config(args))
-    except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    program = _parsed(parse_program, args.rules)
+    facts = _parsed(parse_facts, args.facts)
+    goal = _parsed(parse_atom, "<query>", args.query)
+    outcome, trace = solve(program, facts, goal, _engine_config(args))
     print(outcome.glyph)
     _write_trace_outputs(args, trace)
     return EXIT_OK if outcome is Outcome.SUCCESS else EXIT_FAIL
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        program = _load_program(args.rules)
-    except ParseFailure as failure:
-        _print_parse_failure(args.rules, failure)
-        return EXIT_ERROR
-    try:
-        strata = stratify(program)
-    except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    program = _parsed(parse_program, args.rules)
+    strata = stratify(program)
     print(f"rules: {len(program.rules)}")
     print(f"exceptions: {len(program.exceptions)}")
     print(f"strata: {len(strata)}")
@@ -147,16 +134,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    try:
-        program = _load_program(args.rules)
-    except ParseFailure as failure:
-        _print_parse_failure(args.rules, failure)
-        return EXIT_ERROR
+    program = _parsed(parse_program, args.rules)
     try:
         config = LintConfig.from_json_file(args.config) if args.config else None
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"bad lint config: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    except (OSError, ValueError) as exc:
+        raise _BadInput(f"bad lint config: {exc}") from None
     findings = lint(program, config)
     if args.json:
         print(findings_to_json(findings))
@@ -170,21 +152,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        source = Path(args.prolog).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {args.prolog}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        program, report = convert_source(source)
-    except ParseFailure as failure:
-        _print_parse_failure(args.prolog, failure)
-        return EXIT_ERROR
-    except EngineError as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    from .parser import serialize
-
+    program, report = _parsed(convert_source, args.prolog)
     Path(args.out).write_text(serialize(program), encoding="utf-8")
     print(f"converted rules: {report.converted_rules}")
     print(f"generated exceptions: {report.generated_exceptions}")
@@ -195,64 +163,44 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_one_case(path: Path) -> Optional[CaseFile]:
-    """Load a case file; returns None after reporting its problems."""
-    try:
-        return load_case(path)
-    except CaseLoadError as exc:
-        for message in exc.errors:
-            print(f"{path}: {message}", file=sys.stderr)
-        return None
-
-
-def _run_one_case(case: CaseFile, path: Path, args: argparse.Namespace,
-                  verbose: bool) -> Optional[bool]:
-    """Run a loaded case; returns passed, or None on an engine error."""
-    try:
-        result = run_case(case, _engine_config(args))
-    except EngineError as exc:
-        print(f"{path}: engine error: {exc}", file=sys.stderr)
-        return None
-    status = "PASS" if result.passed else "FAIL"
-    print(
-        f"{case.id}: {status} (expected {case.expected.glyph}, actual {result.actual.glyph})"
-    )
-    if verbose:
-        _write_trace_outputs(args, result.trace)
-    return result.passed
-
-
 def _cmd_case_run(args: argparse.Namespace) -> int:
-    if args.all:
-        directory = Path(args.all)
-        paths = sorted(directory.glob("*.case.json"))
-        if not paths:
-            print(f"no *.case.json files in {directory}", file=sys.stderr)
-            return EXIT_ERROR
-        cases = []
-        for path in paths:
-            case = _load_one_case(path)
-            if case is None:
-                return EXIT_ERROR
-            cases.append((case, path))
-        cases.sort(key=lambda pair: pair[0].id)
-        passed = 0
-        for case, path in cases:
-            outcome = _run_one_case(case, path, args, verbose=False)
-            if outcome is None:
-                return EXIT_ERROR
-            passed += 1 if outcome else 0
+    """Load every case before running any; with ``--all``, run them in id
+    order and print a summary, else write the one case's trace outputs."""
+    single = args.all is None
+    paths = [Path(args.case)] if single else sorted(Path(args.all).glob("*.case.json"))
+    if not paths:
+        raise _BadInput(f"no *.case.json files in {Path(args.all)}")
+    cases = []
+    for path in paths:
+        try:
+            cases.append((load_case(path), path))
+        except CaseLoadError as exc:
+            raise _BadInput(*(f"{path}: {message}" for message in exc.errors)) from None
+    cases.sort(key=lambda pair: pair[0].id)
+    passed = 0
+    for case, path in cases:
+        try:
+            result = run_case(case, _engine_config(args))
+        except EngineError as exc:
+            raise _BadInput(f"{path}: engine error: {exc}") from None
+        status = "PASS" if result.passed else "FAIL"
+        print(
+            f"{case.id}: {status} (expected {case.expected.glyph}, actual {result.actual.glyph})"
+        )
+        passed += result.passed
+        if single:
+            _write_trace_outputs(args, result.trace)
+    if not single:
         print(f"{passed}/{len(cases)} cases passed")
-        return EXIT_OK if passed == len(cases) else EXIT_FAIL
-    if not args.case:
-        print("case run: give a case file or --all DIR", file=sys.stderr)
-        return EXIT_ERROR
-    path = Path(args.case)
-    case = _load_one_case(path)
-    outcome = None if case is None else _run_one_case(case, path, args, verbose=True)
-    if outcome is None:
-        return EXIT_ERROR
-    return EXIT_OK if outcome else EXIT_FAIL
+    return EXIT_OK if passed == len(cases) else EXIT_FAIL
+
+
+def _add_trace_and_limit_flags(command: argparse.ArgumentParser) -> None:
+    command.add_argument("--trace", help="write the trace as JSON to this path")
+    command.add_argument("--dot", help="write the trace as DOT to this path")
+    command.add_argument("--text", action="store_true", help="print the trace tree")
+    command.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
+    command.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -266,11 +214,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     run_p.add_argument("rules", help="PROLEG ruleset file")
     run_p.add_argument("facts", help="ground facts file")
     run_p.add_argument("--query", required=True, help="goal atom, e.g. 'lawful_processing(case1)'")
-    run_p.add_argument("--trace", help="write the trace as JSON to this path")
-    run_p.add_argument("--dot", help="write the trace as DOT to this path")
-    run_p.add_argument("--text", action="store_true", help="print the trace tree")
-    run_p.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
-    run_p.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
+    _add_trace_and_limit_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
     check_p = sub.add_parser("check", help="parse a ruleset and report stratification")
@@ -297,13 +241,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     case_p = sub.add_parser("case", help="work with executable case files")
     case_sub = case_p.add_subparsers(dest="case_command", required=True)
     case_run = case_sub.add_parser("run", help="run one case file, or every case in a directory")
-    case_run.add_argument("case", nargs="?", help="a *.case.json file")
-    case_run.add_argument("--all", metavar="DIR", help="run every *.case.json in DIR")
-    case_run.add_argument("--trace", help="write the trace as JSON to this path")
-    case_run.add_argument("--dot", help="write the trace as DOT to this path")
-    case_run.add_argument("--text", action="store_true", help="print the trace tree")
-    case_run.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
-    case_run.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
+    which = case_run.add_mutually_exclusive_group(required=True)
+    which.add_argument("case", nargs="?", help="a *.case.json file")
+    which.add_argument("--all", metavar="DIR", help="run every *.case.json in DIR")
+    _add_trace_and_limit_flags(case_run)
     case_run.set_defaults(func=_cmd_case_run)
 
     return parser
@@ -317,9 +258,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
         return args.func(args)
+    except _BadInput as exc:
+        lines = exc.args
+    except EngineError as exc:
+        lines = (f"engine error: {exc}",)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        lines = (f"i/o error: {exc}",)
+    for line in lines:
+        print(line, file=sys.stderr)
+    return EXIT_ERROR
 
 
 def entrypoint() -> None:

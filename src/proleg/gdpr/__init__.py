@@ -145,8 +145,10 @@ def load_case(path: Union[str, Path]) -> CaseFile:
         raise CaseLoadError([f"case file not found: {path}"])
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise CaseLoadError([f"unreadable case file {path}: {exc}"]) from exc
+    except RecursionError:  # the C decoder recurses once per container
+        raise CaseLoadError([f"case file {path} is nested too deeply"]) from None
     if not isinstance(obj, dict):
         raise CaseLoadError([f"case file {path} must hold a JSON object"])
 
@@ -172,7 +174,7 @@ def load_case(path: Union[str, Path]) -> CaseFile:
     program: Optional[Program] = None
     try:
         program = parse_program(ruleset_path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         errors.append(f"unreadable ruleset {ruleset_path}: {exc}")
     except ParseFailure as exc:
         errors.extend(f"ruleset {ruleset_path.name}:{e}" for e in exc.errors)
@@ -205,7 +207,7 @@ def load_case(path: Union[str, Path]) -> CaseFile:
         facts_path = (path.parent / facts_field["path"]).resolve()
         try:
             facts = parse_facts(facts_path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             errors.append(f"unreadable facts file {facts_path}: {exc}")
         except ParseFailure as exc:
             errors.extend(f"facts {facts_path.name}:{e}" for e in exc.errors)

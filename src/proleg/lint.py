@@ -123,7 +123,15 @@ class LintConfig(Record):
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "LintConfig":
-        return cls.from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a config file; raises OSError if it cannot be read and
+        ValueError if it is not UTF-8 JSON of the shape ``from_obj`` takes."""
+        try:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+        except RecursionError:  # the C decoder recurses once per container
+            raise ValueError(f"{path} is nested too deeply") from None
+        return cls.from_obj(obj)
 
 
 DEFAULT_LINT_CONFIG = LintConfig()

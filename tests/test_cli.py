@@ -16,6 +16,8 @@ CURATED = str(curated_ruleset_path())
 WITHDRAWAL_FACTS = str(data_dir() / "withdrawal.facts")
 QUERY = "lawful_processing(case1)"
 CASE_FILE = str(cases_dir() / "withdrawal.case.json")
+# Deeper than the C JSON decoder's recursion allows (3.13 takes 2,000 levels).
+NESTED_JSON = "[" * 100_000 + "]" * 100_000
 
 
 def run_cli(capsys, *argv):
@@ -298,13 +300,16 @@ class TestLint:
             {"presupposed_predicates": ["Foo/1"]},
             {"declared_fact_schema": ["/2"]},
             {"declared_fact_shema": ["x/1"]},
+            NESTED_JSON,
         ],
         ids=["list", "non-string-item", "string-boolean", "uppercase-name", "empty-name",
-             "unknown-key"],
+             "unknown-key", "nested"],
     )
     def test_bad_config_exits_2(self, capsys, tmp_path, config):
         path = tmp_path / "lint.json"
-        path.write_text(json.dumps(config), encoding="utf-8")
+        # A str is the file's text as it stands, not a value to encode.
+        path.write_text(config if isinstance(config, str) else json.dumps(config),
+                        encoding="utf-8")
         code, out, err = run_cli(capsys, "lint", CURATED, "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("bad lint config: ")
@@ -368,9 +373,11 @@ class TestCase:
 
     def test_invalid_case_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.case.json"
-        path.write_text("{", encoding="utf-8")
-        code, _, err = run_cli(capsys, "case", "run", str(path))
-        assert code == 2
+        for text in ("{", NESTED_JSON):
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run_cli(capsys, "case", "run", str(path))
+            assert (code, out) == (2, ""), text[:5]
+            assert err.startswith(f"{path}: ") and err.count("\n") == 1
 
     def test_non_list_fragments_exit_2_in_a_fresh_process(self, tmp_path):
         for value in (None, 5, "abc", {}):
@@ -407,6 +414,79 @@ class TestCase:
         validate_dot(dot_path.read_text(encoding="utf-8"))
 
 
+class TestBadInput:
+    """Every file a command reads, made unreadable: missing, a directory, or
+    bytes that are not UTF-8. Each is exit 2 with one stderr line naming
+    the file. (JSON nested too deeply is in test_invalid_case_exits_2 and
+    test_bad_config_exits_2.)"""
+
+    FILES = {
+        "run-rules": "rules", "run-facts": "facts", "check-rules": "rules",
+        "lint-rules": "rules", "lint-config": "config", "convert-draft": "draft",
+        "case-file": "case", "case-ruleset": "ruleset", "case-facts": "facts",
+    }
+
+    @staticmethod
+    def make(kind, path):
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"p <= \xff\xfe.\n")
+        return path
+
+    @staticmethod
+    def case_file(tmp_path, ruleset=CURATED, facts=WITHDRAWAL_FACTS):
+        case = {"id": "c", "description": "", "ruleset": str(ruleset),
+                "facts": {"path": str(facts)}, "query": QUERY, "expected": "x"}
+        path = tmp_path / "c.case.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("entry", list(FILES))
+    def test_unreadable_file_exits_2_naming_it(self, capsys, tmp_path, entry, kind):
+        bad = self.make(kind, tmp_path / f"bad-{self.FILES[entry]}")
+        argv = {
+            "run-rules": ["run", str(bad), WITHDRAWAL_FACTS, "--query", QUERY],
+            "run-facts": ["run", CURATED, str(bad), "--query", QUERY],
+            "check-rules": ["check", str(bad)],
+            "lint-rules": ["lint", str(bad)],
+            "lint-config": ["lint", CURATED, "--config", str(bad)],
+            "convert-draft": ["convert", str(bad), str(tmp_path / "out.proleg")],
+            "case-file": ["case", "run", str(bad)],
+            "case-ruleset": ["case", "run", str(self.case_file(tmp_path, ruleset=bad))],
+            "case-facts": ["case", "run", str(self.case_file(tmp_path, facts=bad))],
+        }[entry]
+        prefix = ("bad lint config: " if entry == "lint-config"
+                  else f"{argv[2]}: " if entry.startswith("case-") else "i/o error: ")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert str(bad) in err or str(bad.resolve()) in err
+        if kind == "not-utf8" and not entry.startswith("case-"):
+            assert f"{bad} is not UTF-8 text: " in err
+
+    def test_convert_output_that_cannot_be_written(self, capsys, tmp_path):
+        src = tmp_path / "in.pl"
+        src.write_text("p :- q.\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "convert", str(src), str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("i/o error: ") and str(tmp_path) in err
+
+    def test_no_traceback_in_a_fresh_process(self, tmp_path):
+        rules = self.make("not-utf8", tmp_path / "rules.proleg")
+        case = tmp_path / "deep.case.json"
+        case.write_text(NESTED_JSON, encoding="utf-8")
+        for argv, line in [
+            (["check", str(rules)], f"i/o error: {rules} is not UTF-8 text: "),
+            (["case", "run", str(case)], f"{case}: case file {case} is nested too deeply\n"),
+        ]:
+            done = run_fresh_python("-m", "proleg.cli", *argv)
+            assert "Traceback" not in done.stderr
+            assert (done.returncode, done.stdout) == (2, "")
+            assert done.stderr.startswith(line)
+
+
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
@@ -416,3 +496,17 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "one of the arguments case --all is required"),
+            ([CASE_FILE, "--all", str(cases_dir())],
+             "argument --all: not allowed with argument case"),
+        ],
+        ids=["neither", "both"],
+    )
+    def test_case_run_takes_a_file_or_all(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "case", "run", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: proleg case run ") and err.endswith(f": error: {message}\n")

@@ -15,6 +15,7 @@ from proleg.gdpr import (
     bundled_case_paths,
     cases_dir,
     curated_ruleset_path,
+    data_dir,
     fragment_matches,
     load_case,
     pattern_matches,
@@ -124,6 +125,32 @@ class TestCaseLoading:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CaseLoadError):
             load_case(tmp_path / "nope.case.json")
+
+    @pytest.mark.parametrize("where", ["case", "ruleset", "facts"])
+    def test_undecodable_file_is_a_case_load_error(self, tmp_path, where):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe")
+        case = {
+            "id": "bad",
+            "description": "",
+            "ruleset": str(bad if where == "ruleset" else curated_ruleset_path()),
+            "facts": {"path": str(bad if where == "facts" else data_dir() / "withdrawal.facts")},
+            "query": "lawful_processing(case1)",
+            "expected": "x",
+        }
+        path = bad if where == "case" else tmp_path / "bad.case.json"
+        if where != "case":
+            path.write_text(json.dumps(case), encoding="utf-8")
+        with pytest.raises(CaseLoadError) as info:
+            load_case(path)
+        assert len(info.value.errors) == 1 and str(bad) in info.value.errors[0]
+
+    def test_deeply_nested_case_is_a_case_load_error(self, tmp_path):
+        path = tmp_path / "deep.case.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        with pytest.raises(CaseLoadError) as info:
+            load_case(path)
+        assert info.value.errors == [f"case file {path} is nested too deeply"]
 
     def test_nonground_inline_fact_rejected(self, tmp_path):
         case = {

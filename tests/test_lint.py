@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -174,6 +175,14 @@ class TestConfigLoading:
         assert config.universal_condition_predicates == (
             ("compliant_with_art5_principles", 1),
         )
+
+    def test_unreadable_text_is_a_value_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for data, detail in [(b"{\xff}", "is not UTF-8 text: "),
+                             (b"[" * 100_000 + b"]" * 100_000, "is nested too deeply")]:
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{path} {detail}')}"):
+                LintConfig.from_json_file(path)
 
     def test_bad_indicator_rejected(self):
         import pytest

@@ -177,10 +177,11 @@ def _cmd_case_run(args: argparse.Namespace) -> int:
         except CaseLoadError as exc:
             raise _BadInput(*(f"{path}: {message}" for message in exc.errors)) from None
     cases.sort(key=lambda pair: pair[0].id)
+    config = _engine_config(args)
     passed = 0
     for case, path in cases:
         try:
-            result = run_case(case, _engine_config(args))
+            result = run_case(case, config)
         except EngineError as exc:
             raise _BadInput(f"{path}: engine error: {exc}") from None
         status = "PASS" if result.passed else "FAIL"

@@ -119,12 +119,13 @@ class StepsExceeded(EngineError):
 
 
 def _cycle_through(
-    head: PredicateKey, target: PredicateKey, succ: dict[PredicateKey, dict[PredicateKey, bool]]
+    head: PredicateKey, target: PredicateKey, succ: dict[PredicateKey, set[PredicateKey]]
 ) -> list[PredicateKey]:
     """A shortest cycle [head, target, ...] using the negative edge head -> target.
 
     Every path from target back to head lies in their component, so the
-    breadth-first search needs no restriction to it.
+    breadth-first search needs no restriction to it. Successors are taken
+    in sorted order, so the cycle does not depend on program order.
     """
     parents: dict[PredicateKey, PredicateKey] = {}
     work = deque([target])
@@ -152,41 +153,58 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     strictly lower. Predicates defined only by facts land in stratum 0.
     Raises Unstratified when a cycle crosses an exception edge.
 
-    One iterative pass of Tarjan's algorithm finds the strongly connected
-    components, dependencies first, so each component takes its stratum
-    from edges that leave it as it closes.
+    Each predicate key is numbered once, in order of first use. One
+    iterative pass of Tarjan's algorithm over those numbers finds the
+    strongly connected components, dependencies first, so each component
+    takes its stratum from edges that leave it as it closes. Neither the
+    strata nor the cycle reported depend on the order nodes are visited.
     """
-    # succ[head][dependency] is True when some edge between them is an exception.
-    succ: dict[PredicateKey, dict[PredicateKey, bool]] = {}
+    succ: list[list[int]] = []  # every dependency of each node, with repeats
+
+    def new_node() -> int:
+        succ.append([])
+        return len(succ) - 1
+
+    number: defaultdict[PredicateKey, int] = defaultdict(new_node)
     for rule in program.rules:
-        deps = succ.setdefault(rule.head.key, {})
+        head = rule.head
+        deps = succ[number[head.predicate, len(head.args)]]
         for atom in rule.body:
-            key = atom.key
-            deps.setdefault(key, False)
-            succ.setdefault(key, {})
+            deps.append(number[atom.predicate, len(atom.args)])
+    negative: dict[int, list[int]] = {}  # exception dependencies only
+    exception_edges: list[tuple[int, int]] = []  # in program order
     for decl in program.exceptions:
-        succ.setdefault(decl.head.key, {})[decl.exception.key] = True
-        succ.setdefault(decl.exception.key, {})
-    order: dict[PredicateKey, int] = {}  # discovery number
-    low: dict[PredicateKey, int] = {}
-    component: dict[PredicateKey, int] = {}  # set when the node's component closes
+        head = number[decl.head.key]
+        dep = number[decl.exception.key]
+        succ[head].append(dep)
+        negative.setdefault(head, []).append(dep)
+        exception_edges.append((head, dep))
+    count = len(succ)
+    # order[node] is its discovery number, -1 before it is found and
+    # count once its component closes, so it no longer lowers any low.
+    order = [-1] * count
+    low = [0] * count
+    component = [0] * count
     level: list[int] = []  # stratum of each component
-    stack: list[PredicateKey] = []
-    for root in sorted(succ):
-        if root in order:
+    stack: list[int] = []
+    found = 0
+    for root in range(count):
+        if order[root] >= 0:
             continue
-        order[root] = low[root] = len(order)
+        order[root] = low[root] = found
+        found += 1
         stack.append(root)
-        work = [(root, iter(sorted(succ[root])))]
+        work = [(root, iter(succ[root]))]
         while work:
             node, deps = work[-1]
             for dep in deps:
-                if dep not in order:
-                    order[dep] = low[dep] = len(order)
+                if order[dep] < 0:
+                    order[dep] = low[dep] = found
+                    found += 1
                     stack.append(dep)
-                    work.append((dep, iter(sorted(succ[dep]))))
+                    work.append((dep, iter(succ[dep])))
                     break
-                if dep not in component and order[dep] < low[node]:  # still on the stack
+                if order[dep] < low[node]:  # still on the stack
                     low[node] = order[dep]
             else:
                 work.pop()
@@ -195,21 +213,33 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
                 if low[node] != order[node]:
                     continue
                 index = len(level)
+                level.append(0)  # so edges inside the component read 0
                 members = [stack.pop()]
                 while members[-1] != node:
                     members.append(stack.pop())
-                component.update(dict.fromkeys(members, index))
-                level.append(max((level[component[dep]] + negative for member in members
-                                  for dep, negative in succ[member].items()
-                                  if component[dep] != index), default=0))
+                for member in members:
+                    order[member] = count
+                    component[member] = index
+                top = 0
+                for member in members:
+                    for dep in succ[member]:
+                        if level[component[dep]] > top:
+                            top = level[component[dep]]
+                    for dep in negative.get(member, ()):
+                        if level[component[dep]] >= top:
+                            top = level[component[dep]] + 1
+                level[index] = top
     # The first exception declaration, in program order, that closes a cycle.
-    for decl in program.exceptions:
-        head, dep = decl.head.key, decl.exception.key
+    for head, dep in exception_edges:
         if component[head] == component[dep]:
-            raise Unstratified(_cycle_through(head, dep, succ))
+            keys = list(number)
+            raise Unstratified(_cycle_through(
+                keys[head], keys[dep],
+                {key: {keys[d] for d in succ[node]} for key, node in number.items()},
+            ))
     partition: list[set[PredicateKey]] = [set() for _ in range(max(level, default=-1) + 1)]
-    for key, index in component.items():
-        partition[level[index]].add(key)
+    for key, node in number.items():
+        partition[level[component[node]]].add(key)
     return [frozenset(keys) for keys in partition]
 
 

@@ -24,7 +24,7 @@ import json
 import re
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .ast import (
     IDENT_PATTERN,
@@ -32,6 +32,7 @@ from .ast import (
     PredicateKey,
     Program,
     Record,
+    Variable,
     indicator,
     rename_apart,
     unify_atoms,
@@ -129,6 +130,8 @@ class LintConfig(Record):
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
         except RecursionError:  # the C decoder recurses once per container
             raise ValueError(f"{path} is nested too deeply") from None
         return cls.from_obj(obj)
@@ -169,17 +172,45 @@ def findings_to_json(findings: list[LintFinding]) -> str:
     return json.dumps([f.to_obj() for f in findings], indent=2)
 
 
+def _unifies_with_every_instance(head: Atom) -> bool:
+    """True when the head's arguments are distinct variables, so that it
+    unifies with every atom of its predicate that shares none of them."""
+    return len({arg.name for arg in head.args if arg.__class__ is Variable}) == len(head.args)
+
+
 def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFinding]:
-    """Run every check; findings are ordered by source position."""
+    """Run every check; findings are ordered by source position.
+
+    One walk over the rules, then one over the exception declarations,
+    takes each atom's predicate key once and feeds every check but the
+    cycle check, which is ``stratify``'s. A statement's label is only
+    formatted for a finding.
+    """
     cfg = config or DEFAULT_LINT_CONFIG
     findings: list[LintFinding] = []
-    defined = program.defined_predicates()
-    schema = set(cfg.declared_fact_schema)
-
     presupposed = set(cfg.presupposed_predicates)
-    for rule in program.rules:
-        for atom in rule.body:
-            if atom.key in presupposed:
+    universal = set(cfg.universal_condition_predicates)
+    rules = program.rules
+    # Each rule's body keys, in program order, for the sibling check. A
+    # rule with no candidate condition keeps none, so a large base does
+    # not hold one list per rule for the length of the call.
+    body_keys: list[Sequence[PredicateKey]] = []
+    by_head: dict[PredicateKey, list[int]] = {}  # the rules' positions under each head key
+    # The first statement using each body or exception predicate, by its
+    # position in program order: the rules, then the exception declarations.
+    first_use: dict[PredicateKey, int] = {}
+    for position, rule in enumerate(rules):
+        head = rule.head
+        keys = [(atom.predicate, len(atom.args)) for atom in rule.body]
+        body_keys.append(keys if cfg.generic_siblings or not universal.isdisjoint(keys) else ())
+        by_head.setdefault((head.predicate, len(head.args)), []).append(position)
+        for key in keys:
+            if key not in first_use:
+                first_use[key] = position
+        if presupposed.isdisjoint(keys):
+            continue
+        for atom, key in zip(rule.body, keys):
+            if key in presupposed:
                 findings.append(
                     LintFinding(
                         LintCheck.PRESUPPOSED_CLAUSE,
@@ -191,61 +222,67 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
                     )
                 )
 
-    by_head: dict[PredicateKey, list] = {}
-    for rule in program.rules:
-        by_head.setdefault(rule.head.key, []).append(rule)
+    universal_sorted = sorted(universal)
     for head_key, group in by_head.items():
         if len(group) < 2:
             continue
         if cfg.generic_siblings:
-            candidates = {atom.key for rule in group for atom in rule.body}
+            candidates = sorted({key for position in group for key in body_keys[position]})
         else:
-            candidates = set(cfg.universal_condition_predicates)
-        for candidate in sorted(candidates):
-            having = [r for r in group if any(a.key == candidate for a in r.body)]
+            candidates = universal_sorted
+        for candidate in candidates:
+            having = [position for position in group if candidate in body_keys[position]]
             if having and len(having) < len(group):
-                missing = tuple(r.id for r in group if r not in having)
+                first = rules[having[0]]
                 findings.append(
                     LintFinding(
                         LintCheck.INCONSISTENT_SIBLING_CONDITION,
                         WARNING,
-                        f"rule {having[0].id}",
-                        having[0].line,
+                        f"rule {first.id}",
+                        first.line,
                         f"condition '{indicator(candidate)}' appears in "
                         f"{len(having)} of {len(group)} rules for "
                         f"'{indicator(head_key)}'; a condition that applies to "
                         "every instance belongs in all sibling rules or none",
-                        related=missing,
+                        related=tuple(rules[position].id for position in group
+                                      if candidate not in body_keys[position]),
                     )
                 )
 
     for index, decl in enumerate(program.exceptions, start=1):
-        # Renamed apart from the rule heads; only rules under its key can unify.
-        (head,) = rename_apart((decl.head,), variables_of(decl.head), index)
-        rules = by_head.get(decl.head.key, ())
-        if not any(unify_atoms(head, rule.head) is not None for rule in rules):
-            findings.append(
-                LintFinding(
-                    LintCheck.ORPHAN_EXCEPTION,
-                    WARNING,
-                    f"exception {index}",
-                    decl.line,
-                    f"exception declared for '{decl.head}' but no rule concludes it",
-                )
+        exception = decl.exception
+        key = (exception.predicate, len(exception.args))
+        if key not in first_use:
+            first_use[key] = len(rules) + index - 1
+        head = decl.head
+        group = by_head.get((head.predicate, len(head.args)))
+        if group:
+            heads = [rules[at].head for at in group]
+            if any(map(_unifies_with_every_instance, heads)):
+                continue
+            # Renamed apart from the rule heads; only rules under its key can unify.
+            (head,) = rename_apart((head,), variables_of(head), index)
+            if any(unify_atoms(head, rule_head) is not None for rule_head in heads):
+                continue
+        findings.append(
+            LintFinding(
+                LintCheck.ORPHAN_EXCEPTION,
+                WARNING,
+                f"exception {index}",
+                decl.line,
+                f"exception declared for '{decl.head}' but no rule concludes it",
             )
+        )
 
-    reported: set[PredicateKey] = set()
-    occurrences: list[tuple[Atom, str, Optional[int]]] = []
-    for rule in program.rules:
-        for atom in rule.body:
-            occurrences.append((atom, f"rule {rule.id}", rule.line))
-    for index, decl in enumerate(program.exceptions, start=1):
-        occurrences.append((decl.exception, f"exception {index}", decl.line))
-    for atom, statement, line in occurrences:
-        key = atom.key
-        if key in defined or key in schema or key in reported:
+    schema = set(cfg.declared_fact_schema)
+    for key, position in first_use.items():
+        if key in by_head or key in schema:
             continue
-        reported.add(key)
+        if position < len(rules):
+            statement, line = f"rule {rules[position].id}", rules[position].line
+        else:
+            statement = f"exception {position - len(rules) + 1}"
+            line = program.exceptions[position - len(rules)].line
         findings.append(
             LintFinding(
                 LintCheck.UNDEFINED_PREDICATE,

@@ -301,9 +301,10 @@ class TestLint:
             {"declared_fact_schema": ["/2"]},
             {"declared_fact_shema": ["x/1"]},
             NESTED_JSON,
+            "{",
         ],
         ids=["list", "non-string-item", "string-boolean", "uppercase-name", "empty-name",
-             "unknown-key", "nested"],
+             "unknown-key", "nested", "syntax-error"],
     )
     def test_bad_config_exits_2(self, capsys, tmp_path, config):
         path = tmp_path / "lint.json"
@@ -313,6 +314,8 @@ class TestLint:
         code, out, err = run_cli(capsys, "lint", CURATED, "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("bad lint config: ")
+        if isinstance(config, str):  # text that does not decode names its file
+            assert err.startswith(f"bad lint config: {path} is ") and err.count("\n") == 1
 
 
 class TestConvert:
@@ -354,6 +357,13 @@ class TestCase:
         # Summary rows come out sorted by case id.
         ids = [line.split(":")[0] for line in out.strip().splitlines()[:-1]]
         assert ids == sorted(ids)
+
+    def test_bad_env_step_budget_warns_once_for_all_cases(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROLEG_MAX_STEPS", "abc")
+        code, out, err = run_cli(capsys, "case", "run", "--all", str(cases_dir()))
+        assert code == 0
+        assert out.splitlines()[-1] == "13/13 cases passed"
+        assert err == "warning: ignoring PROLEG_MAX_STEPS='abc': not a positive integer\n"
 
     def test_case_mismatch_exits_1(self, capsys, tmp_path):
         case = {

@@ -119,16 +119,25 @@ class TestStratify:
 
     def test_matches_the_reference_on_random_programs(self):
         rng = random.Random(8)
+        shuffler = random.Random(9)
         outcomes = {True: 0, False: 0}
         for _ in range(2000):
             program = random_dependency_program(rng)
+            # Rule order must not show in the answer. Exception order stays:
+            # the cycle reported is the first declaration's that closes one.
+            shuffled = Program(tuple(shuffler.sample(program.rules, len(program.rules))),
+                               program.exceptions)
             expected = reference_cycle(program)
             outcomes[expected is None] += 1
             if expected is None:
                 assert stratify(program) == reference_strata(program)
+                assert stratify(shuffled) == reference_strata(program)
                 continue
             with pytest.raises(Unstratified) as info:
                 stratify(program)
+            with pytest.raises(Unstratified) as shuffled_info:
+                stratify(shuffled)
+            assert str(shuffled_info.value) == str(info.value)
             cycle = info.value.cycle
             (head, exception), length = expected
             assert cycle[0] == head and (cycle + cycle)[1] == exception

@@ -84,6 +84,18 @@ class TestIndividualChecks:
         findings = by_check(lint(program, DEFAULT_LINT_CONFIG))
         assert LintCheck.ORPHAN_EXCEPTION not in findings
 
+    @pytest.mark.parametrize(
+        "head, exception_head, orphan",
+        [("p(X, Y)", "p(a, b)", False), ("p(X, X)", "p(a, a)", False),
+         ("p(X, X)", "p(a, b)", True), ("p(X, X)", "p(Y, b)", False),
+         ("p(X, f(X))", "p(Y, Y)", True)],
+    )
+    def test_repeated_head_variables_conclude_only_unifying_instances(
+            self, head, exception_head, orphan):
+        program = parse_program(f"{head} <= q.\nexception({exception_head}, e).")
+        findings = by_check(lint(program, DEFAULT_LINT_CONFIG))
+        assert (LintCheck.ORPHAN_EXCEPTION in findings) is orphan
+
     @pytest.mark.parametrize("variable", ["V", "X", "_L_X", "_G0"])
     def test_orphan_check_renames_apart_from_any_rule_variable(self, variable):
         # p(b, V) unifies with p(X, a) whatever the rule calls V.

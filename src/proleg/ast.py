@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 if TYPE_CHECKING:
@@ -65,21 +66,27 @@ class Record:
         super().__init_subclass__()
         if "_compared" not in cls.__dict__:
             cls._compared = cls._fields
+        # The compared fields' tuple, read by a getter built once per class:
+        # ``attrgetter`` of several names returns their tuple, of one name
+        # the bare value.
+        if len(cls._compared) == 1:
+            value = attrgetter(*cls._compared)
+            cls._key = staticmethod(lambda record: (value(record),))
+        else:
+            cls._key = staticmethod(attrgetter(*cls._compared))
 
     def _init(self, *values: object) -> None:
         for name, value in zip(self._fields, values):
             _setattr(self, name, value)
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
         values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

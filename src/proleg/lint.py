@@ -38,7 +38,7 @@ from .ast import (
     unify_atoms,
     variables_of,
 )
-from .engine import Unstratified, stratify
+from .engine import _components, _exception_cycle, _node_of
 
 WARNING = "warning"
 ERROR = "error"
@@ -182,9 +182,13 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
     """Run every check; findings are ordered by source position.
 
     One walk over the rules, then one over the exception declarations,
-    takes each atom's predicate key once and feeds every check but the
-    cycle check, which is ``stratify``'s. A statement's label is only
-    formatted for a finding.
+    takes each atom's predicate key once and feeds every check. When the
+    program declares exceptions, the walk also numbers each key and
+    records its dependency edges; the cycle check then runs the
+    component pass and cycle check that ``stratify`` runs, from the
+    exceptions' dependencies only, without the strata. A program with no
+    exception declaration has no cycle through one, so it skips this. A
+    statement's label is only formatted for a finding.
     """
     cfg = config or DEFAULT_LINT_CONFIG
     findings: list[LintFinding] = []
@@ -199,14 +203,33 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
     # The first statement using each body or exception predicate, by its
     # position in program order: the rules, then the exception declarations.
     first_use: dict[PredicateKey, int] = {}
+    # The cycle check's dependency graph over numbered keys, as in
+    # ``stratify``: every dependency of each node, with repeats. Without an
+    # exception declaration no cycle crosses one, so it is not built.
+    graph = bool(program.exceptions)
+    number: dict[PredicateKey, int] = {}
+    succ: list[list[int]] = []
     for position, rule in enumerate(rules):
         head = rule.head
+        head_key = (head.predicate, len(head.args))
         keys = [(atom.predicate, len(atom.args)) for atom in rule.body]
         body_keys.append(keys if cfg.generic_siblings or not universal.isdisjoint(keys) else ())
-        by_head.setdefault((head.predicate, len(head.args)), []).append(position)
+        by_head.setdefault(head_key, []).append(position)
+        if graph:
+            node = number.get(head_key)
+            if node is None:  # as in engine._node_of, inlined: a call per atom costs more
+                node = number[head_key] = len(succ)
+                succ.append([])
+            deps = succ[node]
         for key in keys:
             if key not in first_use:
                 first_use[key] = position
+            if graph:
+                dep = number.get(key)
+                if dep is None:
+                    dep = number[key] = len(succ)
+                    succ.append([])
+                deps.append(dep)
         if presupposed.isdisjoint(keys):
             continue
         for atom, key in zip(rule.body, keys):
@@ -249,13 +272,18 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
                     )
                 )
 
+    exception_edges: list[tuple[int, int]] = []  # in program order
     for index, decl in enumerate(program.exceptions, start=1):
         exception = decl.exception
         key = (exception.predicate, len(exception.args))
         if key not in first_use:
             first_use[key] = len(rules) + index - 1
         head = decl.head
-        group = by_head.get((head.predicate, len(head.args)))
+        head_key = (head.predicate, len(head.args))
+        node, dep = _node_of(number, succ, head_key), _node_of(number, succ, key)
+        succ[node].append(dep)
+        exception_edges.append((node, dep))
+        group = by_head.get(head_key)
         if group:
             heads = [rules[at].head for at in group]
             if any(map(_unifies_with_every_instance, heads)):
@@ -294,26 +322,20 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
             )
         )
 
-    try:
-        stratify(program)
-    except Unstratified as exc:
-        # The cycle starts with the head and exception of the first
-        # declaration, in program order, that closes it.
-        closing = (exc.cycle[0], (exc.cycle + exc.cycle)[1])
-        index, decl = next(
-            (index, decl)
-            for index, decl in enumerate(program.exceptions, start=1)
-            if (decl.head.key, decl.exception.key) == closing
-        )
-        findings.append(
-            LintFinding(
-                LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE,
-                ERROR,
-                f"exception {index}",
-                decl.line,
-                str(exc),
+    if graph:
+        component, _ = _components(succ, [dep for _, dep in exception_edges])
+        closing = _exception_cycle(exception_edges, component, succ, number)
+        if closing is not None:
+            position, exc = closing
+            findings.append(
+                LintFinding(
+                    LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE,
+                    ERROR,
+                    f"exception {position + 1}",
+                    program.exceptions[position].line,
+                    str(exc),
+                )
             )
-        )
 
     findings.sort(key=lambda f: f.line if f.line is not None else 10**9)
     return findings

@@ -107,15 +107,26 @@ class TestStratify:
 
 
     def test_long_exception_chain_at_the_default_recursion_limit(self):
-        # A fresh interpreter, so the limit is the default one.
+        # A fresh interpreter, so the limit is the default one. Lint's own
+        # component pass runs on the chain and on the chain closed into one
+        # 5,000-long cycle.
         script = (
             "import sys\n"
             "from proleg import parse_program, stratify\n"
+            "from proleg.lint import LintCheck, lint\n"
+            "def cycles(source):\n"
+            "    return [f for f in lint(parse_program(source))\n"
+            "            if f.check_id is LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE]\n"
             "source = ''.join(f'p{i} <= q{i}. exception(p{i}, p{i + 1}).' for i in range(5000))\n"
+            "closed = source.replace('exception(p4999, p5000)', 'exception(p4999, p0)')\n"
             "print(sys.getrecursionlimit(), len(stratify(parse_program(source))))\n"
+            "print(len(cycles(source)))\n"
+            "[finding] = cycles(closed)\n"
+            "print(finding.statement, finding.message.count(' -> '))\n"
         )
         done = run_fresh_python("-c", script)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "1000 5001\n", "")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "1000 5001\n0\nexception 1 5000\n", "")
 
     def test_matches_the_reference_on_random_programs(self):
         rng = random.Random(8)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import re
 
 import pytest
 
+from proleg.ast import Program
+from proleg.engine import Unstratified, stratify
 from proleg.gdpr import curated_ruleset_path, lint_config_path, llm_ruleset_path
 from proleg.lint import (
     DEFAULT_LINT_CONFIG,
@@ -18,6 +21,8 @@ from proleg.lint import (
     lint,
 )
 from proleg.parser import parse_program
+
+from helpers import random_dependency_program, reference_cycle
 
 
 def load(path):
@@ -135,6 +140,33 @@ class TestIndividualChecks:
             [finding] = findings[LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE]
             assert (finding.statement, finding.line) == ("exception 2", line)
             assert finding.message == f"exception dependencies form a cycle: {cycle}"
+
+    def test_cycle_check_matches_stratify_on_random_programs(self):
+        # lint runs its own component pass, not stratify; this ties the two
+        # together. The closing declaration comes from the reference oracle.
+        rng = random.Random(18)
+        shuffler = random.Random(19)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2000):
+            program = random_dependency_program(rng)
+            shuffled = Program(tuple(shuffler.sample(program.rules, len(program.rules))),
+                               program.exceptions)
+            expected = reference_cycle(program)
+            outcomes[expected is None] += 1
+            for variant in (program, shuffled):
+                cycles = by_check(lint(variant, DEFAULT_LINT_CONFIG)).get(
+                    LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE, [])
+                try:
+                    stratify(variant)
+                except Unstratified as exc:
+                    (head, exception), _ = expected
+                    index = next(index for index, decl in enumerate(variant.exceptions, start=1)
+                                 if (decl.head.key, decl.exception.key) == (head, exception))
+                    [finding] = cycles
+                    assert (finding.statement, finding.message) == (f"exception {index}", str(exc))
+                else:
+                    assert expected is None and cycles == []
+        assert min(outcomes.values()) > 500
 
     def test_generic_sibling_mode(self):
         program = parse_program("p <= a, shared.\np <= b.")

@@ -54,9 +54,11 @@ class Record:
     compared fields are; the hash is the hash of the compared fields'
     tuple. ``repr`` shows every field, and ``pickle`` rebuilds a record
     through its constructor. Assigning or deleting an attribute raises
-    AttributeError. The term classes and ``TraceNode`` keep equality and
-    hashing of their own, with the same results, because the engine and
-    the renderers call them on every goal."""
+    AttributeError. The term classes keep equality and hashing of their
+    own, with the same results, because the engine calls them on every
+    goal. ``TraceNode`` keeps its own equality, hashing and ``repr``, also
+    with the same results, so that they walk a trace of any depth without
+    recursion."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -306,14 +308,14 @@ def indicator(key: PredicateKey) -> str:
 
 
 class SourceRef(Record):
-    """Provenance note linking a statement back to authoritative text."""
+    """A citation linking a statement back to authoritative text."""
 
-    __slots__ = _fields = ("citation", "note")
+    __slots__ = _fields = ("citation",)
 
-    def __init__(self, citation: str, note: Optional[str] = None) -> None:
+    def __init__(self, citation: str) -> None:
         if not citation:
             raise ValueError("source citation must be non-empty")
-        self._init(citation, note)
+        self._init(citation)
 
 
 class Rule(Record):

@@ -54,7 +54,7 @@ class _BadInput(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _BadInput(f"i/o error: {path} is not UTF-8 text: {exc}") from None
 
@@ -164,9 +164,15 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_case_run(args: argparse.Namespace) -> int:
-    """Load every case before running any; with ``--all``, run them in id
-    order and print a summary, else write the one case's trace outputs."""
+    """Load every case before running any; with ``--all``, which takes no
+    trace flag, run them in id order and print a summary, else write the
+    one case's trace outputs."""
     single = args.all is None
+    flags = [flag for flag, value in (("--text", args.text), ("--dot", args.dot),
+                                      ("--trace", args.trace)) if value]
+    if flags and not single:
+        raise _BadInput(f"{', '.join(flags)}: not allowed with --all; only one case FILE "
+                        "writes its trace")
     paths = [Path(args.case)] if single else sorted(Path(args.all).glob("*.case.json"))
     if not paths:
         raise _BadInput(f"no *.case.json files in {Path(args.all)}")

@@ -65,15 +65,14 @@ from .trace import (
 class EngineConfig(Record):
     """Resource limits for one evaluation."""
 
-    __slots__ = _fields = ("max_depth", "max_steps", "loop_check")
+    __slots__ = _fields = ("max_depth", "max_steps")
 
-    def __init__(self, max_depth: int = 512, max_steps: int = 100_000,
-                 loop_check: bool = True) -> None:
+    def __init__(self, max_depth: int = 512, max_steps: int = 100_000) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        self._init(max_depth, max_steps, loop_check)
+        self._init(max_depth, max_steps)
 
 
 DEFAULT_CONFIG = EngineConfig()
@@ -408,8 +407,8 @@ class _Resolver:
         self.rename_serial = 0
         # Each goal now running mapped to its position among them, for the
         # loop check: a goal leaves when it answers and comes back when it
-        # is asked for more. None when the loop check is off.
-        self.running: Optional[dict[Atom, int]] = {} if config.loop_check else None
+        # is asked for more.
+        self.running: dict[Atom, int] = {}
         # Ground-goal memo, from goal to node. A success is valid in any
         # context (the proof found cannot run through a pruned ancestor).
         # A plain failure is recorded only when no loop prune fired
@@ -504,14 +503,12 @@ class _Resolver:
         if node is not None:
             yield _ANSWER, subst if node.outcome is _SUCCESS else None, node, True
             return
-        position = 0
-        if running is not None:
-            position = len(running)
-            matched = running.setdefault(canon, position)
-            if matched != position:
-                prune_log.append(matched)
-                yield _ANSWER, None, _node(canon, _FAILURE, note="loop detected"), True
-                return
+        position = len(running)
+        matched = running.setdefault(canon, position)
+        if matched != position:
+            prune_log.append(matched)
+            yield _ANSWER, None, _node(canon, _FAILURE, note="loop detected"), True
+            return
         mark = len(prune_log)
         found = False
         key = goal.key
@@ -519,8 +516,7 @@ class _Resolver:
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
-            if running is not None:
-                del running[canon]
+            del running[canon]
             if ground:
                 node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
                 yield _ANSWER, subst, node, True
@@ -528,8 +524,7 @@ class _Resolver:
             found = True
             node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
-            if running is not None:
-                running[canon] = position
+            running[canon] = position
         attempts: list = []
         defeated_via: Optional[str] = None
         settled = False
@@ -604,16 +599,14 @@ class _Resolver:
                             defeated_via = rule_id
                     if not defeated:
                         node = _node(node_goal, _SUCCESS, rule_id, False, children)
-                        if running is not None:
-                            del running[canon]
+                        del running[canon]
                         if ground:
                             memo[canon] = node
                             yield _ANSWER, subst, node, True
                             return
                         found = True
                         yield _ANSWER, solution, node, False
-                        if running is not None:
-                            running[canon] = position
+                        running[canon] = position
                     elif ground:
                         # Every other derivation resolves to this same
                         # defeated instance; later rules are only shown.
@@ -637,8 +630,7 @@ class _Resolver:
                 solution, node, points[k] = answer
                 del edges[k - 1:]
             attempts.extend(shown or ())
-        if running is not None:
-            del running[canon]
+        del running[canon]
         if found:
             return
         node = _node(canon, _FAILURE, defeated_via, defeated_via is not None, tuple(attempts),

@@ -144,7 +144,7 @@ def load_case(path: Union[str, Path]) -> CaseFile:
     if not path.is_file():
         raise CaseLoadError([f"case file not found: {path}"])
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise CaseLoadError([f"unreadable case file {path}: {exc}"]) from exc
     except RecursionError:  # the C decoder recurses once per container
@@ -173,7 +173,7 @@ def load_case(path: Union[str, Path]) -> CaseFile:
     ruleset_path = (path.parent / ruleset_rel).resolve()
     program: Optional[Program] = None
     try:
-        program = parse_program(ruleset_path.read_text(encoding="utf-8"))
+        program = parse_program(ruleset_path.read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         errors.append(f"unreadable ruleset {ruleset_path}: {exc}")
     except ParseFailure as exc:
@@ -206,7 +206,7 @@ def load_case(path: Union[str, Path]) -> CaseFile:
     elif isinstance(facts_field, dict) and isinstance(facts_field.get("path"), str):
         facts_path = (path.parent / facts_field["path"]).resolve()
         try:
-            facts = parse_facts(facts_path.read_text(encoding="utf-8"))
+            facts = parse_facts(facts_path.read_text(encoding="utf-8-sig"))
         except (OSError, UnicodeDecodeError) as exc:
             errors.append(f"unreadable facts file {facts_path}: {exc}")
         except ParseFailure as exc:

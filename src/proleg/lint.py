@@ -127,7 +127,7 @@ class LintConfig(Record):
         """Read a config file; raises OSError if it cannot be read and
         ValueError if it is not UTF-8 JSON of the shape ``from_obj`` takes."""
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:

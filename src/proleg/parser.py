@@ -471,8 +471,7 @@ def serialize(program: Program) -> str:
     structurally equal Program.
 
     ``#id`` lines appear only where a rule's id differs from the
-    position-derived default. Source notes have no surface form and are
-    dropped.
+    position-derived default.
     """
     lines: list[str] = []
     for index, rule in enumerate(program.rules, start=1):

@@ -14,7 +14,7 @@ import json
 from enum import Enum
 from typing import Iterator, Optional
 
-from .ast import Atom, Compound, Constant, Integer, Record, Term, Text, Variable
+from .ast import Atom, Compound, Constant, Integer, Record, Term, Text, Variable, _setattr
 
 TRACE_VERSION = 2
 
@@ -59,17 +59,60 @@ class TraceNode(Record):
                  note: Optional[str] = None) -> None:
         self._init(goal, outcome, via, defeated, tuple(children), note)
 
+    # Equality, hashing and repr walk the tree on explicit stacks, so a
+    # trace of any depth works at the default recursion limit.
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # As tuples, whose comparison skips identical fields without a call.
-        return ((self.goal, self.outcome, self.via, self.defeated, self.children, self.note)
-                == (other.goal, other.outcome, other.via, other.defeated, other.children,
-                    other.note))
+        pending = [(self, other)]
+        while pending:
+            x, y = pending.pop()
+            if x is y:
+                continue
+            if ((x.goal, x.outcome, x.via, x.defeated, x.note, len(x.children))
+                    != (y.goal, y.outcome, y.via, y.defeated, y.note, len(y.children))):
+                return False
+            for (x_kind, x_child), (y_kind, y_child) in zip(x.children, y.children):
+                if x_kind != y_kind:
+                    return False
+                pending.append((x_child, y_child))
+        return True
+
+    # The hash is the hash of the fields tuple, kept on first use. The
+    # nodes below are hashed first, children before parents, so hashing
+    # the children tuple only reads hashes already kept.
+    _hash = None
 
     def __hash__(self) -> int:
-        return hash((self.goal, self.outcome, self.via, self.defeated, self.children,
-                     self.note))
+        pending = [self]
+        while self._hash is None:
+            node = pending[-1]
+            missing = [child for _, child in node.children if child._hash is None]
+            if missing:
+                pending += missing
+                continue
+            pending.pop()
+            _setattr(node, "_hash", hash((node.goal, node.outcome, node.via, node.defeated,
+                                          node.children, node.note)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        pending: list = [self]  # nodes still to write, and the literal text between them
+        while pending:
+            node = pending.pop()
+            if node.__class__ is str:
+                parts.append(node)
+                continue
+            children = node.children
+            parts.append(f"TraceNode(goal={node.goal!r}, outcome={node.outcome!r}, "
+                         f"via={node.via!r}, defeated={node.defeated!r}, children=(")
+            pending.append(f"{',' if len(children) == 1 else ''}), note={node.note!r})")
+            for index in reversed(range(len(children))):
+                kind, child = children[index]
+                pending += (")", child, f"{', ' if index else ''}({kind!r}, ")
+        return "".join(parts)
 
 
 # Enum members bound once: reading one off its class (``Outcome.SUCCESS``)

@@ -230,8 +230,8 @@ def test_criterion_7_withdrawal_sensitivity():
 
 
 def test_criterion_8_termination():
-    """Self-recursion fails finitely; without the loop check the depth
-    bound is enforced."""
+    """Self-recursion fails finitely under the loop check; a chain deeper
+    than the depth bound stops at the bound."""
     program = parse_program("p <= p.")
     started = time.perf_counter()
     outcome, _ = solve(program, FactBase(), Atom("p"))
@@ -239,11 +239,12 @@ def test_criterion_8_termination():
     assert outcome is Outcome.FAILURE
     assert elapsed < 1.0
 
-    config = EngineConfig(max_depth=64, loop_check=False)
+    chain = parse_program("".join(f"p{i} <= p{i + 1}. " for i in range(70)))
+    config = EngineConfig(max_depth=64)
     with pytest.raises(DepthExceeded) as info:
-        solve(program, FactBase(), Atom("p"), config)
-    assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p"), 65, 65)
-    assert "at p (depth 65, after 65 steps)" in str(info.value)
+        solve(chain, FactBase(), Atom("p0"), config)
+    assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p64"), 65, 65)
+    assert "at p64 (depth 65, after 65 steps)" in str(info.value)
     _report(8, "termination under the loop check and depth bound")
 
 

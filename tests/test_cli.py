@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -428,7 +429,8 @@ class TestBadInput:
     """Every file a command reads, made unreadable: missing, a directory, or
     bytes that are not UTF-8. Each is exit 2 with one stderr line naming
     the file. (JSON nested too deeply is in test_invalid_case_exits_2 and
-    test_bad_config_exits_2.)"""
+    test_bad_config_exits_2.) A UTF-8 byte order mark at the start of any
+    of them is skipped."""
 
     FILES = {
         "run-rules": "rules", "run-facts": "facts", "check-rules": "rules",
@@ -452,21 +454,29 @@ class TestBadInput:
         path.write_text(json.dumps(case), encoding="utf-8")
         return path
 
+    @classmethod
+    def argv(cls, entry, path, tmp_path):
+        """The command line that reads ``path`` as the file ``entry`` names;
+        a case entry writes the case file that names ``path``."""
+        if entry == "case-ruleset":
+            return ["case", "run", str(cls.case_file(tmp_path, ruleset=path))]
+        if entry == "case-facts":
+            return ["case", "run", str(cls.case_file(tmp_path, facts=path))]
+        return {
+            "run-rules": ["run", str(path), WITHDRAWAL_FACTS, "--query", QUERY],
+            "run-facts": ["run", CURATED, str(path), "--query", QUERY],
+            "check-rules": ["check", str(path)],
+            "lint-rules": ["lint", str(path)],
+            "lint-config": ["lint", CURATED, "--config", str(path)],
+            "convert-draft": ["convert", str(path), str(tmp_path / "out.proleg")],
+            "case-file": ["case", "run", str(path)],
+        }[entry]
+
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     @pytest.mark.parametrize("entry", list(FILES))
     def test_unreadable_file_exits_2_naming_it(self, capsys, tmp_path, entry, kind):
         bad = self.make(kind, tmp_path / f"bad-{self.FILES[entry]}")
-        argv = {
-            "run-rules": ["run", str(bad), WITHDRAWAL_FACTS, "--query", QUERY],
-            "run-facts": ["run", CURATED, str(bad), "--query", QUERY],
-            "check-rules": ["check", str(bad)],
-            "lint-rules": ["lint", str(bad)],
-            "lint-config": ["lint", CURATED, "--config", str(bad)],
-            "convert-draft": ["convert", str(bad), str(tmp_path / "out.proleg")],
-            "case-file": ["case", "run", str(bad)],
-            "case-ruleset": ["case", "run", str(self.case_file(tmp_path, ruleset=bad))],
-            "case-facts": ["case", "run", str(self.case_file(tmp_path, facts=bad))],
-        }[entry]
+        argv = self.argv(entry, bad, tmp_path)
         prefix = ("bad lint config: " if entry == "lint-config"
                   else f"{argv[2]}: " if entry.startswith("case-") else "i/o error: ")
         code, out, err = run_cli(capsys, *argv)
@@ -475,6 +485,23 @@ class TestBadInput:
         assert str(bad) in err or str(bad.resolve()) in err
         if kind == "not-utf8" and not entry.startswith("case-"):
             assert f"{bad} is not UTF-8 text: " in err
+
+    @pytest.mark.parametrize("entry", list(FILES))
+    def test_a_utf8_byte_order_mark_is_skipped(self, capsys, tmp_path, entry):
+        kind = self.FILES[entry]
+        if kind == "draft":
+            good = tmp_path / "draft.pl"
+            good.write_text("p :- q, \\+ r.\n", encoding="utf-8")
+        elif kind == "case":
+            good = self.case_file(tmp_path)
+        else:
+            good = {"rules": CURATED, "facts": WITHDRAWAL_FACTS, "ruleset": CURATED,
+                    "config": str(data_dir() / "article6_lint.json")}[kind]
+        marked = tmp_path / f"bom-{kind}"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(good).read_bytes())
+        expected = run_cli(capsys, *self.argv(entry, good, tmp_path))
+        assert expected[0] != 2, expected
+        assert run_cli(capsys, *self.argv(entry, marked, tmp_path)) == expected
 
     def test_convert_output_that_cannot_be_written(self, capsys, tmp_path):
         src = tmp_path / "in.pl"
@@ -520,3 +547,15 @@ class TestUsage:
         code, out, err = run_cli(capsys, "case", "run", *argv)
         assert (code, out) == (2, "")
         assert err.startswith("usage: proleg case run ") and err.endswith(f": error: {message}\n")
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--text"], "--text"), (["--dot", "t.dot"], "--dot"), (["--trace", "t.json"], "--trace"),
+        (["--trace", "t.json", "--text"], "--text, --trace"),
+    ])
+    def test_case_run_all_takes_no_trace_flag(self, capsys, tmp_path, monkeypatch, flags,
+                                              named):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "case", "run", "--all", str(cases_dir()), *flags)
+        assert (code, out) == (2, "")
+        assert err == f"{named}: not allowed with --all; only one case FILE writes its trace\n"
+        assert list(tmp_path.iterdir()) == []

@@ -340,15 +340,15 @@ class TestTermination:
         notes = [n.note for n, _ in _walk(trace)]
         assert "loop detected" in notes
 
-    def test_depth_limit_without_loop_check(self):
-        program = parse_program("p <= p.")
-        config = EngineConfig(max_depth=64, loop_check=False)
+    def test_depth_limit_on_a_long_chain(self):
+        program = parse_program("".join(f"p{i} <= p{i + 1}. " for i in range(70)))
+        config = EngineConfig(max_depth=64)
         with pytest.raises(DepthExceeded) as info:
-            solve(program, NO_FACTS, Atom("p"), config)
-        # Goals p at depths 1..65 are entered; the 65th entry is refused.
-        assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p"), 65, 65)
+            solve(program, NO_FACTS, Atom("p0"), config)
+        # Goals p0..p64 are entered at depths 1..65; the 65th entry is refused.
+        assert (info.value.goal, info.value.depth, info.value.steps) == (Atom("p64"), 65, 65)
         assert str(info.value) == (
-            "goal nesting exceeded the depth limit at p (depth 65, after 65 steps)"
+            "goal nesting exceeded the depth limit at p64 (depth 65, after 65 steps)"
         )
 
     def test_step_budget(self):
@@ -418,7 +418,7 @@ class TestTermination:
                   parse_atom(query), config)
         assert (type(info.value), str(info.value)) == expected
 
-    NO_LOOP_CHECK = (
+    RECURSION = (
         "p(X) <= e(X, Y), p(Y). p(X) <= base(X). exception(p(X), bad(X)). bad(X) <= flag(X).",
         "e(a, b). e(b, c). base(c). base(b). flag(b).",
     )
@@ -445,25 +445,28 @@ class TestTermination:
         "  -> base(a) [x] (no rule matched)\n"
     )
 
-    @pytest.mark.parametrize("query, expected", [("p(a)", P_A), ("p(X)", P_C), ("p(c)", P_C)])
-    def test_traces_without_the_loop_check(self, query, expected):
+    @pytest.mark.parametrize("query, expected", [("p(a)", P_A), ("p(X)", P_C), ("p(c)", P_C)],
+                             ids=["p(a)", "p(X)", "p(c)"])
+    def test_traces_of_a_defeated_recursion(self, query, expected):
         # A defeated ground goal still shows its later rules; the open query
         # backtracks past p(b), defeated, into e(b, c) and then into r2.
-        config = EngineConfig(loop_check=False, max_depth=8)
-        _, trace = solve(parse_program(self.NO_LOOP_CHECK[0]),
-                         parse_facts(self.NO_LOOP_CHECK[1]), parse_atom(query), config)
+        config = EngineConfig(max_depth=8)
+        _, trace = solve(parse_program(self.RECURSION[0]),
+                         parse_facts(self.RECURSION[1]), parse_atom(query), config)
         assert render_text(trace) == expected
 
-    @pytest.mark.parametrize("query, goal", [("p(a)", "e(b, _G0)"), ("p(X)", "e(b, _G0)"),
-                                             ("p(c)", "e(a, _G0)")])
-    def test_cycle_without_the_loop_check_reaches_the_depth_limit(self, query, goal):
-        config = EngineConfig(loop_check=False, max_depth=8)
-        with pytest.raises(DepthExceeded) as info:
-            solve(parse_program(self.NO_LOOP_CHECK[0]),
-                  parse_facts(self.NO_LOOP_CHECK[1] + " e(c, a)."), parse_atom(query), config)
-        assert str(info.value) == (
-            f"goal nesting exceeded the depth limit at {goal} (depth 9, after 16 steps)"
-        )
+    @pytest.mark.parametrize("query, outcome, expected", [
+        ("p(a)", Outcome.FAILURE, P_A), ("p(X)", Outcome.SUCCESS, P_C),
+        ("p(c)", Outcome.SUCCESS, P_C),
+    ], ids=["p(a)", "p(X)", "p(c)"])
+    def test_cycle_in_the_facts_is_pruned(self, query, outcome, expected):
+        # With e(c, a) the first rule leads from each goal back to itself.
+        # The loop check fails that branch, so the answers and traces are
+        # those of the acyclic facts, well inside a depth limit of 8.
+        config = EngineConfig(max_depth=8)
+        result = solve(parse_program(self.RECURSION[0]),
+                       parse_facts(self.RECURSION[1] + " e(c, a)."), parse_atom(query), config)
+        assert (result[0], render_text(result[1])) == (outcome, expected)
 
     def test_deep_chain_leaves_the_recursion_limit_alone(self):
         # A fresh interpreter, so the limit it reports is the one solve left.

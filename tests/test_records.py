@@ -36,7 +36,7 @@ EMPTY = inspect.Parameter.empty
 a, b, X = Constant("a"), Constant("b"), Variable("X")
 p_a = Atom("p", (a,))
 q_X = Atom("q", (X,))
-ref = SourceRef("Art. 6(1)(a)", "consent")
+ref = SourceRef("Art. 6(1)(a)")
 rule = Rule("r1", p_a, (q_X,), ref, 3)
 decl = ExceptionDecl(p_a, q_X, None, 7)
 leaf = TraceNode(q_X, Outcome.FAILURE)
@@ -72,15 +72,13 @@ RECORDS = [
     Record(Atom, [("predicate", EMPTY), ("args", ())],
            {"predicate": "p", "args": (a, Compound("f", (X,)))},
            {"predicate": "q", "args": (b,)}, "<Atom p(a, f(X))>"),
-    Record(SourceRef, [("citation", EMPTY), ("note", None)],
-           {"citation": "Art. 6(1)(a)", "note": "consent"},
-           {"citation": "Art. 7", "note": None},
-           "SourceRef(citation='Art. 6(1)(a)', note='consent')"),
+    Record(SourceRef, [("citation", EMPTY)], {"citation": "Art. 6(1)(a)"}, {"citation": "Art. 7"},
+           "SourceRef(citation='Art. 6(1)(a)')"),
     Record(Rule, [("id", EMPTY), ("head", EMPTY), ("body", ()), ("source", None), ("line", None)],
            {"id": "r1", "head": p_a, "body": (q_X,), "source": ref, "line": 3},
            {"id": "r2", "head": q_X, "body": (), "source": None, "line": 4},
            "Rule(id='r1', head=<Atom p(a)>, body=(<Atom q(X)>,), source=SourceRef("
-           "citation='Art. 6(1)(a)', note='consent'), line=3)", uncompared=("line",)),
+           "citation='Art. 6(1)(a)'), line=3)", uncompared=("line",)),
     Record(ExceptionDecl,
            [("head", EMPTY), ("exception", EMPTY), ("source", None), ("line", None)],
            {"head": p_a, "exception": q_X, "source": None, "line": 7},
@@ -103,10 +101,9 @@ RECORDS = [
            "defeated=True, children=((<EdgeKind.EXCEPTION: 'exception'>, TraceNode("
            "goal=<Atom q(X)>, outcome=<Outcome.FAILURE: 'x'>, via=None, defeated=False, "
            "children=(), note=None)),), note='n')"),
-    Record(EngineConfig, [("max_depth", 512), ("max_steps", 100_000), ("loop_check", True)],
-           {"max_depth": 10, "max_steps": 20, "loop_check": False},
-           {"max_depth": 11, "max_steps": 21, "loop_check": True},
-           "EngineConfig(max_depth=10, max_steps=20, loop_check=False)"),
+    Record(EngineConfig, [("max_depth", 512), ("max_steps", 100_000)],
+           {"max_depth": 10, "max_steps": 20}, {"max_depth": 11, "max_steps": 21},
+           "EngineConfig(max_depth=10, max_steps=20)"),
     Record(ConvertReport,
            [("converted_rules", EMPTY), ("generated_exceptions", EMPTY),
             ("synthesized_predicates", ()), ("warnings", ())],

@@ -9,7 +9,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proleg.ast import Atom, Compound, Constant, FactBase, Variable
+from proleg.ast import Atom, Compound, Constant, FactBase, Record, Variable
 from proleg.engine import solve
 from proleg.parser import parse_program
 from proleg.trace import (
@@ -301,6 +301,26 @@ def test_render_json_is_json_dumps_of_the_node_object(seed):
     assert trace_from_json(text) == trace
 
 
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+def test_equality_hash_and_repr_agree_with_the_fields_tuple(seed):
+    # TraceNode walks these on explicit stacks; on a shallow tree they must
+    # give what the generic record forms over its fields give.
+    trace = random_trace(random.Random(seed))
+    fields = (trace.goal, trace.outcome, trace.via, trace.defeated, trace.children, trace.note)
+    assert hash(trace) == hash(fields)
+    assert repr(trace) == Record.__repr__(trace)
+    obj = json.loads(render_json(trace))
+    twin = trace_from_json(json.dumps(obj))  # equal, built of other objects
+    assert twin == trace and hash(twin) == hash(trace) and repr(twin) == repr(trace)
+    obj["nodes"][0][5] = "" if obj["nodes"][0][5] is None else None  # the first leaf's note
+    changed = trace_from_json(json.dumps(obj))
+    assert changed != trace and not changed == trace
+    other = random_trace(random.Random(seed + 1))
+    assert (other == trace) == ((other.goal, other.outcome, other.via, other.defeated,
+                                 other.children, other.note) == fields)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=6)
     | st.sampled_from(["c", "v", "i", "t", "f", "o", "x", "condition", "exception", "X"]),
@@ -345,6 +365,7 @@ _DEEP_CHAIN_SCRIPT = textwrap.dedent("""
         js = render_json(node)
         back = trace_from_json(js)
         print(len(js), render_json(back) == js, render_text(back) == render_text(node))
+        print(back == node, hash(back) == hash(node), len(repr(back)), repr(back) == repr(node))
     print(sys.getrecursionlimit())
 """)
 
@@ -359,10 +380,11 @@ def test_walkers_handle_deep_traces_at_the_default_recursion_limit():
 def test_deep_trace_json_reads_back_at_the_default_recursion_limit():
     # The whole chain, in a fresh interpreter. Its JSON nests five
     # containers deep and grows linearly with the depth: 3,001 node rows
-    # in 192 KB, where the indented version 1 took 324 MB.
+    # in 192 KB, where the indented version 1 took 324 MB. The tree read
+    # back is equal to the original, with the same hash and repr.
     done = run_fresh_python("-c", _DEEP_CHAIN_SCRIPT, "json")
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["191776 True True", "1000"]
+    assert done.stdout.splitlines() == ["191776 True True", "True True 450895 True", "1000"]
 
 
 def test_goals_nested_past_the_parser_bound_read_back():

@@ -14,7 +14,6 @@ errors. Each command raises on a bad input; ``main`` alone prints it.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,8 +43,6 @@ from .trace import Outcome, render_dot, render_json, render_text
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-MAX_STEPS_ENV = "PROLEG_MAX_STEPS"
 
 
 class _BadInput(Exception):
@@ -85,19 +82,8 @@ def _positive_int(text: str) -> int:
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     defaults = EngineConfig()
-    max_steps = defaults.max_steps
-    env_value = os.environ.get(MAX_STEPS_ENV)
-    if env_value:
-        try:
-            max_steps = _positive_int(env_value)
-        except argparse.ArgumentTypeError:
-            print(
-                f"warning: ignoring {MAX_STEPS_ENV}={env_value!r}: not a positive integer",
-                file=sys.stderr,
-            )
-    if args.max_steps is not None:
-        max_steps = args.max_steps
-    return EngineConfig(max_depth=args.max_depth or defaults.max_depth, max_steps=max_steps)
+    return EngineConfig(max_depth=args.max_depth or defaults.max_depth,
+                        max_steps=args.max_steps or defaults.max_steps)
 
 
 def _write_trace_outputs(args: argparse.Namespace, trace) -> None:

@@ -4,8 +4,9 @@
 ``h :- b1, ..., bn.`` and facts ``h.``, whose body literals may be
 negated with ``\\+`` (negation as failure). Directives (``:- ...``)
 and queries (``?- ...``) are skipped with a warning, since only the
-rule base converts. Disjunction, cut, and nested negation are outside
-the subset and rejected.
+rule base converts. Disjunction, cut, nested negation, and clause heads
+named ``exception`` (a name PROLEG reserves for exception declarations)
+are outside the subset and rejected.
 
 Negated literals become exception declarations: ``h :- B, \\+ g``
 turns into a rule for ``h`` plus an exception defeating ``h`` when

@@ -377,11 +377,11 @@ class ProgramIndex:
         self.exceptions = dict(exceptions)
 
 
-# What a goal's generator asks of the search loop: run a subgoal and send
-# back its first answer; the same for an exception check, whose frames go
-# once it answers; pass an answer to the goal that asked; send back the
-# next answer of a waiting subgoal; drop every frame above the asking one.
-_CALL, _CHECK, _ANSWER, _REDO, _DROP = range(5)
+# What a goal's generator asks of the search loop: run a subgoal or an
+# exception check and send back its first answer; pass an answer to the
+# goal that asked; send back the next answer of a waiting subgoal. As at
+# a WAM choice point, a frame that leaves takes every frame above it.
+_CALL, _ANSWER, _REDO = range(3)
 
 # The substitution a planned rule passes with the body atoms of a ground
 # goal, which are ground as built: the callee takes its goal as it is.
@@ -431,38 +431,38 @@ class _Resolver:
         its subgoals, so goal nesting nests no Python frames. ``stack``
         holds the generators in the order they started, each with the
         position of the goal that asked for it. A goal that has answered
-        and may answer again waits there above its caller, so the top is
-        always the newest choice point. Frames leave from the top, and no
-        generator holds another, so closing one never closes another.
+        and may answer again waits there above its caller. A frame leaves
+        at its last answer or when it runs out, with every frame above it:
+        its subgoals, and any its owner gave up (a check that could answer
+        again, a defeated ground goal's body choice points). No generator
+        holds another, so closing one never closes another.
         """
-        stack = [(self._prove(query, EMPTY_SUBSTITUTION, 1), -1, False)]
+        stack = [(self._prove(query, EMPTY_SUBSTITUTION, 1), -1)]
         current, value = 0, None
         while True:
             try:
                 request = stack[current][0].send(value)
             except StopIteration:  # a goal with no answer left
-                current, value = stack.pop()[1], None
+                asker = stack[current][1]
+                del stack[current:]
+                current, value = asker, None
                 continue
             kind = request[0]
             if kind is _ANSWER:
-                _, asker, check = stack[current]
+                asker = stack[current][1]
                 if asker < 0:
                     return request[2]
-                if request[3] or check:  # its last answer, or all a check takes
+                if request[3]:  # its last answer
                     del stack[current:]
                     value = request[1], request[2], None
                 else:
                     value = request[1], request[2], current
                 current = asker
-            elif kind is _CALL or kind is _CHECK:
-                stack.append((self._prove(request[1], request[2], request[3]), current,
-                              kind is _CHECK))
+            elif kind is _CALL:
+                stack.append((self._prove(request[1], request[2], request[3]), current))
                 current, value = len(stack) - 1, None
-            elif kind is _REDO:
-                current, value = request[1], None
             else:
-                del stack[current + 1:]
-                value = None
+                current, value = request[1], None
 
     # A goal that is ground under the current substitution can add no
     # binding its caller could see, so one solution settles it; defeat
@@ -552,15 +552,13 @@ class _Resolver:
             if plan is not None:
                 atoms = _body_atoms(goal, body, args)
             # The body left to right. points[k] is where body atom k waits
-            # while it may answer again, and low the lowest atom that has
-            # moved past its first answer. A failing atom k is shown only
-            # while low >= k, on the first-solution path. A failure shows
-            # the rule's first body item: the failed first-solution path,
-            # or the first solution with its checks.
+            # while it may answer again. A failure shows the rule's first
+            # body item: the failed first-solution path, or the first
+            # solution with its checks. Either comes before the first redo.
             shown = None
             edges: list = []
             points: list = [None] * len(atoms)
-            low = k = len(atoms)
+            k = len(atoms)
             if k > 1:
                 k = 1
                 solution, node, points[1] = yield _CALL, atoms[1], solution, depth + 1
@@ -572,7 +570,7 @@ class _Resolver:
                         if k < len(atoms):
                             solution, node, points[k] = yield _CALL, atoms[k], solution, depth + 1
                         continue
-                    if low >= k:
+                    if shown is None:
                         shown = (*edges, (_CONDITION, node))
                 else:  # the body holds under solution
                     if ground:
@@ -587,7 +585,7 @@ class _Resolver:
                                            else self._fresh(clause))
                         bound = unify_atoms(head, instance)
                         if bound is not None:
-                            holds, node, _ = yield _CHECK, exception, bound, depth + 1
+                            holds, node, _ = yield _CALL, exception, bound, depth + 1
                             checks.append((_EXCEPTION, node))
                             if holds is not None:
                                 defeated = True
@@ -611,7 +609,6 @@ class _Resolver:
                         # Every other derivation resolves to this same
                         # defeated instance; later rules are only shown.
                         settled = True
-                        yield (_DROP,)
                         break
                 # Ask the newest body atom that may answer again.
                 answer = None
@@ -621,7 +618,6 @@ class _Resolver:
                         k -= 1
                     if not k:
                         break
-                    low = min(low, k)
                     answer = yield _REDO, points[k]
                     if answer is None:
                         points[k] = None

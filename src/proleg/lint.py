@@ -15,7 +15,9 @@ legal rules, plus ordinary rule-base hygiene:
 * UNSTRATIFIED_EXCEPTION_CYCLE: a dependency cycle through an exception
   edge, which the evaluator would reject.
 
-Linting is pure; findings come back ordered by source position.
+Linting is pure. Findings come back by source line, ties in check
+order; findings for statements without a line, as in a program built
+in code, come after all the others, in check order.
 """
 
 from __future__ import annotations
@@ -68,13 +70,11 @@ class LintConfig(Record):
     """Predicate lists driving the configurable checks.
 
     Defaults target the GDPR Article 6 vocabulary but are plain data so
-    the same checks transfer to other rule bases. When ``generic_siblings``
-    is set, the sibling-consistency check considers every predicate seen
-    in some sibling body, not only the configured list.
+    the same checks transfer to other rule bases.
     """
 
     __slots__ = _fields = ("presupposed_predicates", "universal_condition_predicates",
-                           "declared_fact_schema", "generic_siblings")
+                           "declared_fact_schema")
 
     def __init__(
         self,
@@ -86,16 +86,13 @@ class LintConfig(Record):
             ("compliant_with_art5_principles", 1),
         ),
         declared_fact_schema: tuple[PredicateKey, ...] = (),
-        generic_siblings: bool = False,
     ) -> None:
-        self._init(presupposed_predicates, universal_condition_predicates, declared_fact_schema,
-                   generic_siblings)
+        self._init(presupposed_predicates, universal_condition_predicates, declared_fact_schema)
 
     @classmethod
     def from_obj(cls, obj: object) -> "LintConfig":
         """Build a config from parsed JSON; raises ValueError unless it is
-        an object of known fields whose lists hold ``name/arity`` strings
-        and whose ``generic_siblings`` is a boolean."""
+        an object of known fields whose lists hold ``name/arity`` strings."""
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {obj!r}")
         for name in obj:
@@ -109,9 +106,6 @@ class LintConfig(Record):
                 raise ValueError(f"'{name}' must be a list, got {obj[name]!r}")
             return tuple(_parse_indicator(item) for item in obj[name])
 
-        generic_siblings = obj.get("generic_siblings", False)
-        if not isinstance(generic_siblings, bool):
-            raise ValueError(f"'generic_siblings' must be true or false, got {generic_siblings!r}")
         base = cls()
         return cls(
             presupposed_predicates=keys("presupposed_predicates", base.presupposed_predicates),
@@ -119,7 +113,6 @@ class LintConfig(Record):
                 "universal_condition_predicates", base.universal_condition_predicates
             ),
             declared_fact_schema=keys("declared_fact_schema", base.declared_fact_schema),
-            generic_siblings=generic_siblings,
         )
 
     @classmethod
@@ -179,7 +172,8 @@ def _unifies_with_every_instance(head: Atom) -> bool:
 
 
 def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFinding]:
-    """Run every check; findings are ordered by source position.
+    """Run every check. Findings are ordered by source line, ties in check
+    order, then come the findings without a line, in check order.
 
     One walk over the rules, then one over the exception declarations,
     takes each atom's predicate key once and feeds every check. When the
@@ -213,7 +207,7 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
         head = rule.head
         head_key = (head.predicate, len(head.args))
         keys = [(atom.predicate, len(atom.args)) for atom in rule.body]
-        body_keys.append(keys if cfg.generic_siblings or not universal.isdisjoint(keys) else ())
+        body_keys.append(() if universal.isdisjoint(keys) else keys)
         by_head.setdefault(head_key, []).append(position)
         if graph:
             node = number.get(head_key)
@@ -245,14 +239,10 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
                     )
                 )
 
-    universal_sorted = sorted(universal)
+    candidates = sorted(universal)
     for head_key, group in by_head.items():
         if len(group) < 2:
             continue
-        if cfg.generic_siblings:
-            candidates = sorted({key for position in group for key in body_keys[position]})
-        else:
-            candidates = universal_sorted
         for candidate in candidates:
             having = [position for position in group if candidate in body_keys[position]]
             if having and len(having) < len(group):

@@ -417,7 +417,8 @@ def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
     """Parse dialect source into clauses plus skip warnings.
 
     Raises ParseFailure on constructs outside the subset, naming each
-    offending construct with its position.
+    offending construct with its position, among them a clause headed by
+    ``exception``, whose rule would parse back as an exception declaration.
     """
     clauses: list[PrologClause] = []
     warnings: list[str] = []
@@ -430,6 +431,9 @@ def parse_prolog_subset(source: str) -> tuple[list[PrologClause], list[str]]:
             warnings.append(f"skipped {_SKIPPED[kind]} at line {p.position(token[2])[0]}")
             raise _Abort()
         head = _parse_atom(p)
+        if head.predicate == "exception":  # it would serialize as a declaration
+            raise p.error(token, "'exception' is reserved for PROLEG exception declarations, "
+                                 "so it cannot head a clause")
         body: list[tuple[bool, Atom]] = []
         if p.tokens[p.pos][0] == ":-":
             p.pos += 1

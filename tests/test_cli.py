@@ -91,19 +91,12 @@ class TestRun:
         assert code == 2
         assert "i/o error" in err
 
-    def test_env_step_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROLEG_MAX_STEPS", "3")
-        code, _, err = run_cli(capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY)
-        assert code == 2
-        assert "step budget" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROLEG_MAX_STEPS", "3")
-        code, out, _ = run_cli(
-            capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY, "--max-steps", "100000"
+    def test_step_budget_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY, "--max-steps", "3"
         )
-        assert code == 1
-        assert out.splitlines()[0] == "x"
+        assert (code, out) == (2, "")
+        assert "step budget" in err
 
     def test_depth_limit_is_an_engine_error(self, capsys, tmp_path):
         rules = tmp_path / "chain.proleg"
@@ -117,13 +110,6 @@ class TestRun:
         assert err == (
             "engine error: goal nesting exceeded the depth limit at p2 (depth 3, after 3 steps)\n"
         )
-
-    def test_non_positive_env_step_budget_is_ignored(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROLEG_MAX_STEPS", "-1")
-        code, out, err = run_cli(capsys, "run", CURATED, WITHDRAWAL_FACTS, "--query", QUERY)
-        assert code == 1
-        assert out.splitlines()[0] == "x"
-        assert "ignoring PROLEG_MAX_STEPS='-1'" in err
 
 
 def test_deep_chain_with_long_bodies_runs_in_a_fresh_process(tmp_path):
@@ -337,6 +323,15 @@ class TestConvert:
         assert code == 2
         assert "'!'" in err
 
+    def test_exception_head_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        src = tmp_path / "draft.pl"
+        src.write_text("q.\nexception(X, Y) :- a(X), b(Y).\n", encoding="utf-8")
+        out_path = tmp_path / "out.proleg"
+        code, out, err = run_cli(capsys, "convert", str(src), str(out_path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"{src}:2:1: 'exception' is reserved")
+        assert not out_path.exists()
+
     def test_negation_free_reports_zero(self, capsys, tmp_path):
         src = tmp_path / "in.pl"
         src.write_text("p :- q.\nq.\n", encoding="utf-8")
@@ -359,12 +354,14 @@ class TestCase:
         ids = [line.split(":")[0] for line in out.strip().splitlines()[:-1]]
         assert ids == sorted(ids)
 
-    def test_bad_env_step_budget_warns_once_for_all_cases(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROLEG_MAX_STEPS", "abc")
-        code, out, err = run_cli(capsys, "case", "run", "--all", str(cases_dir()))
-        assert code == 0
-        assert out.splitlines()[-1] == "13/13 cases passed"
-        assert err == "warning: ignoring PROLEG_MAX_STEPS='abc': not a positive integer\n"
+    def test_step_budget_flag_for_all_cases(self, capsys):
+        code, _, err = run_cli(capsys, "case", "run", "--all", str(cases_dir()),
+                               "--max-steps", "3")
+        assert code == 2
+        [line] = err.splitlines()
+        path, _, message = line.partition(": engine error: ")
+        assert Path(path).parent == cases_dir() and path.endswith(".case.json")
+        assert "step budget" in message
 
     def test_case_mismatch_exits_1(self, capsys, tmp_path):
         case = {

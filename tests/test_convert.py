@@ -16,7 +16,7 @@ from proleg.convert import (
     to_proleg,
 )
 from proleg.engine import Unstratified, holds_all
-from proleg.parser import ParseFailure, serialize
+from proleg.parser import ParseFailure, parse_program, serialize
 
 from helpers import naf_fixpoint, random_prolog_program
 
@@ -71,6 +71,21 @@ class TestParseSubset:
         with pytest.raises(ParseFailure) as info:
             parse_prolog_subset("p :- !.\nq :- a ; b.\n")
         assert len(info.value.errors) >= 2
+
+    def test_exception_head_rejected_at_the_head(self):
+        # PROLEG reads 'exception' at a statement's start as a declaration,
+        # so a rule with that head would not parse back.
+        source = ("q.\nexception(X, Y) :- a(X), b(Y).\n"
+                  "  exception(X) :- a(X).\nexception :- a(z).\n")
+        with pytest.raises(ParseFailure) as info:
+            parse_prolog_subset(source)
+        assert [(e.line, e.column) for e in info.value.errors] == [(2, 1), (3, 3), (4, 1)]
+        assert all("'exception' is reserved" in e.message for e in info.value.errors)
+
+    def test_exception_body_literals_round_trip(self):
+        program, _ = convert_source("p(X) :- exception(X), \\+ exception(X, X).")
+        assert serialize(program) == "p(X) <= exception(X).\nexception(p(X), exception(X, X)).\n"
+        assert parse_program(serialize(program)) == program
 
 
 def _models_agree(clauses, universe):

@@ -168,14 +168,6 @@ class TestIndividualChecks:
                     assert expected is None and cycles == []
         assert min(outcomes.values()) > 500
 
-    def test_generic_sibling_mode(self):
-        program = parse_program("p <= a, shared.\np <= b.")
-        config = LintConfig(generic_siblings=True, declared_fact_schema=())
-        findings = by_check(lint(program, config))
-        inconsistent = findings[LintCheck.INCONSISTENT_SIBLING_CONDITION]
-        flagged = {f.message.split("'")[1] for f in inconsistent}
-        assert {"a/0", "b/0", "shared/0"} == flagged
-
 
 class TestOrderingAndOutput:
     def test_findings_sorted_by_line(self):

@@ -1,16 +1,15 @@
 """A pinned corpus for the linter: ``findings_to_json`` of ``lint`` on a
-fixed, seeded set of programs under three configs, compared byte for
+fixed, seeded set of programs under two configs, compared byte for
 byte with ``data/lint_corpus.jsonl``.
 
 The programs are ``random_dependency_program``s as built (no source
 lines, about half of them unstratified, so the cycle messages are
 pinned), ``random_source_program``s read back from their serialized
 text (so findings carry lines and are ordered by them), and both bundled
-Article 6 rule bases. The configs are the default, the default with
-``generic_siblings``, and one that declares a fact schema and names its
-own presupposed and universal conditions from the random programs'
-vocabulary. Each line of the file is one program, with its findings
-under each config.
+Article 6 rule bases. The configs are the default and one that declares
+a fact schema and names its own presupposed and universal conditions
+from the random programs' vocabulary. Each line of the file is one
+program, with its findings under each config.
 
 Regenerate the file only for an intended change of behaviour::
 
@@ -36,7 +35,6 @@ SEED = 20261019
 
 CONFIGS = {
     "default": LintConfig(),
-    "generic": LintConfig(generic_siblings=True),
     "schema": LintConfig(
         presupposed_predicates=(("p1", 1), ("p4", 0), ("pred3", 1), ("pred7", 0)),
         universal_condition_predicates=(("p2", 1), ("p5", 0), ("pred5", 2), ("pred9", 1)),

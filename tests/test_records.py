@@ -116,13 +116,13 @@ RECORDS = [
     Record(LintConfig,
            [("presupposed_predicates", (("data_is_processed", 1), ("processing_occurs", 1))),
             ("universal_condition_predicates", (("compliant_with_art5_principles", 1),)),
-            ("declared_fact_schema", ()), ("generic_siblings", False)],
+            ("declared_fact_schema", ())],
            {"presupposed_predicates": (("p", 1),), "universal_condition_predicates": (),
-            "declared_fact_schema": (("f", 2),), "generic_siblings": True},
+            "declared_fact_schema": (("f", 2),)},
            {"presupposed_predicates": (), "universal_condition_predicates": (("u", 1),),
-            "declared_fact_schema": (), "generic_siblings": False},
+            "declared_fact_schema": ()},
            "LintConfig(presupposed_predicates=(('p', 1),), universal_condition_predicates=(), "
-           "declared_fact_schema=(('f', 2),), generic_siblings=True)"),
+           "declared_fact_schema=(('f', 2),))"),
     Record(LintFinding,
            [("check_id", EMPTY), ("severity", EMPTY), ("statement", EMPTY), ("line", EMPTY),
             ("message", EMPTY), ("related", ())],

@@ -72,6 +72,7 @@ EOF = "eof"
 
 _PUNCTS = ("<=", ":-", "?-", "\\+", "(", ")", ",", ".", ";", "!")
 _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
+_BLANKS = r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*"  # blanks and line comments
 # One match per token: blanks and comments, then one alternative per token
 # kind, named after it. Only BADCHAR overlaps the others, so it comes last;
 # the end-of-input alternative keeps trailing blanks from being given back
@@ -79,7 +80,7 @@ _STRING_BODY = r'"(?:[^"\\\n]|\\[\s\S])*'
 # the parser builds names without checking them again. A backslash escapes
 # any character, a line break too. An unterminated string runs to the end
 # of its line, or of the input with a final lone backslash.
-_TOKEN_RE = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*(?:" + "|".join(
+_TOKEN_RE = re.compile(_BLANKS + "(?:" + "|".join(
     f"(?P<{kind}>{pattern})" for kind, pattern in [
         (IDENT, IDENT_PATTERN),
         (PUNCT, "|".join(map(re.escape, _PUNCTS))),
@@ -91,6 +92,13 @@ _TOKEN_RE = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*(?:" + "|".join(
         (BADCHAR, r"[\s\S]"),
         (EOF, r"\Z"),
     ]) + ")")
+# One match per flat ground fact, ``name.`` or ``name(c1, ..., cn).`` with
+# constant arguments and no comment inside; then one match at the end of
+# input, or one that takes the rest of a text this does not cover. That
+# last alternative matches wherever the others fail, so a match never
+# backtracks into the comments before it and never reads a fact there.
+_FACT_RE = re.compile(_BLANKS + r"(?:({0}){1}(?:\(({1}{0}(?:{1},{1}{0})*){1}\){1})?\."
+                      r"|\Z|([\s\S]+))".format(IDENT_PATTERN, r"[ \t\r\n]*"))
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 _LINE_RE = re.compile(r"[^\n]*")
 _LITERALS = {INT: Integer, STRING: Text}
@@ -368,7 +376,24 @@ def parse_program(source: str) -> Program:
 
 
 def parse_facts(source: str) -> FactBase:
-    """Parse a sequence of ground atoms, each terminated by '.'."""
+    """Parse a sequence of ground atoms, each terminated by '.'.
+
+    A text of flat ground facts is read one regex match per fact; any
+    other text, errors included, goes whole to the token parser. Both add
+    the atoms in textual order, so their fact sets iterate alike."""
+    facts: set[Atom] = set()
+    for name, args, rest in _FACT_RE.findall(source):
+        if rest:
+            return _token_facts(source)
+        if name:
+            facts.add(_built(Atom, name, tuple([_built(Constant, arg.strip())
+                                                 for arg in args.split(",")])
+                             if args else ()))
+    return _record(FactBase, frozenset(facts))
+
+
+def _token_facts(source: str) -> FactBase:
+    """``parse_facts`` through the token parser, which reads any text."""
     facts: set[Atom] = set()
 
     def fact(p: _Parser, token: tuple) -> None:

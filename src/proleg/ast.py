@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
 
 if TYPE_CHECKING:
-    from .engine import ProgramIndex
+    from .engine import DependencyGraph, ProgramIndex
 
 # The one definition of a name, shared by the constructors below, the
 # tokenizer and the lint config: constants, functors, predicates and rule
@@ -322,7 +322,10 @@ class Rule(Record):
     """A general rule: the head holds when every body atom holds.
 
     ``line`` is the 1-based source line of the statement when the rule
-    came from a file; it never participates in structural equality.
+    came from a file; it never participates in structural equality. The
+    head predicate may not be ``exception``: the grammar reserves it for
+    exception declarations, so such a rule would serialize as text that
+    does not parse.
     """
 
     __slots__ = _fields = ("id", "head", "body", "source", "line")
@@ -331,6 +334,8 @@ class Rule(Record):
     def __init__(self, id: str, head: Atom, body: tuple[Atom, ...] = (),
                  source: Optional[SourceRef] = None, line: Optional[int] = None) -> None:
         _check_name(_IDENT_RE, id, "rule id")
+        if head.predicate == "exception":
+            raise ValueError("'exception' is reserved for exception declarations")
         self._init(id, head, tuple(body), source, line)
 
     @property
@@ -359,7 +364,9 @@ class Program(Record):
     Rule order is preserved: the evaluator tries rules in this order.
     """
 
-    # No __slots__: ``solve_index`` is kept in the instance dict.
+    # No __slots__: ``dependency_graph`` and ``solve_index`` are kept in
+    # the instance dict, not as fields, so equality, hashing and pickle
+    # leave them out.
     _fields = ("rules", "exceptions")
 
     def __init__(self, rules: tuple[Rule, ...] = (),
@@ -375,6 +382,16 @@ class Program(Record):
     def defined_predicates(self) -> frozenset[PredicateKey]:
         """Predicate keys that appear as the head of at least one rule."""
         return frozenset(rule.head.key for rule in self.rules)
+
+    @cached_property
+    def dependency_graph(self) -> "DependencyGraph":
+        """The numbered predicate dependency graph that ``stratify``,
+        ``solve`` and ``lint`` read: built on first use and kept. It
+        records the first cycle through an exception edge, if any, as
+        data, and raises nothing."""
+        from .engine import DependencyGraph
+
+        return DependencyGraph(self)
 
     @cached_property
     def solve_index(self) -> "ProgramIndex":

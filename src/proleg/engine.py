@@ -28,7 +28,7 @@ Two evaluators are provided deliberately:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .ast import (
     Atom,
@@ -146,21 +146,10 @@ def _cycle_through(
     return [keys[node] for node in [head] + path[:0:-1]]  # head, then target back along the path
 
 
-def _node_of(number: dict[PredicateKey, int], succ: list[list[int]], key: PredicateKey) -> int:
-    """The number of ``key``; a new key takes the next number and an empty
-    dependency list."""
-    node = number.get(key)
-    if node is None:
-        node = number[key] = len(succ)
-        succ.append([])
-    return node
-
-
-def _components(succ: list[list[int]], roots: Iterable[int]) -> tuple[list[int], list[int]]:
-    """The strongly connected components of the nodes reachable from
-    ``roots``, by one iterative pass of Tarjan's algorithm: each node's
-    component number (-1 when it is not reached), and the reached nodes
-    in the order their components closed, each component's members
+def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The strongly connected components of every node, by one iterative
+    pass of Tarjan's algorithm: each node's component number, and the
+    nodes in the order their components closed, each component's members
     together. A component closes only after every component it depends
     on, so the numbers and the order put dependencies first. No list is
     kept per component: on a graph of 11,536 nodes such lists set off 240
@@ -176,7 +165,7 @@ def _components(succ: list[list[int]], roots: Iterable[int]) -> tuple[list[int],
     stack: list[int] = []
     found = 0
     index = 0  # the number of the next component to close
-    for root in roots:
+    for root in range(count):
         if order[root] >= 0:
             continue
         order[root] = low[root] = found
@@ -210,19 +199,48 @@ def _components(succ: list[list[int]], roots: Iterable[int]) -> tuple[list[int],
     return component, closed
 
 
-def _exception_cycle(
-    exception_edges: list[tuple[int, int]], component: list[int], succ: list[list[int]],
-    number: dict[PredicateKey, int],
-) -> Optional[tuple[int, Unstratified]]:
-    """The position of the first exception edge, in program order, whose
-    ends share a component, with the Unstratified error naming the cycle
-    it closes; None when no exception edge closes a cycle. ``number``
-    numbers the keys in order, and the component pass must have reached
-    every edge's dependency."""
-    for position, (head, dep) in enumerate(exception_edges):
-        if component[head] == component[dep]:
-            return position, Unstratified(_cycle_through(head, dep, succ, list(number)))
-    return None
+class DependencyGraph:
+    """The predicate dependency graph of one Program, built once per
+    Program object (``Program.dependency_graph``) and read by ``stratify``,
+    ``ProgramIndex`` and ``lint``.
+
+    Each predicate key is numbered once, in order of first use: each
+    rule's head, then its body, then each exception declaration's head
+    and exception. ``keys`` lists the keys by number, ``succ`` every
+    dependency of each node, with repeats, and ``exception_edges`` the
+    exception dependencies in program order; ``component`` and ``closed``
+    are one ``_components`` pass over every node. ``cycle`` is None when
+    the program stratifies, else the position of the first exception
+    declaration, in program order, whose edge closes a cycle, with that
+    cycle's keys. It is data, not an Unstratified error: an error raised
+    again would grow its traceback, so each check raises a fresh one.
+    """
+
+    __slots__ = ("keys", "succ", "exception_edges", "component", "closed", "cycle")
+
+    def __init__(self, program: Program) -> None:
+        number: dict[PredicateKey, int] = {}
+        edges: list[tuple[int, int]] = []  # rule bodies', then exceptions', in program order
+        for rule in program.rules:
+            head = rule.head
+            node = number.setdefault((head.predicate, len(head.args)), len(number))
+            for atom in rule.body:
+                edges.append((node, number.setdefault((atom.predicate, len(atom.args)),
+                                                      len(number))))
+        self.exception_edges = [(number.setdefault(decl.head.key, len(number)),
+                                 number.setdefault(decl.exception.key, len(number)))
+                                for decl in program.exceptions]
+        edges += self.exception_edges
+        self.keys = keys = list(number)
+        self.succ = succ = [[] for _ in keys]
+        for node, dep in edges:
+            succ[node].append(dep)
+        self.component, self.closed = _components(succ)
+        self.cycle: Optional[tuple[int, list[PredicateKey]]] = None
+        for position, (head, dep) in enumerate(self.exception_edges):
+            if self.component[head] == self.component[dep]:
+                self.cycle = position, _cycle_through(head, dep, succ, keys)
+                break
 
 
 def stratify(program: Program) -> list[frozenset[PredicateKey]]:
@@ -235,47 +253,23 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     is that of the first exception declaration, in program order, that
     closes one.
 
-    Each predicate key is numbered once, in order of first use.
-    ``_components`` finds the strongly connected components over those
-    numbers, dependencies first, so each component takes its stratum
-    from the edges that leave it. ``lint`` shares that pass and the cycle
-    check on a graph of its own. Neither the strata nor the cycle
-    reported depend on the order nodes are visited.
+    The strata come from the Program's ``dependency_graph``, built on
+    first use and kept: its components are numbered dependencies first,
+    so each takes its stratum from the edges that leave it. Neither the
+    strata nor the cycle reported depend on the order nodes are visited.
     """
-    succ: list[list[int]] = []  # every dependency of each node, with repeats
-    number: dict[PredicateKey, int] = {}
-    for rule in program.rules:
-        head = rule.head
-        key = (head.predicate, len(head.args))
-        node = number.get(key)
-        if node is None:  # as in _node_of, inlined: a call per atom costs more
-            node = number[key] = len(succ)
-            succ.append([])
-        deps = succ[node]
-        for atom in rule.body:
-            key = (atom.predicate, len(atom.args))
-            dep = number.get(key)
-            if dep is None:
-                dep = number[key] = len(succ)
-                succ.append([])
-            deps.append(dep)
+    graph = program.dependency_graph
+    if graph.cycle is not None:
+        raise Unstratified(graph.cycle[1])
+    component, succ = graph.component, graph.succ
     negative: dict[int, list[int]] = {}  # exception dependencies only
-    exception_edges: list[tuple[int, int]] = []  # in program order
-    for decl in program.exceptions:
-        head = _node_of(number, succ, decl.head.key)
-        dep = _node_of(number, succ, decl.exception.key)
-        succ[head].append(dep)
+    for head, dep in graph.exception_edges:
         negative.setdefault(head, []).append(dep)
-        exception_edges.append((head, dep))
-    component, closed = _components(succ, range(len(succ)))
-    closing = _exception_cycle(exception_edges, component, succ, number)
-    if closing is not None:
-        raise closing[1]
     # Components close dependencies first, so an edge that leaves one
     # reads its target's final stratum; an edge inside one reads no more
     # than the stratum found so far, and no exception edge stays inside.
-    level = [0] * len(closed)  # stratum of each component
-    for node in closed:
+    level = [0] * len(graph.closed)  # stratum of each component
+    for node in graph.closed:
         top = level[component[node]]
         for dep in succ[node]:
             if level[component[dep]] > top:
@@ -285,7 +279,7 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
                 top = level[component[dep]] + 1
         level[component[node]] = top
     partition: list[set[PredicateKey]] = [set() for _ in range(max(level, default=-1) + 1)]
-    for key, node in number.items():
+    for node, key in enumerate(graph.keys):
         partition[level[component[node]]].add(key)
     return [frozenset(keys) for keys in partition]
 
@@ -357,15 +351,19 @@ def _body_atoms(goal: Atom, body: tuple[tuple[str, tuple], ...], args: tuple) ->
 class ProgramIndex:
     """The program-side state of ``solve``, built once per Program object.
 
-    Building it checks that the program stratifies (raising Unstratified
-    otherwise), groups the rules and the exception declarations by head
-    key in program order, with each clause's variable names and each
-    rule's argument plan, if it has one. ``Program`` keeps the index it
-    builds on first use, so every later solve on that object reuses it.
+    Building it checks the Program's ``dependency_graph`` for a cycle
+    through an exception edge, raising Unstratified when there is one,
+    without computing the strata. It groups the rules and the exception
+    declarations by head key in program order, with each clause's
+    variable names and each rule's argument plan, if it has one.
+    ``Program`` keeps the index it builds on first use, so every later
+    solve on that object reuses it.
     """
 
     def __init__(self, program: Program):
-        stratify(program)
+        cycle = program.dependency_graph.cycle
+        if cycle is not None:
+            raise Unstratified(cycle[1])
         rules: dict[PredicateKey, list[tuple[str, _Clause, Optional[_Plan]]]] = defaultdict(list)
         for rule in program.rules:
             rules[rule.head.key].append((rule.id, _clause(rule.head, *rule.body),
@@ -649,13 +647,14 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     "no rule matched". ``config.max_steps`` bounds the goal entries of
     the one search.
 
-    The program is stratified and indexed once per Program object, on
-    its first solve (``Program.solve_index``), and later solves reuse
-    that; an unstratified program raises on every call. The index gives
-    each flat rule an argument plan, so a call of it renames nothing:
-    only open goals on rules without a plan rename clauses apart. The
-    search runs on an explicit stack, so it needs no recursion headroom
-    at any depth.
+    The program is checked for a cycle through an exception edge and
+    indexed once per Program object, on its first solve
+    (``Program.solve_index``), and later solves reuse that; an
+    unstratified program raises a fresh Unstratified on every call. The
+    index gives each flat rule an argument plan, so a call of it renames
+    nothing: only open goals on rules without a plan rename clauses
+    apart. The search runs on an explicit stack, so it needs no
+    recursion headroom at any depth.
 
     Deterministic: identical inputs produce identical traces. Raises
     Unstratified, DepthExceeded, or StepsExceeded; a goal that merely

@@ -40,7 +40,7 @@ from .ast import (
     unify_atoms,
     variables_of,
 )
-from .engine import _components, _exception_cycle, _node_of
+from .engine import Unstratified
 
 WARNING = "warning"
 ERROR = "error"
@@ -176,11 +176,10 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
     order, then come the findings without a line, in check order.
 
     One walk over the rules, then one over the exception declarations,
-    takes each atom's predicate key once and feeds every check. When the
-    program declares exceptions, the walk also numbers each key and
-    records its dependency edges; the cycle check then runs the
-    component pass and cycle check that ``stratify`` runs, from the
-    exceptions' dependencies only, without the strata. A program with no
+    takes each atom's predicate key once and feeds every check. The
+    cycle check reads the first closing declaration, and its cycle, from
+    the Program's ``dependency_graph``, the graph ``stratify`` and
+    ``solve`` check, built on first use and kept. A program with no
     exception declaration has no cycle through one, so it skips this. A
     statement's label is only formatted for a finding.
     """
@@ -197,33 +196,15 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
     # The first statement using each body or exception predicate, by its
     # position in program order: the rules, then the exception declarations.
     first_use: dict[PredicateKey, int] = {}
-    # The cycle check's dependency graph over numbered keys, as in
-    # ``stratify``: every dependency of each node, with repeats. Without an
-    # exception declaration no cycle crosses one, so it is not built.
-    graph = bool(program.exceptions)
-    number: dict[PredicateKey, int] = {}
-    succ: list[list[int]] = []
     for position, rule in enumerate(rules):
         head = rule.head
         head_key = (head.predicate, len(head.args))
         keys = [(atom.predicate, len(atom.args)) for atom in rule.body]
         body_keys.append(() if universal.isdisjoint(keys) else keys)
         by_head.setdefault(head_key, []).append(position)
-        if graph:
-            node = number.get(head_key)
-            if node is None:  # as in engine._node_of, inlined: a call per atom costs more
-                node = number[head_key] = len(succ)
-                succ.append([])
-            deps = succ[node]
         for key in keys:
             if key not in first_use:
                 first_use[key] = position
-            if graph:
-                dep = number.get(key)
-                if dep is None:
-                    dep = number[key] = len(succ)
-                    succ.append([])
-                deps.append(dep)
         if presupposed.isdisjoint(keys):
             continue
         for atom, key in zip(rule.body, keys):
@@ -262,18 +243,13 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
                     )
                 )
 
-    exception_edges: list[tuple[int, int]] = []  # in program order
     for index, decl in enumerate(program.exceptions, start=1):
         exception = decl.exception
         key = (exception.predicate, len(exception.args))
         if key not in first_use:
             first_use[key] = len(rules) + index - 1
         head = decl.head
-        head_key = (head.predicate, len(head.args))
-        node, dep = _node_of(number, succ, head_key), _node_of(number, succ, key)
-        succ[node].append(dep)
-        exception_edges.append((node, dep))
-        group = by_head.get(head_key)
+        group = by_head.get((head.predicate, len(head.args)))
         if group:
             heads = [rules[at].head for at in group]
             if any(map(_unifies_with_every_instance, heads)):
@@ -312,20 +288,18 @@ def lint(program: Program, config: Optional[LintConfig] = None) -> list[LintFind
             )
         )
 
-    if graph:
-        component, _ = _components(succ, [dep for _, dep in exception_edges])
-        closing = _exception_cycle(exception_edges, component, succ, number)
-        if closing is not None:
-            position, exc = closing
-            findings.append(
-                LintFinding(
-                    LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE,
-                    ERROR,
-                    f"exception {position + 1}",
-                    program.exceptions[position].line,
-                    str(exc),
-                )
+    cycle = program.dependency_graph.cycle if program.exceptions else None
+    if cycle is not None:
+        position, keys = cycle
+        findings.append(
+            LintFinding(
+                LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE,
+                ERROR,
+                f"exception {position + 1}",
+                program.exceptions[position].line,
+                str(Unstratified(keys)),
             )
+        )
 
     findings.sort(key=lambda f: f.line if f.line is not None else 10**9)
     return findings

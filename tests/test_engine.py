@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import textwrap
+import traceback
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from proleg.engine import (
     stratify,
 )
 from proleg.gdpr import bundled_case_paths, load_case
+from proleg.lint import lint
 from proleg.parser import parse_atom, parse_facts, parse_program
 from proleg.trace import Outcome, render_dot, render_json, render_text
 
@@ -204,10 +207,31 @@ class TestSolve:
 
     def test_unstratified_rejected_up_front(self):
         program = parse_program("p <=. exception(p, q). q <=. exception(q, p).")
-        # Every call on the same object raises, not only the first.
-        for _ in range(2):
-            with pytest.raises(Unstratified):
-                solve(program, NO_FACTS, Atom("p"))
+        # Every call on the same object raises, not only the first, and
+        # each raise is a fresh error: the kept graph holds the cycle as
+        # data, since an error raised again grows its traceback.
+        calls = {"solve": lambda: solve(program, NO_FACTS, Atom("p")),
+                 "stratify": lambda: stratify(program)}
+        errors, depths, findings = [], {}, []
+        for _ in range(3):
+            for name, call in calls.items():
+                with pytest.raises(Unstratified) as info:
+                    call()
+                errors.append(info.value)
+                depths.setdefault(name, set()).add(len(traceback.extract_tb(info.tb)))
+                findings.append(lint(program))
+        assert len({id(error) for error in errors}) == len(errors)
+        assert {str(error) for error in errors} == {
+            "exception dependencies form a cycle: p/0 -> q/0 -> p/0"}
+        assert all(len(lengths) == 1 for lengths in depths.values())
+        [finding] = findings[0]
+        assert (finding.statement, finding.message) == ("exception 1", str(errors[0]))
+        assert all(found == findings[0] for found in findings)
+        # The kept graph is no field: a pickled copy is equal and carries none.
+        assert "dependency_graph" in vars(program)
+        copy = pickle.loads(pickle.dumps(program))
+        assert copy == program and hash(copy) == hash(program)
+        assert "dependency_graph" not in vars(copy)
 
     def test_exception_checks_follow_declaration_order(self):
         # Declarations for p/1, q/0 and p/0 are interleaved; each instance

@@ -142,8 +142,10 @@ class TestIndividualChecks:
             assert finding.message == f"exception dependencies form a cycle: {cycle}"
 
     def test_cycle_check_matches_stratify_on_random_programs(self):
-        # lint runs its own component pass, not stratify; this ties the two
-        # together. The closing declaration comes from the reference oracle.
+        # lint and stratify read one graph, kept on the Program; this ties
+        # what each reports to the reference oracle, which closing
+        # declaration included, and checks that lint before and after
+        # stratify on the same object finds the same.
         rng = random.Random(18)
         shuffler = random.Random(19)
         outcomes = {True: 0, False: 0}
@@ -154,8 +156,8 @@ class TestIndividualChecks:
             expected = reference_cycle(program)
             outcomes[expected is None] += 1
             for variant in (program, shuffled):
-                cycles = by_check(lint(variant, DEFAULT_LINT_CONFIG)).get(
-                    LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE, [])
+                findings = lint(variant, DEFAULT_LINT_CONFIG)
+                cycles = by_check(findings).get(LintCheck.UNSTRATIFIED_EXCEPTION_CYCLE, [])
                 try:
                     stratify(variant)
                 except Unstratified as exc:
@@ -166,6 +168,7 @@ class TestIndividualChecks:
                     assert (finding.statement, finding.message) == (f"exception {index}", str(exc))
                 else:
                     assert expected is None and cycles == []
+                assert lint(variant, DEFAULT_LINT_CONFIG) == findings
         assert min(outcomes.values()) > 500
 
 

@@ -332,6 +332,22 @@ class TestSerialize:
     def test_empty_body_form(self):
         assert serialize(Program((Rule("r1", Atom("p")),))) == "p <=.\n"
 
+    def test_no_rule_is_headed_by_exception(self):
+        # The grammar reserves `exception` for declarations, so a rule with
+        # that head, of any arity, would serialize as text that does not
+        # parse; its constructor refuses it.
+        a, b = Constant("a"), Constant("b")
+        for args in ((), (a,), (a, b), (a, b, a)):
+            head = Atom("exception", args)
+            with pytest.raises(ValueError, match="'exception' is reserved"):
+                Rule("r1", head)
+            with pytest.raises(ParseFailure):
+                parse_program(f"{head} <=.")
+        # The name stays usable in a body and inside a declaration.
+        program = Program((Rule("r1", Atom("p"), (Atom("exception", (a, b)),)),),
+                          (ExceptionDecl(Atom("p"), Atom("exception", (a,))),))
+        assert parse_program(serialize(program)) == program
+
     def test_custom_id_round_trips(self):
         program = Program((Rule("special", Atom("p")),))
         assert parse_program(serialize(program)) == program

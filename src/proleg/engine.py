@@ -397,7 +397,11 @@ class _Resolver:
         self.config = config
         self.rules = index.rules
         self.exceptions = index.exceptions
-        # Sorted for run-to-run determinism; fact sets have no inherent order.
+        # A ground goal holds on a fact exactly when it equals one, so it
+        # reads the fact base's own set. Only open goals read the per-key
+        # lists, sorted by text because their answers come out in that
+        # order and a set has none that holds from run to run.
+        self.fact_set = facts.facts
         self.facts: dict[PredicateKey, list[Atom]] = defaultdict(list)
         for fact in sorted(facts.facts, key=str):
             self.facts[fact.key].append(fact)
@@ -498,6 +502,8 @@ class _Resolver:
         ground = canon is resolved
         memo, running, prune_log = self.memo, self.running, self.prune_log
         node = memo.get(canon) if ground else None
+        if node is None and ground and canon in self.fact_set:
+            node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
         if node is not None:
             yield _ANSWER, subst if node.outcome is _SUCCESS else None, node, True
             return
@@ -510,15 +516,11 @@ class _Resolver:
         mark = len(prune_log)
         found = False
         key = goal.key
-        for fact in self.facts.get(key, ()):
+        for fact in () if ground else self.facts.get(key, ()):
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
             del running[canon]
-            if ground:
-                node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
-                yield _ANSWER, subst, node, True
-                return
             found = True
             node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
@@ -653,7 +655,10 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     unstratified program raises a fresh Unstratified on every call. The
     index gives each flat rule an argument plan, so a call of it renames
     nothing: only open goals on rules without a plan rename clauses
-    apart. The search runs on an explicit stack, so it needs no
+    apart. A goal that is ground under its caller's bindings holds on a
+    fact when it is one, a single membership test in ``facts.facts``;
+    an open goal tries the facts of its predicate in the order of their
+    text. The search runs on an explicit stack, so it needs no
     recursion headroom at any depth.
 
     Deterministic: identical inputs produce identical traces. Raises

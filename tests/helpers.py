@@ -108,7 +108,10 @@ def random_ground_program(
     max_preds: int = 12,
     max_rules: int = 20,
     max_exceptions: int = 6,
+    arguments: tuple[Term, ...] = (Constant("c1"), Constant("c2")),
 ) -> tuple[Program, FactBase, list[Atom]]:
+    """A program, its facts and its atom universe. About a third of the
+    predicates are unary, with one atom per term of ``arguments``."""
     n_preds = rng.randint(2, max_preds)
     levels: dict[str, int] = {}
     universe: list[Atom] = []
@@ -116,7 +119,7 @@ def random_ground_program(
         name = f"p{i}"
         levels[name] = rng.randint(0, 3)
         if rng.random() < 0.3:
-            universe.extend(Atom(name, (Constant(c),)) for c in ("c1", "c2"))
+            universe.extend(Atom(name, (term,)) for term in arguments)
         else:
             universe.append(Atom(name))
     rules = []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from proleg import engine
-from proleg.ast import Atom, Constant, FactBase, Program, Variable
+from proleg.ast import Atom, Constant, FactBase, Integer, Program, Text, Variable, unify_atoms
 from proleg.engine import (
     DepthExceeded,
     EngineConfig,
@@ -23,7 +23,7 @@ from proleg.engine import (
     solve,
     stratify,
 )
-from proleg.gdpr import bundled_case_paths, load_case
+from proleg.gdpr import bundled_case_paths, cases_dir, load_case
 from proleg.lint import lint
 from proleg.parser import parse_atom, parse_facts, parse_program
 from proleg.trace import Outcome, render_dot, render_json, render_text
@@ -274,8 +274,6 @@ class TestSolve:
     def test_integer_and_text_terms_evaluate(self):
         program = parse_program('labeled(N) <= score(N), label(N, "ok").')
         facts = parse_facts('score(-3). label(-3, "ok"). score(4).')
-        from proleg.ast import Integer
-
         good, _ = solve(program, facts, Atom("labeled", (Integer(-3),)))
         bad, _ = solve(program, facts, Atom("labeled", (Integer(4),)))
         assert good is Outcome.SUCCESS
@@ -332,6 +330,79 @@ class TestSolve:
         out, trace = solve(program, parse_facts("q(a, b). r(b)."), Atom("p", (Variable(name),)))
         assert out is Outcome.SUCCESS
         assert render_text(trace) == "p(a) [o] (r1)\n  -> q(a, b) [o] (fact)\n  -> r(b) [o] (fact)\n"
+
+
+class TestGroundFactLookup:
+    """A ground goal is answered from the fact set: it holds on a fact
+    exactly when the two atoms are equal, term class included."""
+
+    @pytest.mark.parametrize("facts, goal, expected", [
+        ("p(1).", "p(1)", "p(1) [o] (fact)\n"),
+        ('p("1").', "p(1)", "p(1) [x] (no rule matched)\n"),
+        ("p(c1).", "p(1)", "p(1) [x] (no rule matched)\n"),
+        ("p(1).", 'p("1")', 'p("1") [x] (no rule matched)\n'),
+        ("p(f(a, g(1))).", "p(f(a, g(1)))", "p(f(a, g(1))) [o] (fact)\n"),
+        ('p(f(a, g("1"))).', "p(f(a, g(1)))", "p(f(a, g(1))) [x] (no rule matched)\n"),
+        ("p(f(a, g(1))).", "p(f(a, g(c1)))", "p(f(a, g(c1))) [x] (no rule matched)\n"),
+    ])
+    def test_ground_goal_holds_on_an_equal_fact(self, facts, goal, expected):
+        _, trace = solve(Program(), parse_facts(facts), parse_atom(goal))
+        assert render_text(trace) == expected
+
+    @pytest.mark.parametrize("facts, expected", [
+        ("r(a). r(b). p(f(b)).",
+         "q(b) [o] (r1)\n  -> r(b) [o] (fact)\n  -> p(f(b)) [o] (fact)\n"),
+        ("r(a). r(b). p(f(c)).",
+         "q(_G0) [x]\n  -> r(a) [o] (fact)\n  -> p(f(a)) [x] (no rule matched)\n"),
+    ])
+    def test_goal_ground_under_its_callers_bindings(self, facts, expected):
+        # p(f(X)) is open in the rule and ground once r(X) has bound X.
+        program = parse_program("q(X) <= r(X), p(f(X)).")
+        _, trace = solve(program, parse_facts(facts), parse_atom("q(Y)"))
+        assert render_text(trace) == expected
+
+    def test_solve_agrees_with_holds_all_over_mixed_arguments(self):
+        # Unary atoms take constant, integer, text and compound arguments,
+        # some of which print alike but are different terms.
+        arguments = (Constant("c1"), Integer(1), Text("1"),
+                     parse_atom("f(a, g(1))").args[0], parse_atom('f(a, g("1"))').args[0])
+        queries = 0
+        for seed in range(400):
+            program, facts, universe = random_ground_program(random.Random(seed),
+                                                             arguments=arguments)
+            model = holds_all(program, facts)
+            for atom in universe:
+                out, trace = solve(program, facts, atom)
+                assert (out is Outcome.SUCCESS) == (atom in model), (seed, str(atom))
+                assert_trace_invariants(trace)
+                queries += 1
+        assert queries > 4000
+
+    def test_ground_goals_cost_the_same_over_more_facts(self, monkeypatch):
+        # A ground goal makes no unification per fact of its predicate, so
+        # facts about other subjects add no call, whether their text sorts
+        # before the case's subject or after it.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return unify_atoms(*args)
+
+        monkeypatch.setattr(engine, "unify_atoms", counted)
+        case = load_case(cases_dir() / "withdrawal.case.json")
+        others = FactBase(case.facts.facts | parse_facts(" ".join(
+            f"consent_given({subject}{k}). consent_withdrawn({subject}{k})."
+            for subject in ("a", "z") for k in range(250)
+        )).facts)
+        counts, traces = [], []
+        for facts in (case.facts, others):
+            calls.clear()
+            _, trace = solve(case.program, facts, case.query)
+            counts.append(len(calls))
+            traces.append(render_json(trace))
+        assert len(others) == len(case.facts) + 1000
+        assert counts[0] == counts[1]
+        assert traces[0] == traces[1]
 
 
 class TestHoldsAll:

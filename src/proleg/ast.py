@@ -10,9 +10,9 @@ freely between concurrent evaluations.
 from __future__ import annotations
 
 import re
-from functools import cached_property
-from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Union
+from functools import cache, cached_property
+from operator import attrgetter, is_not
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 if TYPE_CHECKING:
     from .engine import DependencyGraph, ProgramIndex
@@ -486,33 +486,37 @@ def _built(cls: type, name: str, args: Optional[tuple] = None):
     return obj
 
 
-def rename_term(term: Term, mapping: Mapping[str, Term]) -> Term:
-    """Replace variables by name with the terms ``mapping`` gives, once:
-    the terms put in are not searched for further variables."""
-    if isinstance(term, Variable):
-        return mapping.get(term.name, term)
-    stack = []  # each compound being rebuilt: functor, arguments, arguments rebuilt
+def _renamed(args: tuple, rename: Callable[[str], Optional[Term]]) -> tuple:
+    """``args`` with each variable replaced by ``rename(name)`` unless that
+    is None, once: the terms put in are not searched again. Each compound
+    in which nothing was replaced comes back as it is, and so does ``args``."""
+    replaced = 0
+    stack = []  # each open compound, the arguments left and done above it, ``replaced`` at entry
+    left, done = iter(args), []
     while True:
-        if isinstance(term, Compound):
-            stack.append((term.functor, term.args, []))
-            term = term.args[0]
-            continue
-        if isinstance(term, Variable):
-            term = mapping.get(term.name, term)
-        while stack:  # hand the finished term to the compound it belongs to
-            functor, args, built = stack[-1]
-            built.append(term)
-            if len(built) < len(args):
-                term = args[len(built)]
+        for term in left:
+            if term.__class__ is Variable:
+                new = rename(term.name)
+                if new is not None:
+                    term = new
+                    replaced += 1
+            elif term.__class__ is Compound:
+                stack.append((term, left, done, replaced))
+                left, done = iter(term.args), []
                 break
-            stack.pop()
-            term = _built(Compound, functor, tuple(built))
+            done.append(term)
         else:
-            return term
+            if not stack:
+                return tuple(done) if replaced else args
+            term, left, above, entry = stack.pop()
+            above.append(term if replaced == entry else _built(Compound, term.functor, tuple(done)))
+            done = above
 
 
-def rename_atom(atom: Atom, mapping: Mapping[str, Variable]) -> Atom:
-    return _built(Atom, atom.predicate, tuple(rename_term(a, mapping) for a in atom.args))
+def rename_term(term: Term, mapping: Mapping[str, Term]) -> Term:
+    """Replace variables by name with the terms ``mapping`` gives, once: the terms put
+    in are not searched again, and a compound with nothing replaced comes back as it is."""
+    return _renamed((term,), mapping.get)[0]
 
 
 def rename_apart(atoms: tuple[Atom, ...], names: Iterable[str], serial: int) -> tuple[Atom, ...]:
@@ -524,21 +528,26 @@ def rename_apart(atoms: tuple[Atom, ...], names: Iterable[str], serial: int) -> 
     """
     suffix = f"#{serial}"
     mapping = {name: _built(Variable, name + suffix) for name in names}
-    return tuple(rename_atom(atom, mapping) for atom in atoms)
+    return tuple(_built(Atom, atom.predicate, _renamed(atom.args, mapping.get)) for atom in atoms)
+
+
+@cache  # ``_G<i>``, built once per process
+def _canonical(i: int) -> Variable:
+    return _built(Variable, f"_G{i}")
 
 
 def canonical_atom(atom: Atom) -> Atom:
     """Rename the atom's variables to ``_G0, _G1, ...`` in occurrence order.
 
     Two atoms that are identical up to variable renaming canonicalise to
-    the same atom, which is what the evaluator's loop check compares. A
-    ground atom comes back as itself, so ``canonical_atom(a) is a`` tells
-    whether ``a`` is ground.
+    the same atom, which is what the evaluator's loop check compares. It
+    rebuilds only the arguments that hold a variable: a ground atom comes
+    back as itself, so ``canonical_atom(a) is a`` tells whether it is ground.
     """
-    names = variables_of(atom)
-    if not names:
-        return atom
-    return rename_atom(atom, {name: _built(Variable, f"_G{i}") for i, name in enumerate(names)})
+    names: dict[str, Variable] = {}
+    args = _renamed(atom.args, lambda name: names.get(name)
+                    or names.setdefault(name, _canonical(len(names))))
+    return atom if args is atom.args else _built(Atom, atom.predicate, args)
 
 
 class Substitution:
@@ -604,33 +613,35 @@ def _walk(bindings: Mapping[str, Term], term: Term) -> Term:
 def apply(subst: Substitution, term: Term) -> Term:
     """Apply a substitution, dereferencing bindings all the way down.
 
-    Ground terms and unbound variables come back unchanged; the result
-    is a fixpoint of further application. Each dereference step costs
-    O(1), so the cost is linear in the size of the result and the binding
-    links followed. Raises ValueError on a cyclic substitution.
+    Each subterm no binding reaches comes back as the very object it was,
+    so the result is the term itself exactly when it equals it; it is a
+    fixpoint of further application. Each dereference step costs O(1), so
+    the cost is linear in the term and the binding links followed. Raises
+    ValueError on a cyclic substitution.
     """
     return _apply(subst._bindings, term)
 
 
 def _apply(bindings: Mapping[str, Term], term: Term) -> Term:
-    if isinstance(term, Variable):
-        if term.name not in bindings:
-            return term
-    elif not isinstance(term, Compound):
+    term = _walk(bindings, term)
+    if not isinstance(term, Compound):
         return term
     # ``path`` holds the bound variables dereferenced between the root and
     # the term in hand, so meeting one again is a cycle. It is made on the
     # first dereference. ``stack`` holds each compound being rebuilt with
     # the names its own dereference added to ``path``, which leave again
-    # when it is done, so siblings never see each other's names.
+    # when it is done, so siblings never see each other's names, and with
+    # the dereferences made at its entry: one that met no more is kept.
     path: Optional[set[str]] = None
     stack = []
+    reached = 0
     while True:
         chain = None
         if isinstance(term, Variable) and term.name in bindings:
             if path is None:
                 path = set()
             chain = []
+            reached += 1
             while isinstance(term, Variable) and term.name in bindings:
                 if term.name in path:
                     raise ValueError(f"cyclic substitution through {term.name}")
@@ -638,19 +649,19 @@ def _apply(bindings: Mapping[str, Term], term: Term) -> Term:
                 chain.append(term.name)
                 term = bindings[term.name]
         if isinstance(term, Compound):
-            stack.append((term.functor, term.args, [], chain))
+            stack.append((term, term.args, [], chain, reached))
             term = term.args[0]
             continue
         if chain:
             path.difference_update(chain)
         while stack:  # hand the finished term to the compound it belongs to
-            functor, args, built, chain = stack[-1]
+            outer, args, built, chain, entry = stack[-1]
             built.append(term)
             if len(built) < len(args):
                 term = args[len(built)]
                 break
             stack.pop()
-            term = _built(Compound, functor, tuple(built))
+            term = outer if reached == entry else _built(Compound, outer.functor, tuple(built))
             if chain:
                 path.difference_update(chain)
         else:
@@ -658,8 +669,12 @@ def _apply(bindings: Mapping[str, Term], term: Term) -> Term:
 
 
 def apply_atom(subst: Substitution, atom: Atom) -> Atom:
+    """``apply`` to each argument; the atom itself when no binding reaches one."""
     bindings = subst._bindings
-    return _built(Atom, atom.predicate, tuple(_apply(bindings, a) for a in atom.args))
+    if not bindings:
+        return atom
+    args = tuple([_apply(bindings, a) for a in atom.args])
+    return atom if not any(map(is_not, args, atom.args)) else _built(Atom, atom.predicate, args)
 
 
 def _occurs(bindings: Mapping[str, Term], name: str, term: Term) -> bool:

@@ -216,25 +216,29 @@ def render_json(root: TraceNode) -> str:
     written once. Both walks are post-order, on explicit stacks."""
     terms: list[list] = []
     term_ids: dict[Term, int] = {}  # keyed by the term: a Compound caches its hash
+    arg_ids: dict[int, int] = {}  # by id(), as node_ids: goals share unchanged terms
 
     def term_id(term: Term) -> int:
-        stack = [term]
-        while stack:
-            top = stack[-1]
-            if top in term_ids:
-                stack.pop()
-            elif top.__class__ is not Compound:
-                kind = _TERM_KINDS[top.__class__]
-                term_ids[stack.pop()] = len(terms)
-                terms.append([kind, top.name if kind in "cv" else top.value])
-            else:
-                missing = [arg for arg in top.args if arg not in term_ids]
-                if missing:
-                    stack += reversed(missing)
-                    continue
-                term_ids[stack.pop()] = len(terms)
-                terms.append(["f", top.functor, *[term_ids[arg] for arg in top.args]])
-        return term_ids[term]
+        row = arg_ids.get(id(term))
+        if row is None:
+            stack = [term]
+            while stack:
+                top = stack[-1]
+                if top in term_ids:
+                    stack.pop()
+                elif top.__class__ is not Compound:
+                    kind = _TERM_KINDS[top.__class__]
+                    term_ids[stack.pop()] = len(terms)
+                    terms.append([kind, top.name if kind in "cv" else top.value])
+                else:
+                    missing = [arg for arg in top.args if arg not in term_ids]
+                    if missing:
+                        stack += reversed(missing)
+                        continue
+                    term_ids[stack.pop()] = len(terms)
+                    terms.append(["f", top.functor, *[term_ids[arg] for arg in top.args]])
+            row = arg_ids[id(term)] = term_ids[term]
+        return row
 
     nodes: list[list] = []
     node_ids: dict[int, int] = {}  # keyed by id(): the tree keeps every node alive

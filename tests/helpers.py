@@ -9,6 +9,7 @@ never verify themselves.
 from __future__ import annotations
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -78,6 +79,13 @@ def term_variables_of_atom(atom: Atom) -> list[str]:
             if name not in names:
                 names.append(name)
     return names
+
+
+def reference_canonical(atom: Atom) -> Atom:
+    """The atom with its variables renamed to ``_G0, _G1, ...`` in order of
+    first occurrence, by one parallel rewrite through the constructors."""
+    names = {name: Variable(f"_G{i}") for i, name in enumerate(term_variables_of_atom(atom))}
+    return Atom(atom.predicate, tuple(naive_substitute_once(names, arg) for arg in atom.args))
 
 
 def brute_force_unifiable(a: Term, b: Term, constants: Iterable[str]) -> bool:
@@ -697,8 +705,10 @@ def random_trace(rng: random.Random, depth: int = 4,
     quotes, backslashes, newlines and non-ASCII characters, ``via`` and
     ``note`` may be None or any string, nodes may be leaves or have
     several children, and a child may be a node object already used
-    elsewhere in the tree, as a memo-shared subtree is. It need not
-    satisfy the engine's invariants."""
+    elsewhere in the tree, as a memo-shared subtree is. A goal argument
+    may be an argument object of a goal built before, as the engine's
+    goals share terms no binding changed, or a copy of one that is equal
+    but a separate object. It need not satisfy the engine's invariants."""
     built = [] if built is None else built
     children = ()
     if depth > 0 and rng.random() < 0.7:
@@ -708,8 +718,15 @@ def random_trace(rng: random.Random, depth: int = 4,
              else random_trace(rng, depth - 1, built))
             for _ in range(rng.randint(1, 3))
         )
+    goal = _random_atom(rng)
+    earlier = [arg for node in built for arg in node.goal.args]
+    if earlier and rng.random() < 0.5:
+        args = [rng.choice(earlier) if rng.random() < 0.6 else arg for arg in goal.args]
+        # pickle rebuilds a term through its constructors: equal, not the same.
+        goal = Atom(goal.predicate, tuple(pickle.loads(pickle.dumps(arg))
+                                          if rng.random() < 0.5 else arg for arg in args))
     node = TraceNode(
-        _random_atom(rng),
+        goal,
         rng.choice(list(Outcome)),
         via=_random_label(rng),
         defeated=rng.random() < 0.3,

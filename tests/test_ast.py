@@ -20,6 +20,7 @@ from proleg.ast import (
     Text,
     Variable,
     apply,
+    apply_atom,
     canonical_atom,
     is_ground,
     rename_apart,
@@ -28,7 +29,12 @@ from proleg.ast import (
     variables_of,
 )
 
-from helpers import brute_force_unifiable, naive_apply_fixpoint, run_fresh_python
+from helpers import (
+    brute_force_unifiable,
+    naive_apply_fixpoint,
+    reference_canonical,
+    run_fresh_python,
+)
 
 
 def C(name):
@@ -177,6 +183,62 @@ def test_unify_is_symmetric_in_success(a, b):
     assert (unify(a, b) is None) == (unify(b, a) is None)
 
 
+# Terms for the identity tests. Each leaf is a new object, so equal terms
+# are usually separate ones; an atom may also repeat an argument object.
+# The variables are ones a substitution may bind (V0-V4) and ones it
+# never binds, among them user variables named like canonical ones.
+_leaves = st.one_of(
+    st.builds(Variable, st.sampled_from(["V0", "V1", "V3", "X", "_G1", "_G0", "_G10"])),
+    st.builds(Constant, st.sampled_from(["a", "b"])),
+    st.builds(Integer, st.integers(-2, 2)),
+    st.builds(Text, st.sampled_from(["", "t", "_G0"])),
+)
+_terms = st.recursive(_leaves, lambda inner: st.builds(
+    Compound, st.sampled_from(["f", "g"]), st.lists(inner, min_size=1, max_size=3).map(tuple)),
+    max_leaves=8)
+
+
+@st.composite
+def identity_atoms(draw):
+    args = draw(st.lists(_terms, max_size=4))
+    if args and draw(st.booleans()):
+        args.append(draw(st.sampled_from(args)))
+    return Atom(draw(st.sampled_from(["p", "q"])), tuple(args))
+
+
+def _rebuilt_only_where(old, new, names):
+    """Every subterm of ``old`` that holds none of the variables ``names``
+    is the very object at its place in ``new``; each compound that holds
+    one is a new object."""
+    if not set(variables_of(old)) & names:
+        return new is old
+    if isinstance(old, Compound):
+        return new is not old and all(
+            _rebuilt_only_where(o, n, names) for o, n in zip(old.args, new.args))
+    return True  # a variable, replaced
+
+
+@given(acyclic_substitutions(), identity_atoms())
+def test_apply_and_canonical_atom_hand_back_every_subterm_they_leave_alone(s, atom):
+    bindings = dict(s.items())
+    result = apply_atom(s, atom)
+    assert result == Atom(atom.predicate,
+                          tuple(naive_apply_fixpoint(bindings, arg) for arg in atom.args))
+    assert (result is atom) == (result == atom)
+    for arg, new in zip(atom.args, result.args):
+        assert apply(s, arg) == new and (apply(s, arg) is arg) == (new == arg)
+        assert _rebuilt_only_where(arg, new, set(bindings))
+    canon = canonical_atom(atom)
+    assert canon == reference_canonical(atom)
+    # A non-ground atom always comes back new, even when it is already
+    # canonical, since the engine reads ``canonical_atom(a) is a`` as "a is
+    # ground".
+    assert (canon is atom) == is_ground(atom)
+    names = set(variables_of(atom))
+    assert all(_rebuilt_only_where(arg, new, names) for arg, new in zip(atom.args, canon.args))
+    assert canonical_atom(canon) == canon
+
+
 def _structure(term):
     """The term as nested tuples, which Python compares and hashes itself."""
     if isinstance(term, Compound):
@@ -308,6 +370,16 @@ class TestModelInvariants:
         ground = Atom("p", (f(C("a")), Integer(2)))
         assert canonical_atom(ground) is ground
         assert canonical_atom(Atom("p", (V("X"),))) == Atom("p", (V("_G0"),))
+
+    def test_canonical_atom_renames_variables_already_named_like_its_own(self):
+        atom = Atom("p", (V("_G1"), V("X"), V("_G1")))
+        assert canonical_atom(atom) == Atom("p", (V("_G0"), V("_G1"), V("_G0")))
+        canonical = Atom("p", (g(C("a")), f(V("_G0"), g(C("b")))))
+        again = canonical_atom(canonical)
+        assert again == canonical and again is not canonical
+        assert again.args[0] is canonical.args[0]
+        assert again.args[1] is not canonical.args[1]
+        assert again.args[1].args[1] is canonical.args[1].args[1]
 
     def test_rename_apart_renames_only_the_named_variables(self):
         head, body = Atom("p", (f(V("X"), C("a")), V("Y"))), Atom("q", (V("X"),))

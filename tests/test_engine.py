@@ -6,12 +6,24 @@ import pickle
 import random
 import textwrap
 import traceback
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proleg import engine
-from proleg.ast import Atom, Constant, FactBase, Integer, Program, Text, Variable, unify_atoms
+from proleg import ast, engine
+from proleg.ast import (
+    Atom,
+    Compound,
+    Constant,
+    FactBase,
+    Integer,
+    Program,
+    Text,
+    Variable,
+    canonical_atom,
+    unify_atoms,
+)
 from proleg.engine import (
     DepthExceeded,
     EngineConfig,
@@ -403,6 +415,54 @@ class TestGroundFactLookup:
         assert len(others) == len(case.facts) + 1000
         assert counts[0] == counts[1]
         assert traces[0] == traces[1]
+
+
+class TestTermReuse:
+    """A goal level builds only the terms a binding changes; every other
+    term object is handed on as it is."""
+
+    def test_chain_levels_build_only_changed_atoms(self, monkeypatch):
+        # An open goal p_i(X) builds its canonical form, its body atom and,
+        # once X is bound, its answer instance: three atoms, and no variable,
+        # since ``_G0`` is built once per process. A ground goal builds only
+        # its body atom: the query itself is used as it is.
+        built, counts = ast._built, Counter()
+
+        def counted(cls, name, args=None):
+            counts[cls] += 1
+            return built(cls, name, args)
+
+        monkeypatch.setattr(ast, "_built", counted)
+        monkeypatch.setattr(engine, "_built", counted)
+        canonical_atom(parse_atom("p(X)"))  # ``_G0`` exists from here on
+        seen = {}
+        for n in (100, 200):
+            program = parse_program("".join(f"p{i}(X) <= p{i + 1}(X). " for i in range(n)))
+            facts = parse_facts(f"p{n}(a).")
+            for query in ("p0(X)", "p0(a)"):
+                goal = parse_atom(query)
+                counts.clear()
+                outcome, _ = solve(program, facts, goal, EngineConfig(max_depth=n + 10))
+                assert outcome is Outcome.SUCCESS
+                seen[n, query] = counts[Atom], counts[Variable], counts[Compound]
+        assert seen[200, "p0(X)"][0] - seen[100, "p0(X)"][0] == 3 * 100
+        assert seen[100, "p0(X)"][1:] == seen[200, "p0(X)"][1:] == (0, 0)
+        assert seen[100, "p0(a)"] == (100, 0, 0) and seen[200, "p0(a)"] == (200, 0, 0)
+
+    def test_goals_named_like_canonical_variables_are_open(self):
+        # ``canonical_atom`` hands back a new atom for any goal with a
+        # variable, so a goal already in canonical form, whether the user
+        # named its variable ``_G0`` or it came from ``canonical_atom``
+        # itself, is searched as the open goal it is.
+        program = parse_program("r(X) <= p(X). s(_G0) <= p(_G0), q(_G0).")
+        facts = parse_facts("p(a). p(b). q(b).")
+        for query in ("r(X)", "s(X)", "p(X)"):
+            expected = render_json(solve(program, facts, parse_atom(query))[1])
+            for goal in (parse_atom(query.replace("X", "_G0")),
+                         canonical_atom(parse_atom(query))):
+                assert render_json(solve(program, facts, goal)[1]) == expected, query
+        trace = render_text(solve(program, facts, parse_atom("s(_G0)"))[1])
+        assert trace.splitlines()[0] == "s(b) [o] (r2)"
 
 
 class TestHoldsAll:

@@ -295,6 +295,9 @@ def test_iter_nodes_reports_incoming_edges():
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=150, deadline=None)
 def test_render_json_is_json_dumps_of_the_node_object(seed):
+    # The goals share argument objects and hold equal terms built apart,
+    # so one term row per distinct value must hold whether render_json
+    # finds an argument by its identity or by its value.
     trace = random_trace(random.Random(seed))
     text = render_json(trace)
     assert text == json.dumps(reference_trace_obj(trace))

@@ -573,11 +573,10 @@ class _Resolver:
                     if shown is None:
                         shown = (*edges, (_CONDITION, node))
                 else:  # the body holds under solution
-                    if ground:
-                        instance, node_goal = resolved, canon
-                    else:
-                        instance = apply_atom(solution, goal)
-                        node_goal = canonical_atom(instance)
+                    # The goal itself, and its canonical form, when the body
+                    # bound none of its variables.
+                    instance = apply_atom(solution, resolved)
+                    node_goal = canon if instance is resolved else canonical_atom(instance)
                     checks = []
                     defeated = False
                     for clause in self.exceptions.get(key, ()):

@@ -449,6 +449,27 @@ class TestTermReuse:
         assert seen[100, "p0(X)"][1:] == seen[200, "p0(X)"][1:] == (0, 0)
         assert seen[100, "p0(a)"] == (100, 0, 0) and seen[200, "p0(a)"] == (200, 0, 0)
 
+    def test_an_answer_that_binds_nothing_reuses_the_goals_canonical_form(self, monkeypatch):
+        # Each level of this chain nests its goal's argument one deeper and
+        # answers without binding X, so the answer instance is the goal
+        # itself: one canonical_atom call a level, not one more per answer.
+        calls = []
+
+        def counted(atom):
+            calls.append(atom)
+            return canonical_atom(atom)
+
+        monkeypatch.setattr(engine, "canonical_atom", counted)
+        seen = {}
+        for n in (50, 100):
+            program = parse_program("".join(f"p{i}(X) <= p{i + 1}(s(X)). " for i in range(n))
+                                    + f"p{n}(X) <= q(X). exception(p{n}(X), r(X)). q(Y) <=.")
+            calls.clear()
+            outcome, trace = solve(program, parse_facts("r(z)."), parse_atom("p0(X)"))
+            assert outcome is Outcome.SUCCESS and str(trace.goal) == "p0(_G0)"
+            seen[n] = len(calls)
+        assert seen[100] - seen[50] == 50
+
     def test_goals_named_like_canonical_variables_are_open(self):
         # ``canonical_atom`` hands back a new atom for any goal with a
         # variable, so a goal already in canonical form, whether the user

@@ -249,6 +249,64 @@ def ground_over(program: Program, constants: list[str]) -> Program:
     return Program(tuple(rules), tuple(exceptions))
 
 
+# ``_G0`` is also the first name ``canonical_atom`` gives, so a clause that
+# holds it meets goals written in the canonical names.
+_COMPOUND_VARS = ("X", "Y", "_G0")
+
+
+def _random_nested(rng: random.Random, constants: list[str], variables: tuple[str, ...],
+                   depth: int = 0) -> Term:
+    """A constant, one of ``variables`` or, above depth 2, an ``f/1`` or ``g/2`` term."""
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        arity = 1 if roll < 0.15 else 2
+        return Compound("fg"[arity - 1], tuple(
+            _random_nested(rng, constants, variables, depth + 1) for _ in range(arity)))
+    if variables and roll < 0.7:
+        return Variable(rng.choice(variables))
+    return Constant(rng.choice(constants))
+
+
+def random_compound_program(
+    rng: random.Random,
+    max_preds: int = 5,
+    max_rules: int = 7,
+    max_exceptions: int = 3,
+) -> tuple[Program, FactBase, list[str], dict[str, int]]:
+    """A program whose rule heads and bodies, exception declarations and
+    facts hold ``f/1`` and ``g/2`` terms nested at most 2 deep, over two
+    constants and the variables ``X``, ``Y`` and ``_G0``.
+
+    Stratified by construction as in random_ground_program. Nothing is
+    range-restricted: a body may hold a variable its head lacks, a head
+    one its body lacks, and an exception one its head lacks. Returns the
+    program, its facts, the constants and each predicate's arity.
+    """
+    constants = ["c1", "c2"]
+    arity = {f"p{i}": rng.randint(0, 2) for i in range(rng.randint(2, max_preds))}
+    levels = {name: rng.randint(0, 3) for name in arity}
+
+    def atom(name: str, variables: tuple[str, ...] = _COMPOUND_VARS) -> Atom:
+        return Atom(name, tuple(_random_nested(rng, constants, variables)
+                                for _ in range(arity[name])))
+
+    rules = []
+    for k in range(rng.randint(1, max_rules)):
+        name = rng.choice(list(arity))
+        lower = [p for p in arity if levels[p] <= levels[name]]
+        body = tuple(atom(rng.choice(lower)) for _ in range(rng.randint(0, 2)))
+        rules.append(Rule(f"r{k + 1}", atom(name), body))
+    exceptions = []
+    for _ in range(rng.randint(0, max_exceptions)):
+        name = rng.choice(list(arity))
+        lower = [p for p in arity if levels[p] < levels[name]]
+        if lower:
+            exceptions.append(ExceptionDecl(atom(name), atom(rng.choice(lower))))
+    facts = FactBase(frozenset(atom(rng.choice(list(arity)), ())
+                               for _ in range(rng.randint(0, 8))))
+    return Program(tuple(rules), tuple(exceptions)), facts, constants, arity
+
+
 def random_prolog_program(
     rng: random.Random,
     max_preds: int = 10,

@@ -519,15 +519,22 @@ def rename_term(term: Term, mapping: Mapping[str, Term]) -> Term:
     return _renamed((term,), mapping.get)[0]
 
 
-def rename_apart(atoms: tuple[Atom, ...], names: Iterable[str], serial: int) -> tuple[Atom, ...]:
-    """The atoms with each variable in ``names`` renamed to ``name#serial``.
+def renamed_variables(names: Iterable[str], serial: int) -> tuple[Variable, ...]:
+    """The variable ``name#serial`` for each of ``names``, in order.
 
     No name the surface syntax or the public constructors accept holds
-    ``#``, so a renamed variable never captures a variable of a query or
-    of a clause used unrenamed; renamings with distinct serials stay apart.
+    ``#``, so a renamed variable never captures a variable a user wrote;
+    renamings with distinct serials stay apart.
     """
     suffix = f"#{serial}"
-    mapping = {name: _built(Variable, name + suffix) for name in names}
+    return tuple([_built(Variable, name + suffix) for name in names])
+
+
+def rename_apart(atoms: tuple[Atom, ...], names: Iterable[str], serial: int) -> tuple[Atom, ...]:
+    """The atoms with each variable in ``names`` renamed apart, to its
+    ``renamed_variables`` form."""
+    names = tuple(names)
+    mapping = dict(zip(names, renamed_variables(names, serial)))
     return tuple(_built(Atom, atom.predicate, _renamed(atom.args, mapping.get)) for atom in atoms)
 
 

@@ -5,11 +5,12 @@ A goal instance succeeds when it matches a case fact, or when some rule
 atom succeeds left to right under the accumulated substitution, and no
 declared exception whose head unifies with the resolved goal instance
 can itself be proven. An exception that succeeds defeats the conclusion
-instance outright, for every rule deriving it. A rule is called without
-renaming its variables when the goal is ground, or when the rule is
-flat: each head argument a variable or a ground term, and each body
-variable also in the head. Only open goals on other rules rename the
-rule apart per use.
+instance outright, for every rule deriving it. Every rule, and every
+exception declaration, is called through its argument plan: the goal's
+argument terms stand in for the variables first met as bare head
+arguments, and only the others are renamed apart per call, so a flat
+clause (each head argument a variable or a ground term, each body
+variable also in the head) renames nothing.
 
 Exception checking is negation as failure, so programs must stratify:
 no dependency cycle may pass through an exception edge. ``stratify``
@@ -38,15 +39,15 @@ from .ast import (
     Record,
     Substitution,
     EMPTY_SUBSTITUTION,
+    Term,
     Variable,
     _built,
     _unify,
     apply_atom,
     canonical_atom,
     indicator,
-    is_ground,
-    rename_apart,
     rename_term,
+    renamed_variables,
     unify_atoms,
     variables_of,
 )
@@ -284,68 +285,56 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
     return [frozenset(keys) for keys in partition]
 
 
-# A clause's atoms, head first, and the variable names they hold.
-_Clause = tuple[tuple[Atom, ...], tuple[str, ...]]
+# A clause's argument plan: its head checks, each a head position with
+# the term the goal's argument there must unify with; its body atoms,
+# each a predicate with its argument terms; and the variables each call
+# renames apart. A term is a position, for the term there, or a (term,
+# ((variable, position), ...)) pair, for the term with the terms at those
+# positions put in for its variables. Positions index a call's argument
+# terms: the goal's, followed by the call's renamed variables.
+_Plan = tuple[tuple[tuple[int, object], ...], tuple[tuple[str, tuple], ...], tuple[str, ...]]
 
 
-def _clause(*atoms: Atom) -> _Clause:
-    names = dict.fromkeys(name for atom in atoms for name in variables_of(atom))
-    return atoms, tuple(names)
+def _plan(head: Atom, body: tuple[Atom, ...]) -> _Plan:
+    """The clause's argument plan.
 
-
-# A rule's argument plan: the head positions a goal must pass, each with
-# a ground term or the earlier position of the same variable to equal,
-# and each body atom's predicate with, per argument, the head position
-# whose goal term it takes or a (term, ((variable, position), ...)) pair
-# to fill in. The positions are those of the head's arguments.
-_Plan = tuple[tuple[tuple[int, object], ...], tuple[tuple[str, tuple], ...]]
-
-
-def _plan(head: Atom, body: tuple[Atom, ...]) -> Optional[_Plan]:
-    """The rule's argument plan, or None unless every head argument is a
-    variable or a ground term and every body variable occurs in the head.
-
-    Such a rule has no variable left once its head has matched a goal, so
-    calling it renames nothing and binds none of its own variables: the
-    body is the goal's argument terms put into the head variables' places.
+    A variable whose first occurrence, left to right through the head,
+    is a bare head argument takes the goal's term at that position; every
+    other variable is renamed. Each other head argument is checked. A call
+    then unifies exactly the pairs that unifying the renamed head with the
+    goal would, in the same order and direction, but for the first
+    binding of each bare-variable argument.
     """
-    first: dict[str, int] = {}
+    arity = len(head.args)
+    places: dict[str, int] = {}
+    renamed: list[str] = []
+
+    def spec(term):
+        names = variables_of(term)
+        for name in names:
+            if name not in places:
+                places[name] = arity + len(renamed)
+                renamed.append(name)
+        if isinstance(term, Variable):
+            return places[term.name]
+        return term, tuple((name, places[name]) for name in names)
+
     checks = []
     for position, arg in enumerate(head.args):
-        if isinstance(arg, Variable):
-            if arg.name in first:
-                checks.append((position, first[arg.name]))
-            else:
-                first[arg.name] = position
-        elif is_ground(arg):
-            checks.append((position, arg))
+        if isinstance(arg, Variable) and arg.name not in places:
+            places[arg.name] = position
         else:
-            return None
-    atoms = []
-    for atom in body:
-        specs: list = []
-        for arg in atom.args:
-            names = variables_of(arg)
-            if not set(names) <= first.keys():
-                return None
-            if isinstance(arg, Variable):
-                specs.append(first[arg.name])
-            else:
-                specs.append((arg, tuple((name, first[name]) for name in names)))
-        atoms.append((atom.predicate, tuple(specs)))
-    return tuple(checks), tuple(atoms)
+            checks.append((position, spec(arg)))
+    atoms = tuple((atom.predicate, tuple(spec(arg) for arg in atom.args)) for atom in body)
+    return tuple(checks), atoms, tuple(renamed)
 
 
-def _body_atoms(goal: Atom, body: tuple[tuple[str, tuple], ...], args: tuple) -> list[Atom]:
-    """The goal, then the plan's body atoms over the goal's argument terms."""
-    atoms = [goal]
-    for predicate, specs in body:
-        atoms.append(_built(Atom, predicate, tuple([
-            args[spec] if spec.__class__ is int
-            else rename_term(spec[0], {name: args[at] for name, at in spec[1]}) if spec[1]
-            else spec[0]
-            for spec in specs])))
-    return atoms
+def _term(spec, args: tuple) -> Term:
+    """The term a plan gives by ``spec`` over a call's argument terms."""
+    if spec.__class__ is int:
+        return args[spec]
+    term, places = spec
+    return rename_term(term, {name: args[at] for name, at in places}) if places else term
 
 
 class ProgramIndex:
@@ -353,24 +342,23 @@ class ProgramIndex:
 
     Building it checks the Program's ``dependency_graph`` for a cycle
     through an exception edge, raising Unstratified when there is one,
-    without computing the strata. It groups the rules and the exception
-    declarations by head key in program order, with each clause's
-    variable names and each rule's argument plan, if it has one.
-    ``Program`` keeps the index it builds on first use, so every later
-    solve on that object reuses it.
+    without computing the strata. It groups the rules, each with its id
+    and argument plan, and the argument plans of the exception
+    declarations, each taken as a rule with its exception as the one body
+    atom, by head key in program order. ``Program`` keeps the index it
+    builds on first use, so every later solve on that object reuses it.
     """
 
     def __init__(self, program: Program):
         cycle = program.dependency_graph.cycle
         if cycle is not None:
             raise Unstratified(cycle[1])
-        rules: dict[PredicateKey, list[tuple[str, _Clause, Optional[_Plan]]]] = defaultdict(list)
+        rules: dict[PredicateKey, list[tuple[str, _Plan]]] = defaultdict(list)
         for rule in program.rules:
-            rules[rule.head.key].append((rule.id, _clause(rule.head, *rule.body),
-                                         _plan(rule.head, rule.body)))
-        exceptions: dict[PredicateKey, list[_Clause]] = defaultdict(list)
+            rules[rule.head.key].append((rule.id, _plan(rule.head, rule.body)))
+        exceptions: dict[PredicateKey, list[_Plan]] = defaultdict(list)
         for decl in program.exceptions:
-            exceptions[decl.head.key].append(_clause(decl.head, decl.exception))
+            exceptions[decl.head.key].append(_plan(decl.head, (decl.exception,)))
         self.rules = dict(rules)
         self.exceptions = dict(exceptions)
 
@@ -381,8 +369,8 @@ class ProgramIndex:
 # a WAM choice point, a frame that leaves takes every frame above it.
 _CALL, _ANSWER, _REDO = range(3)
 
-# The substitution a planned rule passes with the body atoms of a ground
-# goal, which are ground as built: the callee takes its goal as it is.
+# The substitution a call passes with body atoms that are ground as
+# built: the callee takes its goal as it is.
 _GROUND = Substitution()
 
 
@@ -420,11 +408,28 @@ class _Resolver:
         self.memo: dict[Atom, TraceNode] = {}
         self.prune_log: list[int] = []
 
-    def _fresh(self, clause: _Clause) -> tuple[Atom, ...]:
-        """The clause's atoms with their variables renamed apart from every other use."""
-        atoms, names = clause
-        self.rename_serial += 1
-        return rename_apart(atoms, names, self.rename_serial)
+    def _call(self, plan: _Plan, args: tuple,
+              subst: Substitution) -> Optional[tuple[list[Atom], Substitution]]:
+        """The body atoms of a call of the plan's clause on a goal with the
+        argument terms ``args``, with the substitution its head checks
+        leave when they start from ``subst``, or None when they fail.
+
+        A call that renames variables has open body atoms, so it starts
+        from the empty substitution where ``subst`` is _GROUND.
+        """
+        checks, body, renamed = plan
+        if renamed:
+            self.rename_serial += 1
+            args += renamed_variables(renamed, self.rename_serial)
+            if subst is _GROUND:
+                subst = EMPTY_SUBSTITUTION
+        if checks:
+            subst = _unify(tuple([_term(spec, args) for _, spec in checks]),
+                           tuple([args[at] for at, _ in checks]), subst)
+            if subst is None:
+                return None
+        return [_built(Atom, predicate, tuple([_term(spec, args) for spec in specs]))
+                for predicate, specs in body], subst
 
     def run(self, query: Atom) -> TraceNode:
         """The proof node of the query's first solution, or its failure node.
@@ -469,14 +474,12 @@ class _Resolver:
     # A goal that is ground under the current substitution can add no
     # binding its caller could see, so one solution settles it; defeat
     # is likewise settled by the first derivation, because every
-    # derivation resolves to the same conclusion instance. For the same
-    # reason a ground goal proves each clause in a substitution of its
-    # own, made by unifying the unrenamed head with the resolved goal:
-    # no variable of the caller's can meet the clause's there. A rule
-    # with an argument plan needs neither: its head checks run on the
-    # goal's argument terms in the caller's substitution, for any goal,
-    # and its body atoms are made of those terms. Only open goals on
-    # rules without a plan rename clauses apart.
+    # derivation resolves to the same conclusion instance. Every rule is
+    # called through its argument plan: an open goal's head checks run
+    # on its argument terms in the caller's substitution, a ground goal's
+    # on its resolved terms from _GROUND. An exception declaration is
+    # checked the same way on the conclusion instance, which is resolved,
+    # so an open one starts from the empty substitution.
 
     def _prove(self, goal: Atom, subst: Substitution, depth: int) -> Iterator[tuple]:
         """The goal's answers in search order, as requests to ``run``.
@@ -528,29 +531,12 @@ class _Resolver:
         attempts: list = []
         defeated_via: Optional[str] = None
         settled = False
-        for rule_id, clause, plan in self.rules.get(key, ()):
-            if plan is not None:
-                head_checks, body = plan
-                args = resolved.args if ground else goal.args
-                solution = _GROUND if ground else subst
-                if head_checks:
-                    wanted = tuple([args[was] if was.__class__ is int else was
-                                    for _, was in head_checks])
-                    given = tuple([args[at] for at, _ in head_checks])
-                    if not ground:
-                        solution = _unify(wanted, given, subst)
-                    elif wanted != given:
-                        continue
-            elif ground:
-                atoms = clause[0]
-                solution = unify_atoms(atoms[0], resolved)
-            else:
-                atoms = self._fresh(clause)
-                solution = unify_atoms(atoms[0], goal, subst)
-            if solution is None:
+        args, start = (resolved.args, _GROUND) if ground else (goal.args, subst)
+        for rule_id, plan in self.rules.get(key, ()):
+            call = self._call(plan, args, start)
+            if call is None:
                 continue
-            if plan is not None:
-                atoms = _body_atoms(goal, body, args)
+            atoms, solution = call
             # The body left to right. points[k] is where body atom k waits
             # while it may answer again. A failure shows the rule's first
             # body item: the failed first-solution path, or the first
@@ -559,9 +545,9 @@ class _Resolver:
             edges: list = []
             points: list = [None] * len(atoms)
             k = len(atoms)
-            if k > 1:
-                k = 1
-                solution, node, points[1] = yield _CALL, atoms[1], solution, depth + 1
+            if k:
+                k = 0
+                solution, node, points[0] = yield _CALL, atoms[0], solution, depth + 1
             while True:
                 if k < len(atoms):  # atom k answered a call
                     if solution is not None:
@@ -579,12 +565,11 @@ class _Resolver:
                     node_goal = canon if instance is resolved else canonical_atom(instance)
                     checks = []
                     defeated = False
-                    for clause in self.exceptions.get(key, ()):
-                        head, exception = (clause[0] if node_goal is instance
-                                           else self._fresh(clause))
-                        bound = unify_atoms(head, instance)
-                        if bound is not None:
-                            holds, node, _ = yield _CALL, exception, bound, depth + 1
+                    base = _GROUND if node_goal is instance else EMPTY_SUBSTITUTION
+                    for plan in self.exceptions.get(key, ()):
+                        call = self._call(plan, instance.args, base)
+                        if call is not None:
+                            holds, node, _ = yield _CALL, call[0][0], call[1], depth + 1
                             checks.append((_EXCEPTION, node))
                             if holds is not None:
                                 defeated = True
@@ -613,17 +598,17 @@ class _Resolver:
                 answer = None
                 while answer is None:
                     k -= 1
-                    while k and points[k] is None:
+                    while k >= 0 and points[k] is None:
                         k -= 1
-                    if not k:
+                    if k < 0:
                         break
                     answer = yield _REDO, points[k]
                     if answer is None:
                         points[k] = None
-                if not k:
+                if k < 0:
                     break
                 solution, node, points[k] = answer
-                del edges[k - 1:]
+                del edges[k:]
             attempts.extend(shown or ())
         del running[canon]
         if found:
@@ -652,9 +637,10 @@ def solve(program: Program, facts: FactBase, goal: Atom,
     indexed once per Program object, on its first solve
     (``Program.solve_index``), and later solves reuse that; an
     unstratified program raises a fresh Unstratified on every call. The
-    index gives each flat rule an argument plan, so a call of it renames
-    nothing: only open goals on rules without a plan rename clauses
-    apart. A goal that is ground under its caller's bindings holds on a
+    index gives every rule and exception declaration an argument plan,
+    and a call renames only the clause variables that are not bare head
+    arguments, so a flat clause renames nothing, for any goal. A goal
+    that is ground under its caller's bindings holds on a
     fact when it is one, a single membership test in ``facts.facts``;
     an open goal tries the facts of its predicate in the order of their
     text. The search runs on an explicit stack, so it needs no

@@ -827,15 +827,18 @@ def test_nonground_queries_agree_with_holds_all_on_random_nonground_programs():
 
 
 def test_ground_goals_rename_no_clause(monkeypatch):
-    # A ground goal proves each clause unrenamed, in a substitution of its
-    # own. Goals of the curated base are ground once the subject is, and
-    # a ground program has no other kind, so neither renames a clause.
-    # Nor does an open goal on rules with argument plans: a flat chain
-    # with repeated and constant head arguments, and no exceptions.
-    def renamed(self, clause):
-        raise AssertionError(f"renamed the clause of {clause[0][0]}")
+    # A call renames only the clause variables that its goal's argument
+    # terms cannot stand in for, those first met inside a compound head
+    # argument or in the body. Goals of the curated base are ground once
+    # the subject is, and a ground program has no variables, so neither
+    # renames one. Nor does an open goal on flat rules: a chain with
+    # repeated and constant head arguments, and no exceptions. A
+    # body-only variable is renamed, alone and once per call, for a
+    # ground goal as for an open one.
+    def renamed(names, serial):
+        raise AssertionError(f"renamed {names}")
 
-    monkeypatch.setattr(_Resolver, "_fresh", renamed)
+    monkeypatch.setattr(engine, "renamed_variables", renamed)
     for path in bundled_case_paths():
         case = load_case(path)
         solve(case.program, case.facts, case.query)
@@ -851,42 +854,87 @@ def test_ground_goals_rename_no_clause(monkeypatch):
                            ("q(X, X)", Outcome.SUCCESS), ("r(b, Y)", Outcome.SUCCESS),
                            ("q(c, Y)", Outcome.FAILURE), ("r(X, c)", Outcome.FAILURE)]:
         assert solve(chain, facts, parse_atom(query))[0] is outcome, query
+    calls = []
+
+    def counted(names, serial):
+        calls.append(names)
+        return ast.renamed_variables(names, serial)
+
+    monkeypatch.setattr(engine, "renamed_variables", counted)
+    program = parse_program("p(X) <= q(X, Z), r(Z).")
+    facts = parse_facts("q(a, b). r(b).")
+    for query in ("p(a)", "p(W)"):
+        calls.clear()
+        assert solve(program, facts, parse_atom(query))[0] is Outcome.SUCCESS, query
+        assert calls == [("Z",)], query
 
 
-def _rendered(program: Program, facts: FactBase, goal: Atom) -> tuple:
-    try:
-        _, trace = solve(program, facts, goal, EngineConfig(max_steps=20_000))
-    except StepsExceeded as error:
-        return (str(error),)
-    return render_json(trace), render_text(trace), render_dot(trace)
+_CLAUSE_VARIABLES = ("X", "Y", "Z", "_G0")
+_GOAL_VARIABLES = ("V", "W", "X", "_G0")  # two shared with the clauses
 
 
-def test_argument_plans_leave_traces_unchanged(monkeypatch):
-    # A rule with an argument plan is called without renaming or head
-    # unification; the same rule run the general way must give the same
-    # trace, byte for byte, for ground, all-variable and repeated-variable
-    # goals.
-    rng = random.Random(4242)
-    corpus = []
-    for _ in range(40):
-        program, facts, universe = random_ground_program(rng)
-        corpus.append((program, facts, universe))
-    for _ in range(120):
-        program, facts, constants, universe = random_nonground_program(rng)
-        goals = list(universe)
-        for name, arity in sorted({atom.key for atom in universe if atom.args}):
-            goals.append(Atom(name, tuple(Variable(f"V{k}") for k in range(arity))))
-            goals.append(Atom(name, (Variable("V0"),) * arity))
-        corpus.append((program, facts, goals))
-    plans = [engine._plan(rule.head, rule.body) is not None
-             for program, _, _ in corpus[40:] for rule in program.rules]
-    assert plans.count(True) > 100 and plans.count(False) > 100  # both kinds run
-    with_plans = [[_rendered(program, facts, goal) for goal in goals]
-                  for program, facts, goals in corpus]
-    monkeypatch.setattr(engine, "_plan", lambda head, body: None)
-    without = [[_rendered(Program(program.rules, program.exceptions), facts, goal)
-                for goal in goals] for program, facts, goals in corpus]
-    assert with_plans == without
+def _plan_term(rng: random.Random, variables: tuple[str, ...], depth: int = 0):
+    """A constant, one of ``variables`` or, above depth 2, an f/1 or g/2 term."""
+    roll = rng.random()
+    if depth < 2 and roll < 0.3:
+        arity = 1 if roll < 0.15 else 2
+        return Compound("fg"[arity - 1], tuple(_plan_term(rng, variables, depth + 1)
+                                               for _ in range(arity)))
+    if variables and roll < 0.75:
+        return Variable(rng.choice(variables))
+    return Constant(rng.choice("ab"))
+
+
+def _jointly_canonical(atoms) -> Atom:
+    """The atoms as one atom, canonicalised together, so that the variables
+    they share stay shared and the names they have do not count."""
+    return canonical_atom(Atom("all", tuple(
+        arg for atom in atoms for arg in (Constant(atom.predicate), *atom.args))))
+
+
+def test_argument_plan_calls_match_unifying_the_renamed_head():
+    # A call through the argument plan must fail where unifying the
+    # renamed head with the goal fails, and otherwise leave the goal and
+    # the body atoms as that unifier does, up to the names of variables.
+    # A goal that is ground under its caller's bindings is also called on
+    # its resolved terms from _GROUND, as _prove calls it.
+    rng = random.Random(2718)
+    resolver = _Resolver(Program().solve_index, NO_FACTS, EngineConfig())
+    failed = renaming = grounded = 0
+    for serial in range(1, 4001):
+        arity = rng.randint(0, 3)
+        head = Atom("p", tuple(_plan_term(rng, _CLAUSE_VARIABLES) for _ in range(arity)))
+        body = tuple(Atom(name, tuple(_plan_term(rng, _CLAUSE_VARIABLES)
+                                      for _ in range(rng.randint(0, 2))))
+                     for name in rng.sample(["q", "r", "s"], rng.randint(0, 2)))
+        goal = Atom("p", tuple(_plan_term(rng, _GOAL_VARIABLES) for _ in range(arity)))
+        # Each goal variable bound, or not, to a term over the later ones only.
+        bindings = {}
+        for at, name in enumerate(_GOAL_VARIABLES):
+            if rng.random() < 0.4:
+                bindings[name] = _plan_term(rng, _GOAL_VARIABLES[at + 1:])
+        subst = ast.Substitution(bindings)
+        clause = (head, *body)
+        names = dict.fromkeys(name for atom in clause for name in ast.variables_of(atom))
+        renamed = ast.rename_apart(clause, names, serial)
+        expected = unify_atoms(renamed[0], goal, subst)
+        plan = engine._plan(head, body)
+        renaming += bool(plan[2])
+        starts = [(goal, subst)]
+        resolved = ast.apply_atom(subst, goal)
+        if ast.is_ground(resolved):
+            starts.append((resolved, engine._GROUND))
+            grounded += 1
+        for called, start in starts:
+            call = resolver._call(plan, called.args, start)
+            assert (call is None) == (expected is None), (clause, goal, subst)
+            if call is not None:
+                atoms, solution = call
+                got = [ast.apply_atom(solution, atom) for atom in (called, *atoms)]
+                want = [ast.apply_atom(expected, atom) for atom in (goal, *renamed[1:])]
+                assert _jointly_canonical(got) == _jointly_canonical(want), (clause, goal, subst)
+        failed += expected is None
+    assert 500 < failed < 3500 and renaming > 500 and grounded > 500
 
 
 def test_repeated_solves_on_one_program_match_fresh_copies():

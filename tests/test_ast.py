@@ -16,6 +16,7 @@ from proleg.ast import (
     Integer,
     Program,
     Rule,
+    SourceRef,
     Substitution,
     Text,
     Variable,
@@ -354,6 +355,17 @@ class TestModelInvariants:
             Atom("Bad")
         with pytest.raises(ValueError):
             Variable("X#1")  # the form rename_apart gives
+
+    def test_source_citation_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="^source citation must be non-empty$"):
+            SourceRef("")
+
+    def test_substitution_lookup_and_repr(self):
+        s = Substitution({"Y": C("b"), "X": f(V("Z"))})
+        assert s.get("X") == f(V("Z")) and s.get("Z") is None
+        assert "Y" in s and "Z" not in s
+        assert len(s) == 2 and len(Substitution()) == 0
+        assert repr(s) == "{X -> f(Z), Y -> b}"
 
     def test_is_ground_and_variables_of(self):
         atom = Atom("p", (f(V("X"), C("a")), V("Y"), V("X")))

@@ -504,9 +504,9 @@ class TestHoldsAll:
         assert holds_all(program, NO_FACTS) == frozenset({Atom("p")})
 
     def test_rejects_nonground_program(self):
-        program = parse_program("p(X) <= q(X).")
-        with pytest.raises(ValueError):
-            holds_all(program, NO_FACTS)
+        for source in ("p(X) <= q(X).", "p <=. exception(p(X), e).", "p <=. exception(p, e(X))."):
+            with pytest.raises(ValueError, match="^holds_all requires a ground program$"):
+                holds_all(parse_program(source), NO_FACTS)
 
 
 class TestTermination:

@@ -228,3 +228,18 @@ class TestConfigLoading:
 
         with pytest.raises(ValueError):
             LintConfig.from_obj({"presupposed_predicates": ["oops"]})
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "expected a JSON object, got []"),
+        ({"declared_fact_schema": "p/1"}, "'declared_fact_schema' must be a list, got 'p/1'"),
+        # An unknown field is named before a bad list, wherever it stands.
+        ({"presupposed_predicates": 5, "nope": []}, "unknown field 'nope'"),
+        # Of two bad lists, the one that comes first in LintConfig's fields.
+        ({"declared_fact_schema": 1, "universal_condition_predicates": {}},
+         "'universal_condition_predicates' must be a list, got {}"),
+        ({"declared_fact_schema": ["oops"], "presupposed_predicates": ["p/x"]},
+         "expected 'name/arity', got 'p/x'"),
+    ])
+    def test_from_obj_errors_and_their_order(self, obj, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LintConfig.from_obj(obj)

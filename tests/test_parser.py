@@ -179,6 +179,21 @@ def test_snippet_is_the_line_the_position_counts():
     assert [(e.line, e.column, e.snippet) for e in errors] == [(1, 14, "p <= q.\rr <= $.")]
 
 
+# Errors no other test reaches, each at the position it names.
+@pytest.mark.parametrize("parse, source, expected", [
+    (parse_program, '#source "" p <= q.', ["1:9: '#source' citation must be non-empty"]),
+    (parse_program, "#id a exception(p, q).",
+     ["1:7: '#id' applies to rules, not exception declarations"]),
+    (parse_prolog_subset, "p :- ; q.", ["1:6: disjunction ';' is outside the supported subset"]),
+    (parse_prolog_subset, "p :- \\+ \\+ q.",
+     ["1:9: nested negation is outside the supported subset"]),
+    (parse_prolog_subset, "p :- \\+ (q).",
+     ["1:9: parenthesized negation bodies are outside the supported subset"]),
+])
+def test_statement_errors_are_pinned(parse, source, expected):
+    assert [str(error) for error in errors_of(source, parse)] == expected
+
+
 class TestParseProgram:
     def test_simple_rule(self):
         program = parse_program("p <= q, r.")

@@ -95,9 +95,14 @@ class TestRenderDot:
     def test_label_escaping(self):
         from proleg.ast import Text
 
-        node = TraceNode(Atom("p", (Text('say "hi"\\'),)), Outcome.SUCCESS, via=FACT_MARKER)
+        # The goal's text escapes the string once, the DOT label once more.
+        node = TraceNode(Atom("p", (Text('say "hi"\\ \n\t\r'),)), Outcome.SUCCESS,
+                         via=FACT_MARKER)
         dot = render_dot(node)
         validate_dot(dot)
+        assert dot.splitlines()[2] == (
+            r'  n0 [label="p(\"say \\\"hi\\\"\\\\ \\n\\t\\r\")\no", color="darkgreen"];')
+        assert render_text(node) == r'p("say \"hi\"\\ \n\t\r") [o] (fact)' + "\n"
 
     def test_random_traces_are_valid_dot(self):
         rng = random.Random(99)

@@ -31,12 +31,11 @@ def _check_name(pattern: re.Pattern, name: str, what: str) -> None:
         raise ValueError(f"invalid {what}: {name!r}")
 
 
-_TEXT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
 def escape_text(value: str) -> str:
-    """Escape a string for inclusion in double quotes in the surface syntax."""
-    return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
+    """Escape a string for inclusion in double quotes in the surface syntax
+    and in DOT: backslash first, so no escape it writes is escaped again."""
+    return (value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+            .replace("\t", "\\t").replace("\r", "\\r"))
 
 
 # Looked up once here rather than on each field write below and in ``_built``.
@@ -48,7 +47,8 @@ class Record:
     """Base of the package's immutable records. A subclass names its
     constructor parameters, in order, in ``_fields``, and the fields that
     equality and hashing compare in ``_compared`` when that is fewer; its
-    constructor writes each field once with ``object.__setattr__``.
+    constructor writes each field once with ``object.__setattr__``, or,
+    as ``TraceNode``'s does, fills the instance dict in one update.
 
     Two records are equal when they are of the same class and their
     compared fields are; the hash is the hash of the compared fields'
@@ -145,11 +145,15 @@ class Variable(_Named):
 
 
 class _Literal(Record):
-    """A term that is its value: an Integer or a Text."""
+    """A term that is its value: an Integer or a Text. The value's class is
+    exactly the subclass's ``_type``, so a bool is not an Integer."""
 
     __slots__ = _fields = ("value",)
 
     def __init__(self, value: object) -> None:
+        if value.__class__ is not self._type:
+            raise TypeError(f"{self.__class__.__name__} value must be {self._type.__name__}, "
+                            f"got {value!r}")
         _setattr(self, "value", value)
 
     def __eq__(self, other: object) -> bool:
@@ -165,6 +169,7 @@ class Integer(_Literal):
     """A signed integer literal."""
 
     __slots__ = ()
+    _type = int
 
     def __str__(self) -> str:
         return str(self.value)
@@ -174,6 +179,7 @@ class Text(_Literal):
     """A quoted string literal; may hold arbitrary characters."""
 
     __slots__ = ()
+    _type = str
 
     def __str__(self) -> str:
         return f'"{escape_text(self.value)}"'

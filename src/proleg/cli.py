@@ -20,7 +20,7 @@ from typing import Optional
 
 from .ast import indicator
 from .convert import convert_source
-from .engine import EngineConfig, EngineError, solve, stratify
+from .engine import DEFAULT_CONFIG, EngineConfig, EngineError, solve, stratify
 from .gdpr import CaseLoadError, load_case, run_case
 from .lint import (
     ERROR,
@@ -80,12 +80,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    defaults = EngineConfig()
-    return EngineConfig(max_depth=args.max_depth or defaults.max_depth,
-                        max_steps=args.max_steps or defaults.max_steps)
-
-
 def _write_trace_outputs(args: argparse.Namespace, trace) -> None:
     if args.trace:
         Path(args.trace).write_text(render_json(trace) + "\n", encoding="utf-8")
@@ -99,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     program = _parsed(parse_program, args.rules)
     facts = _parsed(parse_facts, args.facts)
     goal = _parsed(parse_atom, "<query>", args.query)
-    outcome, trace = solve(program, facts, goal, _engine_config(args))
+    outcome, trace = solve(program, facts, goal, EngineConfig(args.max_depth, args.max_steps))
     print(outcome.glyph)
     _write_trace_outputs(args, trace)
     return EXIT_OK if outcome is Outcome.SUCCESS else EXIT_FAIL
@@ -169,7 +163,7 @@ def _cmd_case_run(args: argparse.Namespace) -> int:
         except CaseLoadError as exc:
             raise _BadInput(*(f"{path}: {message}" for message in exc.errors)) from None
     cases.sort(key=lambda pair: pair[0].id)
-    config = _engine_config(args)
+    config = EngineConfig(args.max_depth, args.max_steps)
     passed = 0
     for case, path in cases:
         try:
@@ -192,8 +186,10 @@ def _add_trace_and_limit_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument("--trace", help="write the trace as JSON to this path")
     command.add_argument("--dot", help="write the trace as DOT to this path")
     command.add_argument("--text", action="store_true", help="print the trace tree")
-    command.add_argument("--max-depth", type=_positive_int, help="goal nesting limit")
-    command.add_argument("--max-steps", type=_positive_int, help="resolution step budget")
+    command.add_argument("--max-depth", type=_positive_int, default=DEFAULT_CONFIG.max_depth,
+                         help="goal nesting limit")
+    command.add_argument("--max-steps", type=_positive_int, default=DEFAULT_CONFIG.max_steps,
+                         help="resolution step budget")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -59,7 +59,6 @@ from .trace import (
     _EXCEPTION,
     _FAILURE,
     _SUCCESS,
-    _node,
 )
 
 
@@ -506,7 +505,7 @@ class _Resolver:
         memo, running, prune_log = self.memo, self.running, self.prune_log
         node = memo.get(canon) if ground else None
         if node is None and ground and canon in self.fact_set:
-            node = memo[canon] = _node(canon, _SUCCESS, FACT_MARKER)
+            node = memo[canon] = TraceNode(canon, _SUCCESS, FACT_MARKER)
         if node is not None:
             yield _ANSWER, subst if node.outcome is _SUCCESS else None, node, True
             return
@@ -514,7 +513,7 @@ class _Resolver:
         matched = running.setdefault(canon, position)
         if matched != position:
             prune_log.append(matched)
-            yield _ANSWER, None, _node(canon, _FAILURE, note="loop detected"), True
+            yield _ANSWER, None, TraceNode(canon, _FAILURE, note="loop detected"), True
             return
         mark = len(prune_log)
         found = False
@@ -525,7 +524,7 @@ class _Resolver:
                 continue
             del running[canon]
             found = True
-            node = _node(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
+            node = TraceNode(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
             running[canon] = position
         attempts: list = []
@@ -537,24 +536,21 @@ class _Resolver:
             if call is None:
                 continue
             atoms, solution = call
-            # The body left to right. points[k] is where body atom k waits
-            # while it may answer again. A failure shows the rule's first
-            # body item: the failed first-solution path, or the first
-            # solution with its checks. Either comes before the first redo.
+            # The body left to right. edges[i] is the condition edge of body
+            # atom i's current answer, and points[i] where that atom waits
+            # while it may answer again, or None; the next atom to call is
+            # atoms[len(edges)]. A failure shows the rule's first body item:
+            # the failed first-solution path, or the first solution with its
+            # checks. Either comes before the first redo.
             shown = None
             edges: list = []
-            points: list = [None] * len(atoms)
-            k = len(atoms)
-            if k:
-                k = 0
-                solution, node, points[0] = yield _CALL, atoms[0], solution, depth + 1
+            points: list = []
             while True:
-                if k < len(atoms):  # atom k answered a call
+                if len(edges) < len(atoms):
+                    solution, node, point = yield _CALL, atoms[len(edges)], solution, depth + 1
                     if solution is not None:
                         edges.append((_CONDITION, node))
-                        k += 1
-                        if k < len(atoms):
-                            solution, node, points[k] = yield _CALL, atoms[k], solution, depth + 1
+                        points.append(point)
                         continue
                     if shown is None:
                         shown = (*edges, (_CONDITION, node))
@@ -580,7 +576,7 @@ class _Resolver:
                         if defeated and defeated_via is None:
                             defeated_via = rule_id
                     if not defeated:
-                        node = _node(node_goal, _SUCCESS, rule_id, False, children)
+                        node = TraceNode(node_goal, _SUCCESS, rule_id, False, children)
                         del running[canon]
                         if ground:
                             memo[canon] = node
@@ -596,25 +592,22 @@ class _Resolver:
                         break
                 # Ask the newest body atom that may answer again.
                 answer = None
-                while answer is None:
-                    k -= 1
-                    while k >= 0 and points[k] is None:
-                        k -= 1
-                    if k < 0:
-                        break
-                    answer = yield _REDO, points[k]
-                    if answer is None:
-                        points[k] = None
-                if k < 0:
+                while answer is None and points:
+                    edges.pop()
+                    point = points.pop()
+                    if point is not None:
+                        answer = yield _REDO, point
+                if answer is None:
                     break
-                solution, node, points[k] = answer
-                del edges[k:]
+                solution, node, point = answer
+                edges.append((_CONDITION, node))
+                points.append(point)
             attempts.extend(shown or ())
         del running[canon]
         if found:
             return
-        node = _node(canon, _FAILURE, defeated_via, defeated_via is not None, tuple(attempts),
-                     None if attempts else "no rule matched")
+        node = TraceNode(canon, _FAILURE, defeated_via, defeated_via is not None, attempts,
+                         None if attempts else "no rule matched")
         if ground and (settled or all(index >= position for index in prune_log[mark:])):
             memo[canon] = node
         yield _ANSWER, None, node, True

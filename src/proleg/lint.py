@@ -98,22 +98,13 @@ class LintConfig(Record):
         for name in obj:
             if name not in cls._fields:
                 raise ValueError(f"unknown field {name!r}")
-
-        def keys(name: str, default: tuple[PredicateKey, ...]) -> tuple[PredicateKey, ...]:
-            if name not in obj:
-                return default
-            if not isinstance(obj[name], list):
-                raise ValueError(f"'{name}' must be a list, got {obj[name]!r}")
-            return tuple(_parse_indicator(item) for item in obj[name])
-
-        base = cls()
-        return cls(
-            presupposed_predicates=keys("presupposed_predicates", base.presupposed_predicates),
-            universal_condition_predicates=keys(
-                "universal_condition_predicates", base.universal_condition_predicates
-            ),
-            declared_fact_schema=keys("declared_fact_schema", base.declared_fact_schema),
-        )
+        values = {}
+        for name in cls._fields:  # a field left out keeps its default
+            if name in obj:
+                if not isinstance(obj[name], list):
+                    raise ValueError(f"'{name}' must be a list, got {obj[name]!r}")
+                values[name] = tuple(_parse_indicator(item) for item in obj[name])
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path: Union[str, Path]) -> "LintConfig":

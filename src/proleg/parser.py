@@ -323,6 +323,8 @@ def parse_program(source: str) -> Program:
             annotation, value = token, tokens[p.pos + 1]
             p.pos += 1
             if annotation[1] == "source":
+                if citation is not None:
+                    p.error(annotation, "a statement takes at most one '#source'")
                 if value[0] != STRING:
                     raise p.error(value, "expected a quoted citation after '#source'")
                 p.pos += 1
@@ -330,6 +332,8 @@ def parse_program(source: str) -> Program:
                     raise p.error(value, "'#source' citation must be non-empty")
                 citation = SourceRef(value[1])
             else:
+                if rule_id is not None:
+                    p.error(annotation, "a statement takes at most one '#id'")
                 if value[0] != IDENT:
                     raise p.error(value, "expected an identifier after '#id'")
                 p.pos += 1

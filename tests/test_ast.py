@@ -29,6 +29,7 @@ from proleg.ast import (
     unify_atoms,
     variables_of,
 )
+from proleg.parser import parse_program, serialize
 
 from helpers import (
     brute_force_unifiable,
@@ -355,6 +356,18 @@ class TestModelInvariants:
             Atom("Bad")
         with pytest.raises(ValueError):
             Variable("X#1")  # the form rename_apart gives
+
+    @pytest.mark.parametrize("make, value", [
+        (Integer, "x"), (Integer, True), (Integer, 1.0), (Text, 5), (Text, b"a"), (Text, None),
+    ])
+    def test_literals_take_only_their_own_type(self, make, value):
+        with pytest.raises(TypeError, match=f"^{make.__name__} value must be "):
+            make(value)
+
+    def test_accepted_literals_round_trip_through_the_surface_syntax(self):
+        values = (Integer(0), Integer(-12), Integer(10**30), Text(""), Text('a"b\\c\nd\te\rf'))
+        rule = Rule("r1", Atom("p", values))
+        assert parse_program(serialize(Program((rule,)))).rules[0].head == rule.head
 
     def test_source_citation_must_be_non_empty(self):
         with pytest.raises(ValueError, match="^source citation must be non-empty$"):

@@ -189,6 +189,14 @@ def test_snippet_is_the_line_the_position_counts():
      ["1:9: nested negation is outside the supported subset"]),
     (parse_prolog_subset, "p :- \\+ (q).",
      ["1:9: parenthesized negation bodies are outside the supported subset"]),
+    # At most one of each annotation per statement; a second one is not dropped silently.
+    (parse_program, '#source "x" #source "y" p <= q.',
+     ["1:13: a statement takes at most one '#source'"]),
+    (parse_program, "#id a\n#id b\np <= q.", ["2:1: a statement takes at most one '#id'"]),
+    (parse_program, '#source "x"\n#id a #source "y" #id b exception(p, q).',
+     ["2:7: a statement takes at most one '#source'",
+      "2:19: a statement takes at most one '#id'",
+      "2:25: '#id' applies to rules, not exception declarations"]),
 ])
 def test_statement_errors_are_pinned(parse, source, expected):
     assert [str(error) for error in errors_of(source, parse)] == expected

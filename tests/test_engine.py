@@ -736,6 +736,47 @@ class TestConfig:
             EngineConfig(max_steps=0)
 
 
+# Argument terms whose text orders them otherwise than their names or
+# values would: names that are prefixes of one another, integers, texts
+# with a space, a quote or a backslash, and one-level compounds. Inside
+# a fact the text of ``f`` is followed by ``)`` or ``,``, both after the
+# ``(`` of ``f(a)``, so ``p(f(a))`` comes before ``p(f)``.
+_TEXT_ORDER_TRAPS = (
+    *(Constant(name) for name in ("a", "a1", "a_b", "ab", "b", "f")),
+    *(Integer(value) for value in (-1, 1, 12, 2)),
+    *(Text(value) for value in ("a b", 'a"b', "a\\b", "a")),
+    Compound("f", (Constant("a"),)),
+    Compound("f", (Constant("a"), Constant("b"))),
+)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_open_goals_try_facts_in_the_order_of_their_text(arity):
+    # q answers from the first p fact, by the text of the whole fact, that
+    # r does not defeat; when r covers every p fact, q fails.
+    names = ("X", "Y")[:arity]
+    head = f"q({', '.join(names)})"
+    program = parse_program(f"{head} <= p({', '.join(names)}). "
+                            f"exception({head}, r({', '.join(names)})).")
+    rng = random.Random(1729 + arity)
+    for _ in range(150):
+        rows = {tuple(rng.choice(_TEXT_ORDER_TRAPS) for _ in range(arity))
+                for _ in range(rng.randint(1, 12))}
+        defeated = {row for row in rows if rng.random() < 0.5}
+        if rng.random() < 0.2:
+            defeated = set(rows)
+        facts = FactBase(frozenset({Atom("p", row) for row in rows}
+                                   | {Atom("r", row) for row in defeated}))
+        out, trace = solve(program, facts, Atom("q", tuple(Variable(n) for n in names)))
+        left = [Atom("p", row) for row in rows - defeated]
+        if not left:
+            assert out is Outcome.FAILURE, sorted(map(str, facts.facts))
+            continue
+        least = min(left, key=str)
+        assert out is Outcome.SUCCESS and trace.goal == Atom("q", least.args), (
+            sorted(map(str, facts.facts)), str(trace.goal))
+
+
 def test_determinism_byte_identical_traces():
     program = parse_program(
         "p <= q, r. p <= s. q <=. r <= t. s <=. exception(p, e). e <= q."

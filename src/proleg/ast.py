@@ -299,7 +299,7 @@ class Atom(Record):
     def __str__(self) -> str:
         if not self.args:
             return self.predicate
-        return f"{self.predicate}({', '.join(str(a) for a in self.args)})"
+        return f"{self.predicate}({', '.join(map(str, self.args))})"
 
     def __repr__(self) -> str:
         return f"<Atom {self}>"

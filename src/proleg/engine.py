@@ -63,15 +63,18 @@ from .trace import (
 
 
 class EngineConfig(Record):
-    """Resource limits for one evaluation."""
+    """Resource limits for one evaluation. Each is exactly an ``int``, so
+    not a ``bool``: the search counts up to a limit and stops on equality,
+    which a limit of ``5.5`` never meets."""
 
     __slots__ = _fields = ("max_depth", "max_steps")
 
     def __init__(self, max_depth: int = 512, max_steps: int = 100_000) -> None:
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        for name, value in (("max_depth", max_depth), ("max_steps", max_steps)):
+            if value.__class__ is not int:
+                raise TypeError(f"{name} must be int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         self._init(max_depth, max_steps)
 
 
@@ -329,9 +332,8 @@ def _plan(head: Atom, body: tuple[Atom, ...]) -> _Plan:
 
 
 def _term(spec, args: tuple) -> Term:
-    """The term a plan gives by ``spec`` over a call's argument terms."""
-    if spec.__class__ is int:
-        return args[spec]
+    """The term a plan gives by a (term, places) ``spec`` over a call's
+    argument terms; a call reads a position spec's term itself."""
     term, places = spec
     return rename_term(term, {name: args[at] for name, at in places}) if places else term
 
@@ -389,9 +391,10 @@ class _Resolver:
         # lists, sorted by text because their answers come out in that
         # order and a set has none that holds from run to run.
         self.fact_set = facts.facts
-        self.facts: dict[PredicateKey, list[Atom]] = defaultdict(list)
-        for fact in sorted(facts.facts, key=str):
-            self.facts[fact.key].append(fact)
+        # Atom.__str__ as the key spares str() its slot lookup per fact.
+        self.facts = grouped = defaultdict(list)
+        for fact in sorted(facts.facts, key=Atom.__str__):
+            grouped[fact.predicate, len(fact.args)].append(fact)
         self.steps = 0
         self.rename_serial = 0
         # Each goal now running mapped to its position among them, for the
@@ -423,11 +426,14 @@ class _Resolver:
             if subst is _GROUND:
                 subst = EMPTY_SUBSTITUTION
         if checks:
-            subst = _unify(tuple([_term(spec, args) for _, spec in checks]),
+            subst = _unify(tuple([args[spec] if spec.__class__ is int else _term(spec, args)
+                                  for _, spec in checks]),
                            tuple([args[at] for at, _ in checks]), subst)
             if subst is None:
                 return None
-        return [_built(Atom, predicate, tuple([_term(spec, args) for spec in specs]))
+        return [_built(Atom, predicate,
+                       tuple([args[spec] if spec.__class__ is int else _term(spec, args)
+                              for spec in specs]))
                 for predicate, specs in body], subst
 
     def run(self, query: Atom) -> TraceNode:
@@ -517,7 +523,7 @@ class _Resolver:
             return
         mark = len(prune_log)
         found = False
-        key = goal.key
+        key = goal.predicate, len(goal.args)
         for fact in () if ground else self.facts.get(key, ()):
             bound = unify_atoms(goal, fact, subst)
             if bound is None:

@@ -143,17 +143,20 @@ def render_text(root: TraceNode) -> str:
     while stack:
         node, edge, depth = stack.pop()
         prefix = "" if edge is None else "-> " if edge is _CONDITION else "~> "
-        parts = []
-        if node.via is not None:
-            parts.append(node.via)
-        if node.note is not None:
-            parts.append(node.note)
-        if node.defeated:
-            parts.append("defeated")
-        annot = f" ({'; '.join(parts)})" if parts else ""
+        via = node.via
+        if node.note is None and not node.defeated:
+            annot = "" if via is None else f" ({via})"
+        else:
+            parts = [] if via is None else [via]
+            if node.note is not None:
+                parts.append(node.note)
+            if node.defeated:
+                parts.append("defeated")
+            annot = f" ({'; '.join(parts)})"
         lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome._value_}]{annot}\n")
+        depth += 1
         for kind, child in reversed(node.children):
-            stack.append((child, kind, depth + 1))
+            stack.append((child, kind, depth))
     return "".join(lines)
 
 
@@ -229,21 +232,22 @@ def render_json(root: TraceNode) -> str:
 
     nodes: list[list] = []
     node_ids: dict[int, int] = {}  # keyed by id(): the tree keeps every node alive
-    stack = [root]
+    # Each open node with the iterator over its children: a child already
+    # numbered, a memo-shared subtree, is passed over when it is reached.
+    stack = [(root, iter(root.children))]
     while stack:
-        node = stack[-1]
-        if id(node) in node_ids:
+        node, children = stack[-1]
+        for _, child in children:
+            if id(child) not in node_ids:
+                stack.append((child, iter(child.children)))
+                break
+        else:  # every child numbered
             stack.pop()
-            continue
-        missing = [child for _, child in node.children if id(child) not in node_ids]
-        if missing:
-            stack += reversed(missing)
-            continue
-        node_ids[id(stack.pop())] = len(nodes)
-        goal = node.goal
-        nodes.append([goal.predicate, [term_id(arg) for arg in goal.args], node.outcome._value_,
-                      node.via, node.defeated, node.note,
-                      [[kind._value_, node_ids[id(child)]] for kind, child in node.children]])
+            node_ids[id(node)] = len(nodes)
+            goal = node.goal
+            nodes.append([goal.predicate, [term_id(arg) for arg in goal.args],
+                          node.outcome._value_, node.via, node.defeated, node.note,
+                          [[kind._value_, node_ids[id(child)]] for kind, child in node.children]])
     return json.dumps({"trace_version": TRACE_VERSION, "terms": terms, "nodes": nodes,
                        "root": node_ids[id(root)]})
 

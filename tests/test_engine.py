@@ -735,6 +735,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             EngineConfig(max_steps=0)
 
+    @pytest.mark.parametrize("field", ["max_depth", "max_steps"])
+    @pytest.mark.parametrize("value", [5.5, 1.0, True, "5"])
+    def test_limits_are_integers_only(self, field, value):
+        # A float budget would never equal the step count, so the search
+        # would run unbounded; True would be a budget of 1.
+        with pytest.raises(TypeError, match=f"^{field} must be int, got {value!r}$"):
+            EngineConfig(**{field: value})
+
+    def test_limit_errors_name_their_field(self):
+        with pytest.raises(ValueError, match="^max_steps must be >= 1$"):
+            EngineConfig(max_steps=-3)
+        with pytest.raises(ValueError, match="^max_depth must be >= 1$"):
+            EngineConfig(max_depth=0)
+
 
 # Argument terms whose text orders them otherwise than their names or
 # values would: names that are prefixes of one another, integers, texts

@@ -9,7 +9,8 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proleg.ast import Atom, Compound, Constant, FactBase, Record, Variable
+from proleg.ast import (IDENT_PATTERN, VARIABLE_PATTERN, Atom, Compound, Constant, FactBase,
+                        Integer, Record, Text, Variable, escape_text, renamed_variables)
 from proleg.engine import solve
 from proleg.parser import parse_program
 from proleg.trace import (
@@ -73,6 +74,22 @@ class TestRenderText:
         assert render_text(node) == render_text(node)
 
 
+# A goal's text needs escaping for a DOT label only where it holds a
+# quote: the characters ``escape_text`` rewrites enter a goal's text
+# only through a Text argument, and a Text's text starts with ``"``.
+_NAMES = st.from_regex(IDENT_PATTERN, fullmatch=True)
+_LEAVES = st.one_of(
+    _NAMES.map(Constant),
+    st.from_regex(VARIABLE_PATTERN, fullmatch=True).map(Variable),
+    st.builds(lambda name, serial: renamed_variables([name], serial)[0],
+              st.from_regex(VARIABLE_PATTERN, fullmatch=True), st.integers(0, 10**6)),
+    st.integers(-10**12, 10**12).map(Integer),
+    st.text().map(Text),
+)
+_TERMS = st.recursive(_LEAVES, lambda inner: st.builds(
+    Compound, _NAMES, st.lists(inner, min_size=1, max_size=3).map(tuple)), max_leaves=8)
+
+
 class TestRenderDot:
     def test_single_node(self):
         dot = render_dot(fact_node())
@@ -103,6 +120,20 @@ class TestRenderDot:
         assert dot.splitlines()[2] == (
             r'  n0 [label="p(\"say \\\"hi\\\"\\\\ \\n\\t\\r\")\no", color="darkgreen"];')
         assert render_text(node) == r'p("say \"hi\"\\ \n\t\r") [o] (fact)' + "\n"
+
+    @given(st.builds(Atom, _NAMES, st.lists(_TERMS, max_size=3).map(tuple)))
+    def test_only_a_goal_with_a_quote_needs_escaping(self, goal):
+        text = str(goal)
+        if '"' not in text:
+            assert escape_text(text) == text
+        pending, has_text = list(goal.args), False
+        while pending:
+            term = pending.pop()
+            has_text |= term.__class__ is Text
+            if term.__class__ is Compound:
+                pending += term.args
+        if has_text:
+            assert '"' in text
 
     def test_random_traces_are_valid_dot(self):
         rng = random.Random(99)

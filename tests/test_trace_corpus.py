@@ -94,6 +94,12 @@ def programs():
             queries = [goal for name, arity in sorted({atom.key for atom in universe})
                        for goal in partly_bound(name, arity, constants)]
             yield "patterns", seed, position, program, facts, queries
+    yield from compound_programs()
+
+
+def compound_programs():
+    """The ``compound`` rows of ``programs``, which ``test_render_pins``
+    also renders."""
     for seed in COMPOUND_SEEDS:
         rng = random.Random(seed)
         for position in range(PER_SEED):

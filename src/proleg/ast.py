@@ -557,6 +557,11 @@ def canonical_atom(atom: Atom) -> Atom:
     rebuilds only the arguments that hold a variable: a ground atom comes
     back as itself, so ``canonical_atom(a) is a`` tells whether it is ground.
     """
+    for arg in atom.args:
+        if arg.__class__ is Variable or arg.__class__ is Compound:
+            break
+    else:  # nothing to rename
+        return atom
     names: dict[str, Variable] = {}
     args = _renamed(atom.args, lambda name: names.get(name)
                     or names.setdefault(name, _canonical(len(names))))

@@ -293,8 +293,11 @@ def stratify(program: Program) -> list[frozenset[PredicateKey]]:
 # renames apart. A term is a position, for the term there, or a (term,
 # ((variable, position), ...)) pair, for the term with the terms at those
 # positions put in for its variables. Positions index a call's argument
-# terms: the goal's, followed by the call's renamed variables.
-_Plan = tuple[tuple[tuple[int, object], ...], tuple[tuple[str, tuple], ...], tuple[str, ...]]
+# terms: the goal's, followed by the call's renamed variables. A body
+# atom's terms are None where they are the goal's own, in order, in a
+# clause that renames nothing: the atom then takes the goal's tuple.
+_Plan = tuple[tuple[tuple[int, object], ...], tuple[tuple[str, Optional[tuple]], ...],
+              tuple[str, ...]]
 
 
 def _plan(head: Atom, body: tuple[Atom, ...]) -> _Plan:
@@ -327,7 +330,9 @@ def _plan(head: Atom, body: tuple[Atom, ...]) -> _Plan:
             places[arg.name] = position
         else:
             checks.append((position, spec(arg)))
-    atoms = tuple((atom.predicate, tuple(spec(arg) for arg in atom.args)) for atom in body)
+    atoms = [(atom.predicate, tuple(spec(arg) for arg in atom.args)) for atom in body]
+    whole = None if renamed else tuple(range(arity))  # the goal's own terms, in order
+    atoms = tuple((predicate, None if specs == whole else specs) for predicate, specs in atoms)
     return tuple(checks), atoms, tuple(renamed)
 
 
@@ -431,7 +436,7 @@ class _Resolver:
                            tuple([args[at] for at, _ in checks]), subst)
             if subst is None:
                 return None
-        return [_built(Atom, predicate,
+        return [_built(Atom, predicate, args if specs is None else
                        tuple([args[spec] if spec.__class__ is int else _term(spec, args)
                               for spec in specs]))
                 for predicate, specs in body], subst
@@ -563,7 +568,7 @@ class _Resolver:
                 else:  # the body holds under solution
                     # The goal itself, and its canonical form, when the body
                     # bound none of its variables.
-                    instance = apply_atom(solution, resolved)
+                    instance = resolved if solution is start else apply_atom(solution, resolved)
                     node_goal = canon if instance is resolved else canonical_atom(instance)
                     checks = []
                     defeated = False
@@ -614,7 +619,7 @@ class _Resolver:
             return
         node = TraceNode(canon, _FAILURE, defeated_via, defeated_via is not None, attempts,
                          None if attempts else "no rule matched")
-        if ground and (settled or all(index >= position for index in prune_log[mark:])):
+        if ground and (settled or min(prune_log[mark:], default=position) >= position):
             memo[canon] = node
         yield _ANSWER, None, node, True
 

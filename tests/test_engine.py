@@ -449,6 +449,34 @@ class TestTermReuse:
         assert seen[100, "p0(X)"][1:] == seen[200, "p0(X)"][1:] == (0, 0)
         assert seen[100, "p0(a)"] == (100, 0, 0) and seen[200, "p0(a)"] == (200, 0, 0)
 
+    def test_a_flat_ground_level_hands_on_its_goals_argument_tuple(self):
+        n = 60
+        program = parse_program("".join(f"p{i}(X) <= p{i + 1}(X). " for i in range(n)))
+        outcome, node = solve(program, parse_facts(f"p{n}(a)."), parse_atom("p0(a)"))
+        assert outcome is Outcome.SUCCESS
+        levels = 0
+        while node.children:
+            ((_, child),) = node.children
+            assert child.goal.args is node.goal.args, str(child.goal)
+            node, levels = child, levels + 1
+        assert levels == n and str(node.goal) == f"p{n}(a)"
+
+    @pytest.mark.parametrize("rules, query, shared", [
+        ("p(X) <= q(X).", "p(a)", True),
+        ("p(X, Y) <= q(Y, X).", "p(a, b)", False),  # permutes
+        ("p(X) <= q(X, X).", "p(a)", False),  # repeats
+        ("p(X, Y) <= q(X).", "p(a, b)", False),  # drops one
+        ("p(X) <= q(X), r(X, Y).", "p(a)", False),  # renames Y
+    ])
+    def test_only_a_clause_that_passes_the_goals_terms_in_order_shares_them(
+            self, rules, query, shared):
+        facts = parse_facts("q(a). q(b, a). q(a, a). r(a, b).")
+        outcome, node = solve(parse_program(rules), facts, parse_atom(query))
+        assert outcome is Outcome.SUCCESS
+        (_, first), *_ = node.children
+        assert first.goal.predicate == "q"
+        assert (first.goal.args is node.goal.args) is shared
+
     def test_an_answer_that_binds_nothing_reuses_the_goals_canonical_form(self, monkeypatch):
         # Each level of this chain nests its goal's argument one deeper and
         # answers without binding X, so the answer instance is the goal

@@ -1,11 +1,16 @@
 """Reasoning traces and their renderers.
 
-A trace is a tree with one node per evaluated goal. Each node carries
-an ``o`` (success) or ``x`` (failure) outcome; edges to children are
-either condition edges (solid, the conclusion-condition relation of a
-rule) or exception edges (dotted, the exception relation of a
-conclusion). Three renderers are provided: an indented text tree, DOT
-for graph tooling, and a versioned JSON form that round-trips.
+A trace has one node per evaluated goal. Each node carries an ``o``
+(success) or ``x`` (failure) outcome; edges to children are either
+condition edges (solid, the conclusion-condition relation of a rule) or
+exception edges (dotted, the exception relation of a conclusion). A
+trace is a DAG, not a tree: the engine's memo hands a ground goal's one
+node to every later caller, so one node object may be the child of
+several parents. Every walk here visits each node object once, keyed by
+``id()``, except ``repr``, which writes the tree the DAG unfolds to. Three
+renderers are provided: indented text, DOT for graph tooling, and a
+versioned JSON form that round-trips; each writes a shared node in full
+once and refers back to it at every later occurrence.
 """
 
 from __future__ import annotations
@@ -63,17 +68,25 @@ class TraceNode(Record):
                                     "defeated": defeated, "children": tuple(children),
                                     "note": note})
 
-    # Equality, hashing and repr walk the tree on explicit stacks, so a
+    # Equality, hashing and repr walk the trace on explicit stacks, so a
     # trace of any depth works at the default recursion limit.
 
     def __eq__(self, other: object) -> bool:
+        """Field-wise equality of the two unfolded trees. Each pair of
+        node objects is compared once, so a memo-shared DAG costs its
+        number of distinct pairs, and still equals its unfolded tree."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         pending = [(self, other)]
+        compared: set[tuple[int, int]] = set()  # by id(): both traces keep every node alive
         while pending:
             x, y = pending.pop()
             if x is y:
                 continue
+            pair = (id(x), id(y))
+            if pair in compared:
+                continue
+            compared.add(pair)
             if ((x.goal, x.outcome, x.via, x.defeated, x.note, len(x.children))
                     != (y.goal, y.outcome, y.via, y.defeated, y.note, len(y.children))):
                 return False
@@ -102,6 +115,9 @@ class TraceNode(Record):
         return self._hash
 
     def __repr__(self) -> str:
+        """The constructor call of the unfolded tree: a shared node is
+        written in full at each occurrence, so the text is tree-sized and
+        grows exponentially on a chain of shared levels."""
         parts: list[str] = []
         pending: list = [self]  # nodes still to write, and the literal text between them
         while pending:
@@ -127,23 +143,60 @@ _CONDITION, _EXCEPTION = EdgeKind.CONDITION, EdgeKind.EXCEPTION
 
 
 def iter_nodes(root: TraceNode) -> Iterator[tuple[TraceNode, Optional[EdgeKind]]]:
-    """Preorder walk yielding (node, incoming edge kind); the root has None."""
+    """Preorder walk yielding each distinct (node, incoming edge kind)
+    pair once; the root has None. A pair met again is passed over with
+    all below it, so a memo-shared subtree is walked once, and a shared
+    node reached by both edge kinds is yielded once with each."""
     stack: list[tuple[TraceNode, Optional[EdgeKind]]] = [(root, None)]
+    yielded: set[tuple[int, Optional[EdgeKind]]] = set()  # by id(): the trace keeps it alive
     while stack:
         node, edge = stack.pop()
+        pair = (id(node), edge)
+        if pair in yielded:
+            continue
+        yielded.add(pair)
         yield node, edge
         for kind, child in reversed(node.children):
             stack.append((child, kind))
 
 
+def _goal_text(goal: Atom, arg_texts: dict[int, str]) -> str:
+    """``str(goal)``, taking each argument's text from ``arg_texts`` (by
+    id(), filled on a miss): one render meets the same argument objects
+    again and again, since goals share the terms no binding changed."""
+    args = goal.args
+    if not args:
+        return goal.predicate
+    parts = []
+    for arg in args:
+        text = arg_texts.get(id(arg))
+        if text is None:
+            text = arg_texts[id(arg)] = str(arg)
+        parts.append(text)
+    return f"{goal.predicate}({', '.join(parts)})"
+
+
 def render_text(root: TraceNode) -> str:
     """Indented tree; condition children are prefixed ``->``, exception
-    children ``~>`` (echoing solid versus dotted edges)."""
+    children ``~>`` (echoing solid versus dotted edges). A node's full
+    entry is written once, at its first occurrence in preorder. A later
+    occurrence of a memo-shared node is one line at its own indent and
+    prefix, ``goal [glyph] (see line N)``, where N is the 1-based line of
+    the full entry, and its subtree is not repeated."""
     lines: list[str] = []
-    stack: list[tuple[TraceNode, Optional[EdgeKind], int]] = [(root, None, 0)]
+    line_of: dict[int, int] = {}  # 0-based, by id(): the trace keeps every node alive
+    arg_texts: dict[int, str] = {}
+    # Stack items: a node with its indent and its edge prefix.
+    stack: list[tuple[TraceNode, str, str]] = [(root, "", "")]
     while stack:
-        node, edge, depth = stack.pop()
-        prefix = "" if edge is None else "-> " if edge is _CONDITION else "~> "
+        node, indent, prefix = stack.pop()
+        line = len(lines)
+        first = line_of.setdefault(id(node), line)
+        goal = _goal_text(node.goal, arg_texts)
+        if first is not line:  # met before: refer to its full entry
+            lines.append(f"{indent}{prefix}{goal} [{node.outcome._value_}] "
+                         f"(see line {first + 1})\n")
+            continue
         via = node.via
         if node.note is None and not node.defeated:
             annot = "" if via is None else f" ({via})"
@@ -154,46 +207,56 @@ def render_text(root: TraceNode) -> str:
             if node.defeated:
                 parts.append("defeated")
             annot = f" ({'; '.join(parts)})"
-        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome._value_}]{annot}\n")
-        depth += 1
-        for kind, child in reversed(node.children):
-            stack.append((child, kind, depth))
+        lines.append(f"{indent}{prefix}{goal} [{node.outcome._value_}]{annot}\n")
+        if node.children:
+            indent += "  "
+            for kind, child in reversed(node.children):
+                stack.append((child, indent, "-> " if kind is _CONDITION else "~> "))
     return "".join(lines)
+
+
+# What follows the goal in a DOT box line, by outcome.
+_SUCCESS_LABEL_END = f'\\n{_SUCCESS._value_}", color="{SUCCESS_NODE_COLOR}"];\n'
+_FAILURE_LABEL_END = f'\\n{_FAILURE._value_}", color="{FAILURE_NODE_COLOR}"];\n'
 
 
 def render_dot(root: TraceNode) -> str:
     """Directed graph in DOT text form.
 
-    One box per node labelled with the goal and its outcome glyph;
-    condition edges are solid, exception edges dotted; node colour
+    One box per node object, labelled with the goal and its outcome
+    glyph; condition edges are solid, exception edges dotted; node colour
     separates success from failure (see SUCCESS_NODE_COLOR and
-    FAILURE_NODE_COLOR). Nodes are numbered in preorder, and the edge
-    into a node follows the lines of its subtree.
+    FAILURE_NODE_COLOR). Boxes are numbered in preorder over first
+    visits, and the edge into a node follows the lines of its subtree. A
+    memo-shared node met again gets no second box: only the edge to its
+    box is written, where it is met.
     """
     lines = ["digraph trace {\n", "  node [shape=box];\n"]
-    # Stack items: a node with its parent's id and incoming edge kind, or
+    ids: dict[int, str] = {}  # by id(): the trace keeps every node alive
+    arg_texts: dict[int, str] = {}
+    # Stack items: a node with its parent's id and incoming edge style, or
     # an edge line to emit once the subtree above it is done.
     stack: list = [(root, None, None)]
-    counter = 0
     while stack:
         item = stack.pop()
-        if type(item) is str:
+        if item.__class__ is str:
             lines.append(item)
             continue
-        node, parent_id, kind = item
-        node_id = f"n{counter}"
-        counter += 1
-        outcome = node.outcome
-        color = SUCCESS_NODE_COLOR if outcome is _SUCCESS else FAILURE_NODE_COLOR
-        goal = str(node.goal)
+        node, parent_id, style = item
+        node_id = f"n{len(ids)}"
+        known = ids.setdefault(id(node), node_id)
+        if known is not node_id:  # its box is drawn: only the edge
+            lines.append(f"  {parent_id} -> {known} [style={style}];\n")
+            continue
+        goal = _goal_text(node.goal, arg_texts)
         if '"' in goal:  # only a Text argument brings a character to escape, and a quote with it
             goal = escape_text(goal)
-        lines.append(f'  {node_id} [label="{goal}\\n{outcome._value_}", color="{color}"];\n')
+        end = _SUCCESS_LABEL_END if node.outcome is _SUCCESS else _FAILURE_LABEL_END
+        lines.append(f'  {node_id} [label="{goal}{end}')
         if parent_id is not None:
-            style = "solid" if kind is _CONDITION else "dotted"
             stack.append(f"  {parent_id} -> {node_id} [style={style}];\n")
         for kind, child in reversed(node.children):
-            stack.append((child, node_id, kind))
+            stack.append((child, node_id, "solid" if kind is _CONDITION else "dotted"))
     lines.append("}\n")
     return "".join(lines)
 

@@ -31,9 +31,11 @@ from proleg.ast import (
     Text,
     Variable,
     canonical_atom,
+    escape_text,
 )
 from proleg.convert import PrologClause
-from proleg.trace import TRACE_VERSION, EdgeKind, Outcome, TraceNode, iter_nodes
+from proleg.trace import (FAILURE_NODE_COLOR, SUCCESS_NODE_COLOR, TRACE_VERSION, EdgeKind,
+                          Outcome, TraceNode, iter_nodes)
 
 # ----------------------------------------------------------------------
 # Substitution oracles.
@@ -745,6 +747,53 @@ def reference_trace_obj(root: TraceNode) -> dict:
 
     root_id = node_id(root)
     return {"trace_version": TRACE_VERSION, "terms": terms, "nodes": nodes, "root": root_id}
+
+
+# Reference text and DOT renderers that unfold a trace into its tree and
+# write a shared node in full at every occurrence. On a trace with no
+# shared node, render_text and render_dot must write exactly these bytes.
+
+
+def tree_text(root: TraceNode) -> str:
+    lines: list[str] = []
+    stack: list[tuple[TraceNode, Optional[EdgeKind], int]] = [(root, None, 0)]
+    while stack:
+        node, edge, depth = stack.pop()
+        prefix = "" if edge is None else "-> " if edge is EdgeKind.CONDITION else "~> "
+        parts = [label for label in (node.via, node.note) if label is not None]
+        if node.defeated:
+            parts.append("defeated")
+        annot = f" ({'; '.join(parts)})" if parts else ""
+        lines.append(f"{'  ' * depth}{prefix}{node.goal} [{node.outcome.glyph}]{annot}\n")
+        for kind, child in reversed(node.children):
+            stack.append((child, kind, depth + 1))
+    return "".join(lines)
+
+
+def tree_dot(root: TraceNode) -> str:
+    lines = ["digraph trace {\n", "  node [shape=box];\n"]
+    # A node with its parent's id and incoming edge kind, or an edge line
+    # to emit once the subtree above it is done.
+    stack: list = [(root, None, None)]
+    counter = 0
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        node, parent_id, kind = item
+        node_id = f"n{counter}"
+        counter += 1
+        color = SUCCESS_NODE_COLOR if node.outcome is Outcome.SUCCESS else FAILURE_NODE_COLOR
+        lines.append(f'  {node_id} [label="{escape_text(str(node.goal))}\\n{node.outcome.glyph}", '
+                     f'color="{color}"];\n')
+        if parent_id is not None:
+            style = "solid" if kind is EdgeKind.CONDITION else "dotted"
+            stack.append(f"  {parent_id} -> {node_id} [style={style}];\n")
+        for kind, child in reversed(node.children):
+            stack.append((child, node_id, kind))
+    lines.append("}\n")
+    return "".join(lines)
 
 
 def _random_label(rng: random.Random) -> Optional[str]:

@@ -565,6 +565,16 @@ class TestTermination:
         assert "step budget" in str(info.value)
         assert "q" in str(info.value) and "depth 2" in str(info.value)
 
+    def test_a_defeated_ground_conclusion_is_settled_at_once(self):
+        # q(a) holds by its first r fact and e(a) defeats it. Every other
+        # derivation resolves to the same defeated instance, so the search
+        # stops there: q(a), r(a, Y) and e(a) take 3 steps, where asking
+        # e(a) again for each of the 49 other r facts would take 52.
+        program = parse_program("q(X) <= r(X, Y).\nexception(q(X), e(X)).\n")
+        facts = parse_facts(" ".join(f"r(a, c{i})." for i in range(50)) + " e(a).")
+        outcome, _ = solve(program, facts, Atom("q", (Constant("a"),)), EngineConfig(max_steps=3))
+        assert outcome is Outcome.FAILURE
+
     def test_trace_shows_the_proof_the_search_found(self):
         for source, goal, expected in [
             # The search proves q through r3 once the loop in r2 is pruned; the
@@ -582,8 +592,7 @@ class TestTermination:
              "        -> x [o] (r7)\n"
              "      -> n [x] (no rule matched)\n"
              "  -> f [o] (r6)\n"
-             "    -> m [o] (r5)\n"
-             "      -> x [o] (r7)\n"),
+             "    -> m [o] (see line 4)\n"),  # the memo's node for m, written once
         ]:
             out, trace = outcome_of(source, goal)
             assert out is Outcome.SUCCESS
@@ -644,8 +653,7 @@ class TestTermination:
         "    ~> bad(b) [o] (r3)\n"
         "      -> flag(b) [o] (fact)\n"
         "    -> base(b) [o] (fact)\n"
-        "    ~> bad(b) [o] (r3)\n"
-        "      -> flag(b) [o] (fact)\n"
+        "    ~> bad(b) [o] (see line 9)\n"
         "  -> base(a) [x] (no rule matched)\n"
     )
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from proleg.ast import (IDENT_PATTERN, VARIABLE_PATTERN, Atom, Compound, Constant, FactBase,
                         Integer, Record, Text, Variable, escape_text, renamed_variables)
 from proleg.engine import solve
-from proleg.parser import parse_program
+from proleg.parser import parse_atom, parse_facts, parse_program
 from proleg.trace import (
     EdgeKind,
     FACT_MARKER,
@@ -31,8 +33,11 @@ from helpers import (
     random_trace,
     reference_trace_obj,
     run_fresh_python,
+    tree_dot,
+    tree_text,
     validate_dot,
 )
+from test_render_pins import text_trace
 
 
 def fact_node(text: str = "f(a)") -> TraceNode:
@@ -120,6 +125,16 @@ class TestRenderDot:
         assert dot.splitlines()[2] == (
             r'  n0 [label="p(\"say \\\"hi\\\"\\\\ \\n\\t\\r\")\no", color="darkgreen"];')
         assert render_text(node) == r'p("say \"hi\"\\ \n\t\r") [o] (fact)' + "\n"
+
+    @given(st.builds(Atom, _NAMES, st.lists(_TERMS, max_size=3).map(tuple)))
+    def test_renders_write_a_goal_as_its_str(self, goal):
+        # The second goal holds the first one's argument objects: the
+        # renderers take an argument's text once per render.
+        twin = Atom(f"{goal.predicate}_twin", goal.args)
+        node = TraceNode(goal, Outcome.SUCCESS,
+                         children=((EdgeKind.CONDITION, TraceNode(twin, Outcome.FAILURE)),))
+        assert render_text(node) == f"{goal} [o]\n  -> {twin} [x]\n"
+        assert render_dot(node) == tree_dot(node)
 
     @given(st.builds(Atom, _NAMES, st.lists(_TERMS, max_size=3).map(tuple)))
     def test_only_a_goal_with_a_quote_needs_escaping(self, goal):
@@ -456,3 +471,222 @@ def test_json_grows_linearly_with_goal_nesting():
     texts = [render_json(_nested_goal_chain(levels)) for levels in (600, 1200)]
     assert len(texts[1]) < 2.2 * len(texts[0])
     assert render_json(trace_from_json(texts[1])) == texts[1]
+
+
+# ----------------------------------------------------------------------
+# A trace is a DAG: the memo hands a ground goal's one node to every later
+# caller. Every renderer and walk visits each node object once.
+
+
+def _shared_dag() -> TraceNode:
+    """p with children l (which holds s) and s again, by the other edge
+    kind; s holds a leaf of its own."""
+    shared = TraceNode(Atom("s"), Outcome.SUCCESS, via="r2",
+                       children=((EdgeKind.CONDITION, fact_node()),))
+    left = TraceNode(Atom("l"), Outcome.SUCCESS, via="r1",
+                     children=((EdgeKind.CONDITION, shared),))
+    return TraceNode(Atom("p"), Outcome.FAILURE, via="r3", defeated=True,
+                     children=((EdgeKind.CONDITION, left), (EdgeKind.EXCEPTION, shared)))
+
+
+def _unfolded(node: TraceNode) -> TraceNode:
+    """An equal tree built of new node objects, one per occurrence."""
+    return TraceNode(node.goal, node.outcome, node.via, node.defeated,
+                     tuple((kind, _unfolded(child)) for kind, child in node.children), node.note)
+
+
+def _distinct_nodes(root: TraceNode) -> list[TraceNode]:
+    """The node objects in preorder of their first occurrence."""
+    nodes: dict[int, TraceNode] = {}
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            pending += [child for _, child in reversed(node.children)]
+    return list(nodes.values())
+
+
+def _tree_size(root: TraceNode) -> int:
+    pending, size = [root], 0
+    while pending:
+        size += 1
+        pending += [child for _, child in pending.pop().children]
+    return size
+
+
+def test_a_shared_node_is_written_in_full_once():
+    dag = _shared_dag()
+    assert render_text(dag) == (
+        "p [x] (r3; defeated)\n"
+        "  -> l [o] (r1)\n"
+        "    -> s [o] (r2)\n"
+        "      -> f(a) [o] (fact)\n"
+        "  ~> s [o] (see line 3)\n"
+    )
+    assert render_dot(dag) == (
+        "digraph trace {\n"
+        "  node [shape=box];\n"
+        '  n0 [label="p\\nx", color="firebrick"];\n'
+        '  n1 [label="l\\no", color="darkgreen"];\n'
+        '  n2 [label="s\\no", color="darkgreen"];\n'
+        '  n3 [label="f(a)\\no", color="darkgreen"];\n'
+        "  n2 -> n3 [style=solid];\n"
+        "  n1 -> n2 [style=solid];\n"
+        "  n0 -> n1 [style=solid];\n"
+        "  n0 -> n2 [style=dotted];\n"
+        "}\n"
+    )
+
+
+def test_iter_nodes_yields_each_pair_once_and_walks_a_node_once():
+    dag = _shared_dag()
+    shared = dag.children[1][1]
+    pairs = list(iter_nodes(dag))
+    assert [(str(node.goal), edge) for node, edge in pairs] == [
+        ("p", None), ("l", EdgeKind.CONDITION), ("s", EdgeKind.CONDITION),
+        ("f(a)", EdgeKind.CONDITION), ("s", EdgeKind.EXCEPTION)]
+    assert pairs[2][0] is shared and pairs[4][0] is shared
+    twice = TraceNode(Atom("q"), Outcome.SUCCESS, via="r1",
+                      children=((EdgeKind.CONDITION, shared), (EdgeKind.CONDITION, shared)))
+    assert [str(node.goal) for node, _ in iter_nodes(twice)] == ["q", "s", "f(a)"]
+
+
+def test_a_dag_equals_its_unfolded_tree_and_only_that():
+    dag = _shared_dag()
+    tree = _unfolded(dag)
+    assert dag == tree and tree == dag and hash(dag) == hash(tree)
+    assert repr(dag) == repr(tree)  # repr writes the unfolded tree
+    # Only the second occurrence of s differs: the pair (s, its second copy)
+    # is a new pair, so it is compared, not skipped.
+    obj = json.loads(render_json(tree))
+    leaf_rows = [row for row in obj["nodes"] if row[0] == "f"]
+    assert len(leaf_rows) == 2
+    leaf_rows[1][3] = "r9"
+    changed = trace_from_json(json.dumps(obj))
+    assert changed != dag and dag != changed
+
+
+def _unfold_text(text: str) -> str:
+    """The text with each ``(see line N)`` line replaced by the entry at
+    line N and its subtree, moved to that line's indent and prefix."""
+    lines = text.splitlines(keepends=True)
+
+    def indent(line: str) -> int:
+        return len(line) - len(line.lstrip(" "))
+
+    def expand(block: list[str]) -> list[str]:
+        out = []
+        for line in block:
+            see = re.fullmatch(r"( *(?:-> |~> )?)(.*) \(see line (\d+)\)\n", line)
+            if see is None:
+                out.append(line)
+                continue
+            start = int(see[3]) - 1
+            end = start + 1
+            while end < len(lines) and indent(lines[end]) > indent(lines[start]):
+                end += 1
+            head, shift = lines[start], indent(line) - indent(lines[start])
+            body = head.lstrip(" ")
+            body = body[3:] if body[:3] in ("-> ", "~> ") else body
+            # The same goal and glyph, then the entry's labels if it has any.
+            assert body == see[2] + "\n" or body.startswith(see[2] + " ("), (line, head)
+            moved = [see[1] + body] + [" " * (indent(sub) + shift) + sub.lstrip(" ")
+                                       for sub in lines[start + 1:end]]
+            out += expand(moved)
+        return out
+
+    return "".join(expand(lines))
+
+
+def _check_dot_draws_the_dag(dot: str, root: TraceNode) -> None:
+    """One box per node object, numbered in preorder of first occurrence,
+    and each node's edges, in child order, to the boxes of its children."""
+    validate_dot(dot)
+    body = dot.splitlines(keepends=True)
+    assert body[:2] == ["digraph trace {\n", "  node [shape=box];\n"] and body[-1] == "}\n"
+    boxes: dict[str, tuple[str, str]] = {}
+    edges: dict[str, list[tuple[str, str]]] = {}
+    for line in body[2:-1]:
+        box = re.fullmatch(r'  (n\d+) \[label="(.*)", color="(\w+)"\];\n', line)
+        if box:
+            boxes[box[1]] = (box[2], box[3])
+            continue
+        edge = re.fullmatch(r"  (n\d+) -> (n\d+) \[style=(solid|dotted)\];\n", line)
+        assert edge, line
+        edges.setdefault(edge[1], []).append((edge[2], edge[3]))
+    nodes = _distinct_nodes(root)
+    assert list(boxes) == [f"n{index}" for index in range(len(nodes))]
+    box_of = {id(node): f"n{index}" for index, node in enumerate(nodes)}
+    for node in nodes:
+        box = box_of[id(node)]
+        color = "darkgreen" if node.outcome is Outcome.SUCCESS else "firebrick"
+        assert boxes[box] == (f"{escape_text(str(node.goal))}\\n{node.outcome.glyph}", color)
+        assert edges.get(box, []) == [
+            (box_of[id(child)], "solid" if kind is EdgeKind.CONDITION else "dotted")
+            for kind, child in node.children]
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_text_and_dot_write_each_node_once_and_a_tree_as_before(seed, solved):
+    # Traces the engine made over random ground programs, and random traces
+    # whose goals hold Text arguments and whose nodes are shared at random.
+    rng = random.Random(seed)
+    trace = text_trace(rng)
+    if solved:
+        program, facts, universe = random_ground_program(rng)
+        trace = solve(program, facts, rng.choice(universe))[1]
+    text, dot = render_text(trace), render_dot(trace)
+    rows = len(json.loads(render_json(trace))["nodes"])
+    full = 0
+    for number, line in enumerate(text.splitlines(), 1):
+        see = re.search(r" \(see line (\d+)\)$", line)
+        full += see is None
+        assert see is None or int(see[1]) < number  # back to the first occurrence
+    assert full == rows == dot.count(" [label=")
+    assert _unfold_text(text) == tree_text(trace)
+    _check_dot_draws_the_dag(dot, trace)
+    # iter_nodes: the tree's preorder pairs, each after its first occurrence
+    # dropped, so a fragment check finds what it found on the tree.
+    pending, tree_pairs = [(trace, None)], []
+    while pending:
+        node, edge = pending.pop()
+        tree_pairs.append((id(node), edge))
+        pending += [(child, kind) for kind, child in reversed(node.children)]
+    walked = [(id(node), edge) for node, edge in iter_nodes(trace)]
+    assert walked == list(dict.fromkeys(tree_pairs))
+    if rows == _tree_size(trace):  # no node is shared: the bytes of the tree renderers
+        assert text == tree_text(trace) and dot == tree_dot(trace)
+
+
+def _doubling_chain(levels: int) -> tuple:
+    """``p_i(a) <= p_{i+1}(a), p_{i+1}(a).`` down to the one fact
+    ``p_levels(a)``: its trace unfolds to 2^(levels + 1) - 1 nodes."""
+    program = parse_program("".join(f"p{i}(a) <= p{i + 1}(a), p{i + 1}(a).\n"
+                                    for i in range(levels)))
+    return program, parse_facts(f"p{levels}(a)."), parse_atom("p0(a)")
+
+
+def test_a_doubling_chain_renders_and_walks_in_time_and_size_linear_in_its_levels():
+    # Smaller chains first, so that a walk that unfolds the DAG fails on
+    # them (on the counts at 12 levels, in 8,191 tree nodes, or on the time
+    # at 20, in 2,097,151) before 60 levels would run for ever.
+    for levels in (12, 20, 60):
+        program, facts, query = _doubling_chain(levels)
+        trace, twin = (solve(program, facts, query)[1] for _ in range(2))
+        assert trace is not twin
+        # The same shape built by hand, each level holding the next by both
+        # edge kinds: iter_nodes yields each node with each kind once.
+        mixed = TraceNode(Atom(f"p{levels}"), Outcome.SUCCESS, via=FACT_MARKER)
+        for level in reversed(range(levels)):
+            mixed = TraceNode(Atom(f"p{level}"), Outcome.FAILURE, via=f"r{level + 1}",
+                              children=((EdgeKind.CONDITION, mixed), (EdgeKind.EXCEPTION, mixed)))
+        for check in (lambda: len(render_text(trace).splitlines()) == 2 * levels + 1,
+                      lambda: len(render_dot(trace).splitlines()) == 3 * levels + 4,
+                      lambda: len(list(iter_nodes(trace))) <= 2 * levels + 1,
+                      lambda: len(list(iter_nodes(mixed))) == 2 * levels + 1,
+                      lambda: trace == twin):
+            start = time.perf_counter()
+            assert check(), levels
+            assert time.perf_counter() - start < 0.1, levels

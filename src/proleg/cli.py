@@ -9,14 +9,18 @@ Exit codes: 0 when the query succeeded, the case passed, or no finding
 reached the failure threshold; 1 for a failed query, a case mismatch,
 or findings at the threshold; 2 for usage, input, parse, or engine
 errors. Each command raises on a bad input; ``main`` alone prints it.
+Each command settles its exit code before it writes to stdout, so a
+reader that closes stdout early (``proleg run ... --text | head -1``)
+leaves that code in place, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .ast import indicator
 from .convert import convert_source
@@ -47,6 +51,11 @@ EXIT_ERROR = 2
 
 class _BadInput(Exception):
     """A bad input; its args are the stderr lines that report it."""
+
+
+# What a command gives ``main``: its exit code, and the function that
+# writes its output, called after the code is settled.
+_Result = tuple[int, Callable[[], None]]
 
 
 def _read(path: str) -> str:
@@ -89,64 +98,72 @@ def _write_trace_outputs(args: argparse.Namespace, trace) -> None:
         print(render_text(trace), end="")
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> _Result:
     program = _parsed(parse_program, args.rules)
     facts = _parsed(parse_facts, args.facts)
     goal = _parsed(parse_atom, "<query>", args.query)
     outcome, trace = solve(program, facts, goal, EngineConfig(args.max_depth, args.max_steps))
-    print(outcome.glyph)
-    _write_trace_outputs(args, trace)
-    return EXIT_OK if outcome is Outcome.SUCCESS else EXIT_FAIL
+
+    def write() -> None:
+        print(outcome.glyph)
+        _write_trace_outputs(args, trace)
+    return EXIT_OK if outcome is Outcome.SUCCESS else EXIT_FAIL, write
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> _Result:
     program = _parsed(parse_program, args.rules)
     strata = stratify(program)
-    print(f"rules: {len(program.rules)}")
-    print(f"exceptions: {len(program.exceptions)}")
-    print(f"strata: {len(strata)}")
-    for index, stratum in enumerate(strata):
-        names = ", ".join(sorted(indicator(key) for key in stratum))
-        print(f"  stratum {index}: {names}")
-    for warning in range_restriction_warnings(program):
-        print(f"warning: {warning}", file=sys.stderr)
-    return EXIT_OK
+
+    def write() -> None:
+        print(f"rules: {len(program.rules)}")
+        print(f"exceptions: {len(program.exceptions)}")
+        print(f"strata: {len(strata)}")
+        for index, stratum in enumerate(strata):
+            names = ", ".join(sorted(indicator(key) for key in stratum))
+            print(f"  stratum {index}: {names}")
+        for warning in range_restriction_warnings(program):
+            print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_OK, write
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
+def _cmd_lint(args: argparse.Namespace) -> _Result:
     program = _parsed(parse_program, args.rules)
     try:
         config = LintConfig.from_json_file(args.config) if args.config else None
     except (OSError, ValueError) as exc:
         raise _BadInput(f"bad lint config: {exc}") from None
     findings = lint(program, config)
-    if args.json:
-        print(findings_to_json(findings))
-    else:
-        for finding in findings:
-            print(str(finding))
-        if not findings:
-            print("no findings")
-    failing = [f for f in findings if severity_at_least(f.severity, args.fail_on)]
-    return EXIT_FAIL if failing else EXIT_OK
+    failing = any(severity_at_least(f.severity, args.fail_on) for f in findings)
+
+    def write() -> None:
+        if args.json:
+            print(findings_to_json(findings))
+        else:
+            for finding in findings:
+                print(str(finding))
+            if not findings:
+                print("no findings")
+    return EXIT_FAIL if failing else EXIT_OK, write
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args: argparse.Namespace) -> _Result:
     program, report = _parsed(convert_source, args.prolog)
     Path(args.out).write_text(serialize(program), encoding="utf-8")
-    print(f"converted rules: {report.converted_rules}")
-    print(f"generated exceptions: {report.generated_exceptions}")
-    if report.synthesized_predicates:
-        print(f"synthesized predicates: {', '.join(report.synthesized_predicates)}")
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return EXIT_OK
+
+    def write() -> None:
+        print(f"converted rules: {report.converted_rules}")
+        print(f"generated exceptions: {report.generated_exceptions}")
+        if report.synthesized_predicates:
+            print(f"synthesized predicates: {', '.join(report.synthesized_predicates)}")
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+    return EXIT_OK, write
 
 
-def _cmd_case_run(args: argparse.Namespace) -> int:
-    """Load every case before running any; with ``--all``, which takes no
-    trace flag, run them in id order and print a summary, else write the
-    one case's trace outputs."""
+def _cmd_case_run(args: argparse.Namespace) -> _Result:
+    """Load every case, then run them all, before writing anything; with
+    ``--all``, which takes no trace flag, report them in id order with a
+    summary, else write the one case's trace outputs."""
     single = args.all is None
     flags = [flag for flag, value in (("--text", args.text), ("--dot", args.dot),
                                       ("--trace", args.trace)) if value]
@@ -164,22 +181,24 @@ def _cmd_case_run(args: argparse.Namespace) -> int:
             raise _BadInput(*(f"{path}: {message}" for message in exc.errors)) from None
     cases.sort(key=lambda pair: pair[0].id)
     config = EngineConfig(args.max_depth, args.max_steps)
-    passed = 0
+    results = []
     for case, path in cases:
         try:
-            result = run_case(case, config)
+            results.append((case, run_case(case, config)))
         except EngineError as exc:
             raise _BadInput(f"{path}: engine error: {exc}") from None
-        status = "PASS" if result.passed else "FAIL"
-        print(
-            f"{case.id}: {status} (expected {case.expected.glyph}, actual {result.actual.glyph})"
-        )
-        passed += result.passed
-        if single:
-            _write_trace_outputs(args, result.trace)
-    if not single:
-        print(f"{passed}/{len(cases)} cases passed")
-    return EXIT_OK if passed == len(cases) else EXIT_FAIL
+    passed = sum(result.passed for _, result in results)
+
+    def write() -> None:
+        for case, result in results:
+            status = "PASS" if result.passed else "FAIL"
+            print(f"{case.id}: {status} (expected {case.expected.glyph}, "
+                  f"actual {result.actual.glyph})")
+            if single:
+                _write_trace_outputs(args, result.trace)
+        if not single:
+            print(f"{passed}/{len(cases)} cases passed")
+    return EXIT_OK if passed == len(cases) else EXIT_FAIL, write
 
 
 def _add_trace_and_limit_flags(command: argparse.ArgumentParser) -> None:
@@ -240,13 +259,29 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_arg_parser()
+    """Run one command and return its exit code.
+
+    Once stdout is closed by its reader, writing stops: stdout's file
+    descriptor is pointed at ``os.devnull``, so the interpreter's final
+    flush of what is still buffered stays silent, and the command's own
+    code stands, with nothing written to stderr.
+    """
+    code = EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
-    try:
-        return args.func(args)
+        try:
+            args = build_arg_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = EXIT_OK if exc.code in (0, None) else EXIT_ERROR
+        else:
+            code, write = args.func(args)
+            write()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except _BadInput as exc:
         lines = exc.args
     except EngineError as exc:

@@ -414,6 +414,39 @@ class _Resolver:
         # tracks the positions of the running goals the loop check matched.
         self.memo: dict[Atom, TraceNode] = {}
         self.prune_log: list[int] = []
+        # The last canonical form and the last substitution applied that an
+        # open goal level asked for: the argument tuple (and substitution)
+        # it gave, and the tuple it got. A flat clause hands its goal's
+        # tuple to its body atom, and an answer comes back up under the
+        # substitution the level below applied, so the next level asks for
+        # the same rewrite of the very same objects. They are held here, so
+        # no other object can take their identity while they are compared.
+        self.canon_in = self.canon_out = self.applied_in = self.applied_out = None
+        self.applied_subst: Optional[Substitution] = None
+
+    def _canonical(self, atom: Atom) -> Atom:
+        """``canonical_atom(atom)``, built from the last one's argument
+        tuple when ``atom`` holds that same tuple; ``atom`` itself when it
+        is ground, so ``_canonical(a) is a`` still tells whether it is."""
+        args = atom.args
+        if args is not self.canon_in:
+            canon = canonical_atom(atom)
+            self.canon_in, self.canon_out = args, canon.args
+            return canon
+        out = self.canon_out
+        return atom if out is args else _built(Atom, atom.predicate, out)
+
+    def _applied(self, subst: Substitution, atom: Atom) -> Atom:
+        """``apply_atom(subst, atom)``, built from the last one's argument
+        tuple when ``atom`` holds that same tuple and ``subst`` is that same
+        substitution; ``atom`` itself when no binding reaches it."""
+        args = atom.args
+        if args is not self.applied_in or subst is not self.applied_subst:
+            instance = apply_atom(subst, atom)
+            self.applied_in, self.applied_subst, self.applied_out = args, subst, instance.args
+            return instance
+        out = self.applied_out
+        return atom if out is args else _built(Atom, atom.predicate, out)
 
     def _call(self, plan: _Plan, args: tuple,
               subst: Substitution) -> Optional[tuple[list[Atom], Substitution]]:
@@ -505,8 +538,8 @@ class _Resolver:
         if subst is _GROUND:
             resolved = canon = goal
         else:
-            resolved = apply_atom(subst, goal)
-            canon = canonical_atom(resolved)
+            resolved = self._applied(subst, goal)
+            canon = self._canonical(resolved)
         if self.steps == self.config.max_steps:
             raise StepsExceeded(canon, depth, self.steps)
         self.steps += 1
@@ -535,7 +568,7 @@ class _Resolver:
                 continue
             del running[canon]
             found = True
-            node = TraceNode(canonical_atom(apply_atom(bound, goal)), _SUCCESS, FACT_MARKER)
+            node = TraceNode(self._canonical(self._applied(bound, goal)), _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
             running[canon] = position
         attempts: list = []
@@ -568,8 +601,8 @@ class _Resolver:
                 else:  # the body holds under solution
                     # The goal itself, and its canonical form, when the body
                     # bound none of its variables.
-                    instance = resolved if solution is start else apply_atom(solution, resolved)
-                    node_goal = canon if instance is resolved else canonical_atom(instance)
+                    instance = resolved if solution is start else self._applied(solution, resolved)
+                    node_goal = canon if instance is resolved else self._canonical(instance)
                     checks = []
                     defeated = False
                     base = _GROUND if node_goal is instance else EMPTY_SUBSTITUTION

@@ -844,17 +844,22 @@ def random_trace(rng: random.Random, depth: int = 4,
     return node
 
 
+def fresh_python_env(env: Optional[dict[str, str]] = None) -> dict[str, str]:
+    """The inherited environment with ``env`` added or overriding, and
+    this checkout's ``src`` first on ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
+
+
 def run_fresh_python(*args: str, env: Optional[dict[str, str]] = None
                      ) -> subprocess.CompletedProcess:
     """Run ``python ARGS`` in a new interpreter that imports proleg from
     this checkout's ``src``, so nothing earlier in the test process (such
     as a changed recursion limit) can affect it. ``env`` adds to
     or overrides the inherited environment, e.g. ``PYTHONHASHSEED``."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=120)
+    return subprocess.run([sys.executable, *args], env=fresh_python_env(env),
+                          capture_output=True, text=True, timeout=120)
 
 
 def first(iterable, default: Optional[object] = None):

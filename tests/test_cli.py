@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from proleg.cli import main
 from proleg.gdpr import cases_dir, curated_ruleset_path, data_dir, llm_ruleset_path
 from proleg.trace import trace_from_json
 
-from helpers import run_fresh_python, validate_dot
+from helpers import fresh_python_env, run_fresh_python, validate_dot
 
 CURATED = str(curated_ruleset_path())
 WITHDRAWAL_FACTS = str(data_dir() / "withdrawal.facts")
@@ -124,6 +126,35 @@ def test_deep_chain_with_long_bodies_runs_in_a_fresh_process(tmp_path):
     facts.write_text("".join(f"a{j}.\n" for j in range(12)) + "p400.\n", encoding="utf-8")
     done = run_fresh_python("-m", "proleg.cli", "run", str(rules), str(facts), "--query", "p0")
     assert (done.returncode, done.stdout, done.stderr) == (0, "o\n", "")
+
+
+@pytest.mark.parametrize("query, glyph, code", [("p0(X)", b"o", 0), ("p0(b)", b"x", 1)],
+                         ids=["holds", "fails"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_stdout_early_leaves_the_verdict(tmp_path, query, glyph, code,
+                                                              unbuffered):
+    # The reader takes the outcome line and closes the pipe while the
+    # 3,000-level trace text is still being written: writing stops, and
+    # the exit code is the query's, with nothing on stderr, whether the
+    # text meets the closed pipe in a write or in the final flush.
+    rules = tmp_path / "deep.proleg"
+    rules.write_text("".join(f"p{i}(X) <= p{i + 1}(X).\n" for i in range(3000)),
+                     encoding="utf-8")
+    facts = tmp_path / "deep.facts"
+    facts.write_text("p3000(a).\n", encoding="utf-8")
+    env = fresh_python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    err = tmp_path / "err.txt"
+    with err.open("wb") as stderr:
+        with subprocess.Popen([sys.executable, "-m", "proleg.cli", "run", str(rules), str(facts),
+                               "--query", query, "--max-depth", "4000", "--text"],
+                              stdout=subprocess.PIPE, stderr=stderr, env=env) as proc:
+            assert proc.stdout.readline() == glyph + b"\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == code
+    assert err.read_text(encoding="utf-8") == ""
 
 
 def test_deeply_nested_term_is_a_parse_error_in_a_fresh_process(tmp_path):

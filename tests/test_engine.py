@@ -449,6 +449,64 @@ class TestTermReuse:
         assert seen[100, "p0(X)"][1:] == seen[200, "p0(X)"][1:] == (0, 0)
         assert seen[100, "p0(a)"] == (100, 0, 0) and seen[200, "p0(a)"] == (200, 0, 0)
 
+    def test_open_chain_walks_do_not_grow_with_the_depth(self, monkeypatch):
+        # Every open level of a flat chain holds the query's one argument
+        # tuple, and every answer comes back under the fact's one
+        # substitution, so only the first level walks its goal for its
+        # canonical form, and only the fact's level walks it for its answer.
+        walks = Counter()
+
+        def counting(name):
+            walk = getattr(ast, name)
+
+            def counted(*args):
+                walks[name] += 1
+                return walk(*args)
+            return counted
+
+        for name in ("_renamed", "_apply"):
+            monkeypatch.setattr(ast, name, counting(name))
+        seen = {}
+        for n in (100, 200):
+            program = parse_program("".join(f"p{i}(X) <= p{i + 1}(X). " for i in range(n)))
+            walks.clear()
+            outcome, _ = solve(program, parse_facts(f"p{n}(a)."), parse_atom("p0(X)"),
+                               EngineConfig(max_depth=n + 10))
+            assert outcome is Outcome.SUCCESS
+            seen[n] = walks["_renamed"], walks["_apply"]
+        assert seen[100] == seen[200]
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_open_chain_answers_share_one_argument_tuple(self, n):
+        # Each level's answer instance takes the tuple the level below
+        # built under the same substitution: the one the fact's binding made.
+        program = parse_program("".join(f"p{i}(X) <= p{i + 1}(X). " for i in range(n)))
+        outcome, node = solve(program, parse_facts(f"p{n}(a)."), parse_atom("p0(X)"),
+                              EngineConfig(max_depth=n + 10))
+        assert outcome is Outcome.SUCCESS and str(node.goal) == "p0(a)"
+        args, levels = node.goal.args, 0
+        while node.children:
+            ((_, node),) = node.children
+            assert node.goal.args is args, str(node.goal)
+            levels += 1
+        assert levels == n
+
+    def test_one_argument_tuple_rewritten_under_each_answers_substitution(self):
+        # q, f, g and h all hold the query's one tuple (X), and each answer
+        # of f comes under a new substitution, so g, q's answer and h
+        # rewrite that one tuple under one substitution after another: a
+        # reuse keyed by the tuple alone reads them all under f(a)'s.
+        program = parse_program("q(X) <= f(X), g(X). exception(q(X), h(X)).")
+        facts = parse_facts("f(a). f(b). f(c). f(d). g(b). g(c). g(d). h(b).")
+        outcome, trace = solve(program, facts, parse_atom("q(X)"))
+        assert outcome is Outcome.SUCCESS
+        assert render_text(trace) == textwrap.dedent("""\
+            q(c) [o] (r1)
+              -> f(c) [o] (fact)
+              -> g(c) [o] (fact)
+              ~> h(c) [x] (no rule matched)
+            """)
+
     def test_a_flat_ground_level_hands_on_its_goals_argument_tuple(self):
         n = 60
         program = parse_program("".join(f"p{i}(X) <= p{i + 1}(X). " for i in range(n)))

@@ -5,7 +5,15 @@ rule-with-exception semantics with full reasoning traces, render traces
 as text, DOT, or JSON, convert a restricted Prolog dialect into PROLEG,
 and lint rule bases for structural defects. The ``gdpr`` subpackage
 ships an executable formalization of GDPR Article 6 with test cases.
+
+The names of ``convert`` and ``lint`` load their module on first use:
+a fresh process without a bytecode cache compiles every module it
+imports, and ``proleg run`` or ``proleg check`` calls neither.
 """
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 from .ast import (
     Atom,
@@ -24,7 +32,6 @@ from .ast import (
     apply,
     unify,
 )
-from .convert import ConvertReport, PrologClause, convert_source, parse_prolog_subset, to_proleg
 from .engine import (
     DepthExceeded,
     EngineConfig,
@@ -35,8 +42,16 @@ from .engine import (
     solve,
     stratify,
 )
-from .lint import LintConfig, LintFinding, lint
-from .parser import ParseError, ParseFailure, parse_atom, parse_facts, parse_program, serialize
+from .parser import (
+    ParseError,
+    ParseFailure,
+    PrologClause,
+    parse_atom,
+    parse_facts,
+    parse_program,
+    parse_prolog_subset,
+    serialize,
+)
 from .trace import (
     EdgeKind,
     Outcome,
@@ -95,3 +110,36 @@ __all__ = [
     "trace_from_json",
     "unify",
 ]
+
+# The names each lazily loaded module exports to the package.
+_LAZY = {
+    "convert": ("ConvertReport", "convert_source", "to_proleg"),
+    "lint": ("LintConfig", "LintFinding", "lint"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+class _Package(ModuleType):
+    """The package's module type, which loads ``convert`` and ``lint`` on
+    first use of one of their names."""
+
+    def __getattr__(self, name: str):
+        module = _LAZY_MODULE.get(name)
+        if module is None:
+            raise AttributeError(f"module {self.__name__!r} has no attribute {name!r}")
+        return getattr(import_module(f"{self.__name__}.{module}"), name)
+
+    def __setattr__(self, name: str, value) -> None:
+        # The import system binds a submodule it has loaded here, whichever
+        # import loaded it. Binding its names with it keeps ``proleg.lint``
+        # the function, never the module of the same name.
+        super().__setattr__(name, value)
+        if name in _LAZY and value is sys.modules.get(f"{self.__name__}.{name}"):
+            for export in _LAZY[name]:
+                super().__setattr__(export, getattr(value, export))
+
+    def __dir__(self) -> list[str]:
+        return sorted(set(super().__dir__()) | set(__all__))
+
+
+sys.modules[__name__].__class__ = _Package

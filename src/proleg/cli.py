@@ -23,17 +23,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .ast import indicator
-from .convert import convert_source
 from .engine import DEFAULT_CONFIG, EngineConfig, EngineError, solve, stratify
-from .gdpr import CaseLoadError, load_case, run_case
-from .lint import (
-    ERROR,
-    WARNING,
-    LintConfig,
-    findings_to_json,
-    lint,
-    severity_at_least,
-)
 from .parser import (
     ParseFailure,
     parse_atom,
@@ -47,6 +37,11 @@ from .trace import Outcome, render_dot, render_json, render_text
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
+
+# ``lint.WARNING`` and ``lint.ERROR``, spelled here so that building the
+# parser does not load ``lint``: each command imports only the modules it
+# calls, since a fresh process compiles every module it imports.
+_WARNING, _ERROR = "warning", "error"
 
 
 class _BadInput(Exception):
@@ -127,6 +122,8 @@ def _cmd_check(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_lint(args: argparse.Namespace) -> _Result:
+    from .lint import LintConfig, findings_to_json, lint, severity_at_least
+
     program = _parsed(parse_program, args.rules)
     try:
         config = LintConfig.from_json_file(args.config) if args.config else None
@@ -147,6 +144,8 @@ def _cmd_lint(args: argparse.Namespace) -> _Result:
 
 
 def _cmd_convert(args: argparse.Namespace) -> _Result:
+    from .convert import convert_source
+
     program, report = _parsed(convert_source, args.prolog)
     Path(args.out).write_text(serialize(program), encoding="utf-8")
 
@@ -164,6 +163,8 @@ def _cmd_case_run(args: argparse.Namespace) -> _Result:
     """Load every case, then run them all, before writing anything; with
     ``--all``, which takes no trace flag, report them in id order with a
     summary, else write the one case's trace outputs."""
+    from .gdpr import CaseLoadError, load_case, run_case
+
     single = args.all is None
     flags = [flag for flag, value in (("--text", args.text), ("--dot", args.dot),
                                       ("--trace", args.trace)) if value]
@@ -235,8 +236,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("--json", action="store_true", help="print findings as JSON")
     lint_p.add_argument(
         "--fail-on",
-        choices=[WARNING, ERROR],
-        default=ERROR,
+        choices=[_WARNING, _ERROR],
+        default=_ERROR,
         help="exit 1 when findings at or above this severity exist",
     )
     lint_p.set_defaults(func=_cmd_lint)

@@ -494,6 +494,24 @@ def ground_with(program: Program, constant: str = "case1") -> Program:
 
 
 # ----------------------------------------------------------------------
+# Reachability over a ring with seeded chords. Almost every ground
+# failure of `path(n0, zz)` meets a loop prune against an older
+# ancestor, so it is searched again in every context: the query's step
+# count measures the loop check's work.
+
+PATH_RULES = "path(X, Y) <= edge(X, Y).\npath(X, Y) <= edge(X, Z), path(Z, Y).\n"
+
+
+def path_ring_facts(n: int) -> str:
+    """The edges n<i> -> n<i+1 mod n> of an n-node ring, then n chords
+    n<a> -> n<b>, drawing a and then b from one ``random.Random(1)``."""
+    rng = random.Random(1)
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    return "".join(f"edge(n{a}, n{b}).\n" for a, b in edges)
+
+
+# ----------------------------------------------------------------------
 # Random syntactically-rich programs for parser round-trips.
 
 _TEXT_CHARS = list(" abcxyz\"\\\n\t%().,<=#éß")

@@ -41,10 +41,12 @@ from proleg.parser import parse_atom, parse_facts, parse_program
 from proleg.trace import Outcome, render_dot, render_json, render_text
 
 from helpers import (
+    PATH_RULES,
     assert_no_circular_proof,
     assert_trace_invariants,
     ground_over,
     dependency_edges,
+    path_ring_facts,
     random_dependency_program,
     random_ground_program,
     random_nonground_program,
@@ -656,6 +658,18 @@ class TestTermination:
             assert out is Outcome.SUCCESS
             assert render_text(trace) == expected
             assert all(node.note != "already established" for node, _ in _walk(trace))
+
+    @pytest.mark.parametrize("n, steps", [(16, 298), (24, 2081), (32, 32202)])
+    def test_reachability_over_a_ring_takes_pinned_steps(self, n, steps):
+        # A ground failure that a loop prune against an older ancestor cut
+        # is searched again in each context, so these counts pin that work.
+        # Keeping every ground failure would answer in 129 steps at n = 32.
+        program, facts = parse_program(PATH_RULES), parse_facts(path_ring_facts(n))
+        goal = parse_atom("path(n0, zz)")
+        outcome, _ = solve(program, facts, goal, EngineConfig(max_steps=steps))
+        assert outcome is Outcome.FAILURE
+        with pytest.raises(StepsExceeded):
+            solve(program, facts, goal, EngineConfig(max_steps=steps - 1))
 
     def test_mutual_recursion_fails_finitely(self):
         out, _ = outcome_of("p <= q. q <= p.", "p")

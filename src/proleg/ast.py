@@ -272,8 +272,10 @@ class Atom(Record):
         _setattr(self, "args", tuple(args))
 
     # The hash is the hash of its fields tuple, kept on first use: the
-    # engine's memo and loop check hash each goal several times, while
-    # many atoms it builds are never hashed at all.
+    # engine looks a ground goal up once when its table knows it, and
+    # otherwise three or four times (the table entry, the fact test, and
+    # the result's store or removal or both), while many atoms it builds
+    # are never hashed at all.
     _hash = None
 
     def __hash__(self) -> int:

@@ -402,18 +402,20 @@ class _Resolver:
             grouped[fact.predicate, len(fact.args)].append(fact)
         self.steps = 0
         self.rename_serial = 0
-        # Each goal now running mapped to its position among them, for the
-        # loop check: a goal leaves when it answers and comes back when it
-        # is asked for more.
-        self.running: dict[Atom, int] = {}
-        # Ground-goal memo, from goal to node. A success is valid in any
-        # context (the proof found cannot run through a pruned ancestor).
-        # A plain failure is recorded only when no loop prune fired
-        # against an ancestor older than the goal, since such a prune
-        # could have cut a proof that exists in other contexts; prune_log
-        # tracks the positions of the running goals the loop check matched.
-        self.memo: dict[Atom, TraceNode] = {}
-        self.prune_log: list[int] = []
+        # One entry per canonical goal. A running goal's entry is the list
+        # [depth, leader, caller's entry]; it leaves the table when the goal
+        # answers and comes back when the goal is asked for more, so the
+        # loop check fails a goal that finds its own variant running. The
+        # leader is the depth of the oldest ancestor that a loop prune under
+        # the goal reached, or the goal's own depth. The prune writes it into
+        # every entry up its caller chain, so a frame that leaves without
+        # running on, with the frames above it, loses none. A finished
+        # ground goal's entry is its node, a fact's too, handed to every
+        # later caller. A success holds in any context, since its proof runs
+        # through no pruned goal. A failure is kept when it is settled, or
+        # when its leader is its own depth: a prune against an older
+        # ancestor may have cut a proof that another context finds.
+        self.table: dict[Atom, list | TraceNode] = {}
         # The last canonical form and the last substitution applied that an
         # open goal level asked for: the argument tuple (and substitution)
         # it gave, and the tuple it got. A flat clause hands its goal's
@@ -487,7 +489,8 @@ class _Resolver:
         again, a defeated ground goal's body choice points). No generator
         holds another, so closing one never closes another.
         """
-        stack = [(self._prove(query, EMPTY_SUBSTITUTION, 1), -1)]
+        # The query's caller entry: depth 0, with a leader no walk passes.
+        stack = [(self._prove(query, EMPTY_SUBSTITUTION, (0, 0, None)), -1)]
         current, value = 0, None
         while True:
             try:
@@ -524,7 +527,7 @@ class _Resolver:
     # checked the same way on the conclusion instance, which is resolved,
     # so an open one starts from the empty substitution.
 
-    def _prove(self, goal: Atom, subst: Substitution, depth: int) -> Iterator[tuple]:
+    def _prove(self, goal: Atom, subst: Substitution, caller) -> Iterator[tuple]:
         """The goal's answers in search order, as requests to ``run``.
 
         Each answer is (_ANSWER, solution, proof node, last). A goal
@@ -533,8 +536,10 @@ class _Resolver:
         path through the body up to its first failing condition, plus the
         exception checks when that path completed. ``run`` sends back a
         subgoal's answer as (solution, node, stack position to ask for
-        more or None), or None when it has no more.
+        more or None), or None when it has no more. ``caller`` is the
+        table entry of the goal that asked.
         """
+        depth = caller[0] + 1
         if subst is _GROUND:
             resolved = canon = goal
         else:
@@ -546,31 +551,33 @@ class _Resolver:
         if depth > self.config.max_depth:
             raise DepthExceeded(canon, depth, self.steps)
         ground = canon is resolved
-        memo, running, prune_log = self.memo, self.running, self.prune_log
-        node = memo.get(canon) if ground else None
-        if node is None and ground and canon in self.fact_set:
-            node = memo[canon] = TraceNode(canon, _SUCCESS, FACT_MARKER)
-        if node is not None:
+        table = self.table
+        entry = [depth, depth, caller]
+        node = table.setdefault(canon, entry)
+        if node is entry and ground and canon in self.fact_set:
+            node = table[canon] = TraceNode(canon, _SUCCESS, FACT_MARKER)
+        if node is not entry:
+            if node.__class__ is list:  # a running variant: a loop
+                # Each goal from the caller up to that variant takes it as
+                # its leader, unless it has an older one; then so has every
+                # goal above it up to that leader, and the walk stops.
+                leader = node[0]
+                while caller[1] > leader:
+                    caller[1], caller = leader, caller[2]
+                node = TraceNode(canon, _FAILURE, note="loop detected")
             yield _ANSWER, subst if node.outcome is _SUCCESS else None, node, True
             return
-        position = len(running)
-        matched = running.setdefault(canon, position)
-        if matched != position:
-            prune_log.append(matched)
-            yield _ANSWER, None, TraceNode(canon, _FAILURE, note="loop detected"), True
-            return
-        mark = len(prune_log)
         found = False
         key = goal.predicate, len(goal.args)
         for fact in () if ground else self.facts.get(key, ()):
             bound = unify_atoms(goal, fact, subst)
             if bound is None:
                 continue
-            del running[canon]
+            del table[canon]
             found = True
             node = TraceNode(self._canonical(self._applied(bound, goal)), _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
-            running[canon] = position
+            table[canon] = entry
         attempts: list = []
         defeated_via: Optional[str] = None
         settled = False
@@ -591,7 +598,7 @@ class _Resolver:
             points: list = []
             while True:
                 if len(edges) < len(atoms):
-                    solution, node, point = yield _CALL, atoms[len(edges)], solution, depth + 1
+                    solution, node, point = yield _CALL, atoms[len(edges)], solution, entry
                     if solution is not None:
                         edges.append((_CONDITION, node))
                         points.append(point)
@@ -609,7 +616,7 @@ class _Resolver:
                     for plan in self.exceptions.get(key, ()):
                         call = self._call(plan, instance.args, base)
                         if call is not None:
-                            holds, node, _ = yield _CALL, call[0][0], call[1], depth + 1
+                            holds, node, _ = yield _CALL, call[0][0], call[1], entry
                             checks.append((_EXCEPTION, node))
                             if holds is not None:
                                 defeated = True
@@ -621,14 +628,14 @@ class _Resolver:
                             defeated_via = rule_id
                     if not defeated:
                         node = TraceNode(node_goal, _SUCCESS, rule_id, False, children)
-                        del running[canon]
                         if ground:
-                            memo[canon] = node
+                            table[canon] = node
                             yield _ANSWER, subst, node, True
                             return
+                        del table[canon]
                         found = True
                         yield _ANSWER, solution, node, False
-                        running[canon] = position
+                        table[canon] = entry
                     elif ground:
                         # Every other derivation resolves to this same
                         # defeated instance; later rules are only shown.
@@ -647,13 +654,13 @@ class _Resolver:
                 edges.append((_CONDITION, node))
                 points.append(point)
             attempts.extend(shown or ())
-        del running[canon]
+        del table[canon]
         if found:
             return
         node = TraceNode(canon, _FAILURE, defeated_via, defeated_via is not None, attempts,
                          None if attempts else "no rule matched")
-        if ground and (settled or min(prune_log[mark:], default=position) >= position):
-            memo[canon] = node
+        if ground and (settled or entry[1] == depth):
+            table[canon] = node
         yield _ANSWER, None, node, True
 
 

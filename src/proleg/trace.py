@@ -4,8 +4,8 @@ A trace has one node per evaluated goal. Each node carries an ``o``
 (success) or ``x`` (failure) outcome; edges to children are either
 condition edges (solid, the conclusion-condition relation of a rule) or
 exception edges (dotted, the exception relation of a conclusion). A
-trace is a DAG, not a tree: the engine's memo hands a ground goal's one
-node to every later caller, so one node object may be the child of
+trace is a DAG, not a tree: the engine's goal table hands a ground goal's
+one node to every later caller, so one node object may be the child of
 several parents. Every walk here visits each node object once, keyed by
 ``id()``, except ``repr``, which writes the tree the DAG unfolds to. Three
 renderers are provided: indented text, DOT for graph tooling, and a

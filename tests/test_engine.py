@@ -23,6 +23,7 @@ from proleg.ast import (
     Variable,
     canonical_atom,
     unify_atoms,
+    variables_of,
 )
 from proleg.engine import (
     DepthExceeded,
@@ -670,6 +671,61 @@ class TestTermination:
         assert outcome is Outcome.FAILURE
         with pytest.raises(StepsExceeded):
             solve(program, facts, goal, EngineConfig(max_steps=steps - 1))
+
+    @staticmethod
+    def _keep_decisions(resolver: _Resolver, root) -> Counter:
+        """Each failed ground node of the trace as a pair: whether the table
+        kept it (holds that node object under its goal), and whether the
+        trace alone says it may be kept, since no "loop detected" leaf
+        under it, itself included, names a goal on its path above. A
+        failure view shows each rule's first path only, so a prune the
+        trace does not show can make a node the trace allows unkept."""
+        decisions = Counter()
+        stack = [(root, frozenset())]
+        while stack:
+            node, above = stack.pop()
+            if node.outcome is Outcome.FAILURE and not variables_of(node.goal):
+                leaves, seen, below = set(), set(), [node]
+                while below:
+                    inner = below.pop()
+                    if id(inner) not in seen:
+                        seen.add(id(inner))
+                        if inner.note == "loop detected":
+                            leaves.add(inner.goal)
+                        below.extend(child for _, child in inner.children)
+                decisions[resolver.table.get(node.goal) is node, not leaves & above] += 1
+            stack.extend((child, above | {node.goal}) for _, child in node.children)
+        return decisions
+
+    @pytest.mark.parametrize("n", [16, 24, 32])
+    def test_a_ground_failure_is_kept_unless_a_prune_under_it_reached_an_older_goal(self, n):
+        program, facts = parse_program(PATH_RULES), parse_facts(path_ring_facts(n))
+        resolver = _Resolver(program.solve_index, facts, EngineConfig())
+        root = resolver.run(parse_atom("path(n0, zz)"))
+        # Here the table and the trace agree on every node. At n = 32 the
+        # trace shows path(n1, zz), pruned against the query, with its edge.
+        assert self._keep_decisions(resolver, root) == (
+            {(True, True): 3, (False, False): 2} if n == 32
+            else {(True, True): 2, (False, False): 1})
+        # Every node of the ring reaches every other, so a loop prune under
+        # each path(n<i>, zz) below the query reaches the query. Only the
+        # query and the edge(n<i>, zz) goals, which no rule matches, are kept:
+        # 17, 25 and 33 failures.
+        kept = {str(goal) for goal, entry in resolver.table.items()
+                if entry.__class__ is not list and entry.outcome is Outcome.FAILURE}
+        assert kept == {"path(n0, zz)", *(f"edge(n{i}, zz)" for i in range(n))}
+
+    def test_no_failure_is_kept_where_the_trace_shows_a_prune_above_it(self):
+        # From each of the 16 nodes. Each trace's one pruned node is its
+        # "loop detected" leaf. Of the nodes the trace allows, 97 are kept
+        # and 65 are not: a prune on a path the trace does not show reached
+        # above them. No node is kept that the trace shows a prune above.
+        program, facts = parse_program(PATH_RULES), parse_facts(path_ring_facts(16))
+        decisions = Counter()
+        for i in range(16):
+            resolver = _Resolver(program.solve_index, facts, EngineConfig())
+            decisions += self._keep_decisions(resolver, resolver.run(parse_atom(f"path(n{i}, zz)")))
+        assert decisions == {(True, True): 97, (False, True): 65, (False, False): 16}
 
     def test_mutual_recursion_fails_finitely(self):
         out, _ = outcome_of("p <= q. q <= p.", "p")

@@ -693,7 +693,7 @@ class TestTermination:
                         if inner.note == "loop detected":
                             leaves.add(inner.goal)
                         below.extend(child for _, child in inner.children)
-                decisions[resolver.table.get(node.goal) is node, not leaves & above] += 1
+                decisions[resolver.table.get(node.goal) is node, not (leaves & above)] += 1
             stack.extend((child, above | {node.goal}) for _, child in node.children)
         return decisions
 

@@ -490,7 +490,7 @@ class _Resolver:
         holds another, so closing one never closes another.
         """
         # The query's caller entry: depth 0, with a leader no walk passes.
-        stack = [(self._prove(query, EMPTY_SUBSTITUTION, (0, 0, None)), -1)]
+        stack = [(self._prove(query, EMPTY_SUBSTITUTION, [0, 0, None]), -1)]
         current, value = 0, None
         while True:
             try:
@@ -527,7 +527,7 @@ class _Resolver:
     # checked the same way on the conclusion instance, which is resolved,
     # so an open one starts from the empty substitution.
 
-    def _prove(self, goal: Atom, subst: Substitution, caller) -> Iterator[tuple]:
+    def _prove(self, goal: Atom, subst: Substitution, caller: list) -> Iterator[tuple]:
         """The goal's answers in search order, as requests to ``run``.
 
         Each answer is (_ANSWER, solution, proof node, last). A goal

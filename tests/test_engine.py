@@ -65,6 +65,31 @@ def outcome_of(source: str, goal: str, facts: str = "", config: EngineConfig | N
     return out, trace
 
 
+@pytest.fixture
+def walk_counts(monkeypatch) -> Counter:
+    """Counts the calls of the term walks ``ast._renamed`` and
+    ``ast._apply``, in each module that calls one."""
+    walks = Counter()
+    for name in ("_renamed", "_apply"):
+        def counted(*args, walk=getattr(ast, name), name=name):
+            walks[name] += 1
+            return walk(*args)
+        for module in (ast, engine):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return walks
+
+
+@pytest.fixture
+def plain_rewrites(monkeypatch):
+    """A call that makes every later search rewrite a goal by plain
+    ``apply_atom`` and ``canonical_atom``, reusing no earlier rewrite."""
+    def patch():
+        monkeypatch.setattr(_Resolver, "_applied", lambda self, subst, atom: ast.apply_atom(subst, atom))
+        monkeypatch.setattr(_Resolver, "_canonical", lambda self, atom: canonical_atom(atom))
+    return patch
+
+
 class TestStratify:
     def test_exception_target_sits_below(self):
         program = parse_program("p <= q. exception(p, e). e <=.")
@@ -509,6 +534,16 @@ class TestTermReuse:
               -> g(c) [o] (fact)
               ~> h(c) [x] (no rule matched)
             """)
+
+    def test_an_unchanged_answer_takes_its_goals_canonical_form(self, walk_counts):
+        # p(X), q(X) and s(Y#1) are each walked once for their canonical
+        # form. The fact s(c)'s binding is applied to s's goal and to p's,
+        # and leaves p(X) as it was, so p's success node takes p's
+        # canonical form from the goal's entry, without a fourth walk.
+        program = parse_program("p(X) <= q(X), s(Y). q(W) <=.")
+        outcome, node = solve(program, parse_facts("s(c). s(d)."), parse_atom("p(X)"))
+        assert outcome is Outcome.SUCCESS and str(node.goal) == "p(_G0)"
+        assert (walk_counts["_renamed"], walk_counts["_apply"]) == (3, 2)
 
     def test_a_flat_ground_level_hands_on_its_goals_argument_tuple(self):
         n = 60
@@ -1174,6 +1209,53 @@ def test_repeated_solves_on_one_program_match_fresh_copies():
                 assert render_json(solve(program, facts, goal)[1]) == render_json(
                     solve(fresh, facts, goal)[1]
                 )
+
+
+# The default limits, and limits tight enough that some searches stop.
+_ORACLE_CONFIGS = (EngineConfig(), EngineConfig(max_depth=4, max_steps=25))
+
+
+def _oracle_runs() -> list[tuple]:
+    """Each query's result and step count under each of _ORACLE_CONFIGS,
+    over 200 random non-ground programs (seeds 0-39, five each). A program
+    is asked one query per predicate with every argument a variable, and
+    its first six ground atoms that have arguments, with every argument
+    but the first made a variable."""
+    runs = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        for _ in range(5):
+            program, facts, _, universe = random_nonground_program(rng)
+            queries = [Atom(name, tuple(Variable(f"V{i}") for i in range(arity)))
+                       for name, arity in dict.fromkeys(atom.key for atom in universe)]
+            queries += [Atom(atom.predicate, atom.args[:1] + tuple(
+                Variable(f"V{i}") for i in range(1, len(atom.args))))
+                for atom in universe[:6] if atom.args]
+            for query in queries:
+                for config in _ORACLE_CONFIGS:
+                    resolver = _Resolver(program.solve_index, facts, config)
+                    try:
+                        node = resolver.run(query)
+                        result = node.outcome, render_json(node)
+                    except EngineError as error:
+                        result = type(error), str(error)
+                    runs.append((result, resolver.steps))
+    return runs
+
+
+def test_reused_rewrites_match_plain_ones(walk_counts, plain_rewrites):
+    # A goal level reuses the last rewrite of the very same argument tuple
+    # under the very same substitution. Without that reuse every result,
+    # error and step count must stay the same; with it the walks are pinned.
+    reused = _oracle_runs()
+    walks = dict(walk_counts)
+    plain_rewrites()
+    plain = _oracle_runs()
+    assert len(reused) == len(plain) == 2 * 1780
+    assert [at for at, (mine, theirs) in enumerate(zip(reused, plain)) if mine != theirs] == []
+    kinds = Counter(result[0] for result, _ in reused)
+    assert kinds[DepthExceeded] > 0 and kinds[StepsExceeded] > 0
+    assert walks == {"_renamed": 3436, "_apply": 6026}
 
 
 @given(st.integers(min_value=0, max_value=2**32))

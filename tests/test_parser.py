@@ -304,8 +304,15 @@ class TestParseFacts:
         assert parse_facts("").facts == frozenset()
 
     def test_variables_rejected(self):
-        errors = errors_of("consent_given(X).", parse=parse_facts)
-        assert any("facts must be ground" in e.message for e in errors)
+        # Each fact holding a variable, at any depth, is refused at its
+        # first token, and the parse goes on: the ground fact after one is
+        # read without an error, and the next bad one is reported too.
+        errors = errors_of("consent_given(X).\np(f(X)). ok(a).\n  q(1, Y).", parse=parse_facts)
+        assert [(e.line, e.column, e.message) for e in errors] == [
+            (1, 1, "facts must be ground"),
+            (2, 1, "facts must be ground"),
+            (3, 3, "facts must be ground"),
+        ]
 
     def test_duplicates_collapse(self):
         assert len(parse_facts("a. a. a.")) == 1

@@ -521,12 +521,6 @@ def _renamed(args: tuple, rename: Callable[[str], Optional[Term]]) -> tuple:
             done = above
 
 
-def rename_term(term: Term, mapping: Mapping[str, Term]) -> Term:
-    """Replace variables by name with the terms ``mapping`` gives, once: the terms put
-    in are not searched again, and a compound with nothing replaced comes back as it is."""
-    return _renamed((term,), mapping.get)[0]
-
-
 def renamed_variables(names: Iterable[str], serial: int) -> tuple[Variable, ...]:
     """The variable ``name#serial`` for each of ``names``, in order.
 

@@ -42,11 +42,11 @@ from .ast import (
     Term,
     Variable,
     _built,
+    _renamed,
     _unify,
     apply_atom,
     canonical_atom,
     indicator,
-    rename_term,
     renamed_variables,
     unify_atoms,
     variables_of,
@@ -94,30 +94,29 @@ class Unstratified(EngineError):
         super().__init__(f"exception dependencies form a cycle: {pretty}")
 
 
-class DepthExceeded(EngineError):
+class _LimitExceeded(EngineError):
+    """A limit of ``EngineConfig`` stopped the search at ``goal``, at
+    ``depth`` after ``steps`` entries; each subclass words its message."""
+
+    def __init__(self, goal: Atom, depth: int, steps: int):
+        self.goal = goal
+        self.depth = depth
+        self.steps = steps
+        super().__init__(self._message.format(goal=goal, depth=depth, steps=steps))
+
+
+class DepthExceeded(_LimitExceeded):
     """The search nested goals deeper than ``max_depth``; ``goal`` is the
     goal it entered at ``depth``, the ``steps``-th entry of the search."""
 
-    def __init__(self, goal: Atom, depth: int, steps: int):
-        self.goal = goal
-        self.depth = depth
-        self.steps = steps
-        super().__init__(
-            f"goal nesting exceeded the depth limit at {goal} (depth {depth}, after {steps} steps)"
-        )
+    _message = "goal nesting exceeded the depth limit at {goal} (depth {depth}, after {steps} steps)"
 
 
-class StepsExceeded(EngineError):
+class StepsExceeded(_LimitExceeded):
     """The search used its whole step budget; ``goal`` is the goal it was
     entering at ``depth`` when ``steps`` entries had been made."""
 
-    def __init__(self, goal: Atom, depth: int, steps: int):
-        self.goal = goal
-        self.depth = depth
-        self.steps = steps
-        super().__init__(
-            f"resolution step budget exhausted after {steps} steps at {goal} (depth {depth})"
-        )
+    _message = "resolution step budget exhausted after {steps} steps at {goal} (depth {depth})"
 
 
 def _cycle_through(
@@ -340,7 +339,7 @@ def _term(spec, args: tuple) -> Term:
     """The term a plan gives by a (term, places) ``spec`` over a call's
     argument terms; a call reads a position spec's term itself."""
     term, places = spec
-    return rename_term(term, {name: args[at] for name, at in places}) if places else term
+    return _renamed((term,), {name: args[at] for name, at in places}.get)[0] if places else term
 
 
 class ProgramIndex:
@@ -416,39 +415,35 @@ class _Resolver:
         # when its leader is its own depth: a prune against an older
         # ancestor may have cut a proof that another context finds.
         self.table: dict[Atom, list | TraceNode] = {}
-        # The last canonical form and the last substitution applied that an
-        # open goal level asked for: the argument tuple (and substitution)
-        # it gave, and the tuple it got. A flat clause hands its goal's
+        # The last rewrite an open goal level asked for: the argument tuple
+        # and substitution it gave, then the argument tuples of the instance
+        # and of its canonical form it got. A flat clause hands its goal's
         # tuple to its body atom, and an answer comes back up under the
         # substitution the level below applied, so the next level asks for
         # the same rewrite of the very same objects. They are held here, so
         # no other object can take their identity while they are compared.
-        self.canon_in = self.canon_out = self.applied_in = self.applied_out = None
-        self.applied_subst: Optional[Substitution] = None
+        self.rewritten: tuple = (None, None, None, None)
 
-    def _canonical(self, atom: Atom) -> Atom:
-        """``canonical_atom(atom)``, built from the last one's argument
-        tuple when ``atom`` holds that same tuple; ``atom`` itself when it
-        is ground, so ``_canonical(a) is a`` still tells whether it is."""
+    def _rewrite(self, subst: Substitution, atom: Atom,
+                 canon: Optional[Atom] = None) -> tuple[Atom, Atom]:
+        """``apply_atom(subst, atom)`` and that instance's ``canonical_atom``,
+        built from the last rewrite's tuples when ``atom`` holds its argument
+        tuple and ``subst`` is its substitution. ``canon``, the canonical
+        form of ``atom``, is taken when no binding reaches ``atom``. The
+        instance is ``atom`` itself when no binding reaches it, and the
+        canonical form is the instance itself when that is ground, so
+        ``canonical is instance`` tells whether it is."""
         args = atom.args
-        if args is not self.canon_in:
-            canon = canonical_atom(atom)
-            self.canon_in, self.canon_out = args, canon.args
-            return canon
-        out = self.canon_out
-        return atom if out is args else _built(Atom, atom.predicate, out)
-
-    def _applied(self, subst: Substitution, atom: Atom) -> Atom:
-        """``apply_atom(subst, atom)``, built from the last one's argument
-        tuple when ``atom`` holds that same tuple and ``subst`` is that same
-        substitution; ``atom`` itself when no binding reaches it."""
-        args = atom.args
-        if args is not self.applied_in or subst is not self.applied_subst:
-            instance = apply_atom(subst, atom)
-            self.applied_in, self.applied_subst, self.applied_out = args, subst, instance.args
-            return instance
-        out = self.applied_out
-        return atom if out is args else _built(Atom, atom.predicate, out)
+        given, applied, out, canon_out = self.rewritten
+        if args is given and subst is applied:
+            instance = atom if out is args else _built(Atom, atom.predicate, out)
+            return instance, (instance if canon_out is out
+                              else _built(Atom, atom.predicate, canon_out))
+        instance = apply_atom(subst, atom)
+        if canon is None or instance is not atom:
+            canon = canonical_atom(instance)
+        self.rewritten = args, subst, instance.args, canon.args
+        return instance, canon
 
     def _call(self, plan: _Plan, args: tuple,
               subst: Substitution) -> Optional[tuple[list[Atom], Substitution]]:
@@ -543,8 +538,7 @@ class _Resolver:
         if subst is _GROUND:
             resolved = canon = goal
         else:
-            resolved = self._applied(subst, goal)
-            canon = self._canonical(resolved)
+            resolved, canon = self._rewrite(subst, goal)
         if self.steps == self.config.max_steps:
             raise StepsExceeded(canon, depth, self.steps)
         self.steps += 1
@@ -575,7 +569,7 @@ class _Resolver:
                 continue
             del table[canon]
             found = True
-            node = TraceNode(self._canonical(self._applied(bound, goal)), _SUCCESS, FACT_MARKER)
+            node = TraceNode(self._rewrite(bound, goal)[1], _SUCCESS, FACT_MARKER)
             yield _ANSWER, bound, node, False
             table[canon] = entry
         attempts: list = []
@@ -608,8 +602,8 @@ class _Resolver:
                 else:  # the body holds under solution
                     # The goal itself, and its canonical form, when the body
                     # bound none of its variables.
-                    instance = resolved if solution is start else self._applied(solution, resolved)
-                    node_goal = canon if instance is resolved else self._canonical(instance)
+                    instance, node_goal = ((resolved, canon) if solution is start
+                                           else self._rewrite(solution, resolved, canon))
                     checks = []
                     defeated = False
                     base = _GROUND if node_goal is instance else EMPTY_SUBSTITUTION

@@ -57,6 +57,7 @@ from .ast import (
     _built,
     _record,
     escape_text,
+    is_ground,
 )
 
 # Token kinds. Inside the parser a punctuation token's kind is the symbol
@@ -158,7 +159,7 @@ class _Parser:
         its symbol. BADCHAR is not an error yet: a statement the parser
         skips (say, a Prolog directive) may hold one."""
         self.text, self.tokens, self.errors = text, [], []
-        self.pos = self.variables = 0  # variables: how many Variables were built
+        self.pos = 0
         self.counted, self.line, self.line_start = 0, 1, 0  # see ``position``
         append = self.tokens.append
         for match in _TOKEN_RE.finditer(text):
@@ -259,7 +260,6 @@ def _parse_args(p: _Parser, pos: int, depth: int) -> tuple[tuple[Term, ...], int
             args.append(_built(Constant, value))
         elif kind == VAR:
             args.append(_built(Variable, value))
-            p.variables += 1
         elif kind in _LITERALS:
             args.append(_LITERALS[kind](value))
         else:
@@ -403,13 +403,12 @@ def _token_facts(source: str) -> FactBase:
     def fact(p: _Parser, token: tuple) -> None:
         if token[0] == ANNOT:
             raise p.error(token, "annotations are not allowed in fact files")
-        variables = p.variables
         atom = _parse_atom(p)
         p.expect(".", "after fact")
-        if p.variables != variables:
-            p.error(token, "facts must be ground")
-        else:
+        if is_ground(atom):
             facts.add(atom)
+        else:
+            p.error(token, "facts must be ground")
 
     _Parser(source).statements(fact)
     return _record(FactBase, frozenset(facts))

@@ -84,10 +84,11 @@ def walk_counts(monkeypatch) -> Counter:
 def plain_rewrites(monkeypatch):
     """A call that makes every later search rewrite a goal by plain
     ``apply_atom`` and ``canonical_atom``, reusing no earlier rewrite."""
-    def patch():
-        monkeypatch.setattr(_Resolver, "_applied", lambda self, subst, atom: ast.apply_atom(subst, atom))
-        monkeypatch.setattr(_Resolver, "_canonical", lambda self, atom: canonical_atom(atom))
-    return patch
+    def rewrite(self, subst, atom, canon=None):
+        instance = ast.apply_atom(subst, atom)
+        return instance, canonical_atom(instance)
+
+    return lambda: monkeypatch.setattr(_Resolver, "_rewrite", rewrite)
 
 
 class TestStratify:
